@@ -8,7 +8,6 @@ fundamental / complete homogeneous elements, and exhaustive verifiers for
 the ribbon identities.
 """
 
-from ._backend import BACKEND
 from .compositions import (
     AugmentedSubset,
     ColoredComposition,

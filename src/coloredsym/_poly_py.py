@@ -1,9 +1,9 @@
-"""Pure-Python kernels for sparse term maps.
+"""The term-map kernels: the hot loops of every polynomial identity check.
 
 A term map is a dict from exponent vectors (``bytes``, one byte per variable)
 to nonzero Python ints.  Keys of both operands must have equal length; the
-callers guarantee this.  These functions are the hot loops of every polynomial
-identity check; ``coloredsym._speedups`` provides a compiled drop-in.
+callers guarantee this.  An exponent above 255 in a product raises
+``ValueError`` (from ``bytes``); it never carries into the next variable.
 """
 
 

@@ -156,6 +156,8 @@ def _cmd_descent_class(args) -> int:
 
 def _cmd_ribbon(args) -> int:
     ce = parse_colored_composition(args.comp, args.r)
+    if args.widths and not (args.via_poly or args.dump_poly):
+        raise ValueError("--widths applies only with --via-poly or --dump-poly")
     widths = (
         tuple(int(w) for w in args.widths.split(","))
         if args.widths

@@ -8,7 +8,8 @@ offending input and both sides of the identity (capped at 10 per report).
 
 The two colored ribbon verifiers share one memoized ribbon element per
 colored composition, so a double pass certifies mutual consistency of the
-Schur-positivity identity and the alternating h-expansion.
+Schur-positivity identity and the alternating h-expansion.  The classical
+ribbon suites are their r = 1 slices, run through the same sweeps.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import factorial
 
-from ._backend import add_terms
+from ._poly_py import add_terms
 from .bijections import (
     colored_class_to_tableau,
     colored_rsk,
@@ -31,7 +32,6 @@ from .compositions import (
     ColoredComposition,
     Composition,
     coarsenings,
-    composition_coarsenings,
     enumerate_colored_compositions,
     enumerate_compositions,
 )
@@ -52,7 +52,6 @@ from .shapes import (
     enumerate_skew_shapes,
     enumerate_syt,
     hook_length_count,
-    partitions,
     rpartite_descent_set,
     rpartite_shape_of,
     tableau_descent_composition,
@@ -67,7 +66,6 @@ from .symfun import (
     fundamental_F,
     h_index_of_colored_comp,
     ribbon_schur_by_counting,
-    schur_coeff_by_tableau_count,
     schur_poly,
 )
 
@@ -132,19 +130,28 @@ class VerificationReport:
 
 
 class _Builder:
-    def __init__(self, identity, max_n, max_r, expected, note=""):
+    """Case counter and witness collector of one sweep.  A sweep without a
+    color range (``max_r`` None) is the r = 1 slice, and its breakdown keys
+    name only the size."""
+
+    def __init__(self, identity, max_n, max_r, expected, note="", unit="n"):
         self.identity = identity
         self.max_n = max_n
         self.max_r = max_r
         self.expected = expected
         self.note = note
+        self.unit = unit
         self.cases = 0
         self.failure_count = 0
         self.failures: list[dict] = []
         self.breakdown: dict[str, int] = {}
         self.t0 = time.perf_counter()
 
-    def case(self, key: str) -> None:
+    def colors(self) -> range:
+        return range(1, (self.max_r or 1) + 1)
+
+    def case(self, n: int, r: int = 1) -> None:
+        key = f"{self.unit}={n}" if self.max_r is None else f"{self.unit}={n},r={r}"
         self.cases += 1
         self.breakdown[key] = self.breakdown.get(key, 0) + 1
 
@@ -188,10 +195,6 @@ def _term_diff(lhs: dict, rhs: dict, limit: int = 5) -> list[dict]:
     return out
 
 
-def _comp_cases(max_n: int) -> int:
-    return sum(2 ** (n - 1) for n in range(1, max_n + 1))
-
-
 def _colored_comp_cases(max_n: int, max_r: int) -> int:
     return sum(
         r * (r + 1) ** (n - 1)
@@ -205,7 +208,7 @@ def verify_reading_word_bijection(max_n: int = 6, jobs: int = 1) -> Verification
     ribbon's composition, matching descents of fillings with descents of
     inverses; consequently descent sets are equidistributed over the inverse
     class and the fillings."""
-    b = _Builder("reading-word", max_n, None, _comp_cases(max_n))
+    b = _Builder("reading-word", max_n, None, _colored_comp_cases(max_n, 1))
     for n in range(1, max_n + 1):
         classes: dict[Composition, set] = {}
         inv_des: dict[Composition, Counter] = {}
@@ -215,7 +218,7 @@ def verify_reading_word_bijection(max_n: int = 6, jobs: int = 1) -> Verification
                 descent_set(p)
             ] += 1
         for a in enumerate_compositions(n):
-            b.case(f"n={n}")
+            b.case(n)
             tableaux = list(enumerate_syt(zigzag_of(a).shape))
             words = [reading_word(q) for q in tableaux]
             ok = (
@@ -245,11 +248,11 @@ def verify_skew_schur_f_expansion(max_cells: int = 6, jobs: int = 1) -> Verifica
     polynomials over the descent compositions of its standard fillings."""
     shape_lists = {m: enumerate_skew_shapes(m) for m in range(1, max_cells + 1)}
     expected = sum(len(v) for v in shape_lists.values())
-    b = _Builder("skew-schur-f", max_cells, None, expected)
+    b = _Builder("skew-schur-f", max_cells, None, expected, unit="cells")
     for m, shapes in shape_lists.items():
         widths = (m,)
         for shape in shapes:
-            b.case(f"cells={m}")
+            b.case(m)
             lhs = schur_poly(shape, 0, widths)
             acc: dict[bytes, int] = {}
             for q in enumerate_syt(shape):
@@ -262,75 +265,6 @@ def verify_skew_schur_f_expansion(max_cells: int = 6, jobs: int = 1) -> Verifica
                         "cells": m,
                         "shape": shape.to_json(),
                         "diff": _term_diff(lhs.terms, acc),
-                    }
-                )
-    return b.report()
-
-
-def verify_ribbon_schur_positive(max_n: int = 6, jobs: int = 1) -> VerificationReport:
-    """The ribbon Schur polynomial equals the generating function of the
-    inverse descent class and expands Schur-positively with coefficients
-    counting standard fillings by descent composition."""
-    b = _Builder("ribbon-schur", max_n, None, _comp_cases(max_n))
-    for n in range(1, max_n + 1):
-        widths = (n,)
-        inv_class: dict[Composition, Counter] = {}
-        for p in enumerate_permutations(n):
-            inv_class.setdefault(descent_composition(p.inverse()), Counter())[
-                descent_composition(p)
-            ] += 1
-        for a in enumerate_compositions(n):
-            b.case(f"n={n}")
-            ribbon = schur_poly(zigzag_of(a).shape, 0, widths)
-            acc: dict[bytes, int] = {}
-            for comp, mult in inv_class.get(a, Counter()).items():
-                add_terms(acc, fundamental_F(comp, 0, widths).terms, mult)
-            expansion = expand_in_colored_schur(ribbon)
-            ce1 = ColoredComposition(a.parts, (0,) * len(a.parts), 1)
-            counted = {
-                (lam,): c
-                for lam in partitions(n)
-                if (c := schur_coeff_by_tableau_count(ce1, (lam,)))
-            }
-            ok = (
-                ribbon.terms == acc
-                and all(c > 0 for c in expansion.coeffs.values())
-                and expansion.coeffs == counted
-            )
-            if not ok:
-                b.fail(
-                    {
-                        "n": n,
-                        "composition": list(a.parts),
-                        "expansion": expansion.to_json(),
-                        "counted": {str(k): v for k, v in counted.items()},
-                    }
-                )
-    return b.report()
-
-
-def verify_ribbon_h_alternating(max_n: int = 6, jobs: int = 1) -> VerificationReport:
-    """The ribbon Schur polynomial is the alternating sum of complete
-    homogeneous products over the coarsenings of its composition."""
-    b = _Builder(
-        "ribbon-h", max_n, None, _comp_cases(max_n), note=SYMFUN_LEVEL_NOTE
-    )
-    for n in range(1, max_n + 1):
-        widths = (n,)
-        for a in enumerate_compositions(n):
-            b.case(f"n={n}")
-            ribbon = schur_poly(zigzag_of(a).shape, 0, widths)
-            acc: dict[bytes, int] = {}
-            for beta in composition_coarsenings(a):
-                sign = -1 if (len(a.parts) - len(beta.parts)) % 2 else 1
-                index = (tuple(sorted(beta.parts, reverse=True)),)
-                add_terms(acc, colored_h(index, widths).terms, sign)
-            if ribbon.terms != acc:
-                b.fail(
-                    {
-                        "n": n,
-                        "composition": list(a.parts),
-                        "diff": _term_diff(ribbon.terms, acc),
                     }
                 )
     return b.report()
@@ -349,7 +283,7 @@ def verify_colored_zigzag_count(
             ces = enumerate_colored_compositions(n, r)
             keys = set()
             for ce in ces:
-                b.case(f"n={n},r={r}")
+                b.case(n, r)
                 keys.add(colored_zigzag_of(ce).diagram_key())
             target = r * (r + 1) ** (n - 1)
             if not (len(keys) == len(ces) == target):
@@ -378,7 +312,7 @@ def verify_colored_class_tableau(
         for r in range(1, max_r + 1):
             table = descent_class_table(n, r)
             for ce in enumerate_colored_compositions(n, r):
-                b.case(f"n={n},r={r}")
+                b.case(n, r)
                 members = table.get(ce, [])
                 shape = rpartite_shape_of(colored_zigzag_of(ce), r)
                 all_fillings = set(enumerate_rpartite_syt(shape))
@@ -456,23 +390,15 @@ def _ribbon_schur_case(args) -> dict | None:
     return None
 
 
-def verify_colored_ribbon_schur(
-    max_n: int = 5, max_r: int = 3, jobs: int = 1
-) -> VerificationReport:
-    """Three-way identity: the colored ribbon element equals the colored
-    quasisymmetric generating function of the conjugate-inverse descent
-    class, and its Schur expansion is nonnegative with coefficients counting
-    r-partite standard fillings by colored descent composition."""
-    b = _Builder(
-        "colored-ribbon-schur", max_n, max_r, _colored_comp_cases(max_n, max_r)
-    )
+def _ribbon_schur_sweep(identity, max_n, max_r, jobs) -> VerificationReport:
+    b = _Builder(identity, max_n, max_r, _colored_comp_cases(max_n, max_r or 1))
     for n in range(1, max_n + 1):
-        for r in range(1, max_r + 1):
+        for r in b.colors():
             widths = (n,) * r
             counters = _conj_inverse_f_counters(n, r)
             args = []
             for ce in enumerate_colored_compositions(n, r):
-                b.case(f"n={n},r={r}")
+                b.case(n, r)
                 fcounts = tuple(sorted(counters.get(ce, Counter()).items(), key=_ce_key))
                 args.append((ce, fcounts, widths))
             for witness in _map_cases(_ribbon_schur_case, args, jobs):
@@ -480,6 +406,24 @@ def verify_colored_ribbon_schur(
                     witness.update({"n": n, "r": r})
                     b.fail(witness)
     return b.report()
+
+
+def verify_colored_ribbon_schur(
+    max_n: int = 5, max_r: int = 3, jobs: int = 1
+) -> VerificationReport:
+    """Three-way identity: the colored ribbon element equals the colored
+    quasisymmetric generating function of the conjugate-inverse descent
+    class, and its Schur expansion is nonnegative with coefficients counting
+    r-partite standard fillings by colored descent composition."""
+    return _ribbon_schur_sweep("colored-ribbon-schur", max_n, max_r, jobs)
+
+
+def verify_ribbon_schur_positive(max_n: int = 6, jobs: int = 1) -> VerificationReport:
+    """The r = 1 slice of ``verify_colored_ribbon_schur``: the ribbon Schur
+    polynomial equals the generating function of the inverse descent class
+    and expands Schur-positively with coefficients counting standard
+    fillings by descent composition."""
+    return _ribbon_schur_sweep("ribbon-schur", max_n, None, jobs)
 
 
 def _ce_key(item):
@@ -504,30 +448,41 @@ def _ribbon_h_case(args) -> dict | None:
     return None
 
 
-def verify_colored_ribbon_h(
-    max_n: int = 5, max_r: int = 3, jobs: int = 1
-) -> VerificationReport:
-    """The colored ribbon element is the alternating sum of colored complete
-    homogeneous products over the coarsenings of its colored composition."""
+def _ribbon_h_sweep(identity, max_n, max_r, jobs) -> VerificationReport:
     b = _Builder(
-        "colored-ribbon-h",
+        identity,
         max_n,
         max_r,
-        _colored_comp_cases(max_n, max_r),
+        _colored_comp_cases(max_n, max_r or 1),
         note=SYMFUN_LEVEL_NOTE,
     )
     for n in range(1, max_n + 1):
-        for r in range(1, max_r + 1):
+        for r in b.colors():
             widths = (n,) * r
             args = []
             for ce in enumerate_colored_compositions(n, r):
-                b.case(f"n={n},r={r}")
+                b.case(n, r)
                 args.append((ce, widths))
             for witness in _map_cases(_ribbon_h_case, args, jobs):
                 if witness is not None:
                     witness.update({"n": n, "r": r})
                     b.fail(witness)
     return b.report()
+
+
+def verify_colored_ribbon_h(
+    max_n: int = 5, max_r: int = 3, jobs: int = 1
+) -> VerificationReport:
+    """The colored ribbon element is the alternating sum of colored complete
+    homogeneous products over the coarsenings of its colored composition."""
+    return _ribbon_h_sweep("colored-ribbon-h", max_n, max_r, jobs)
+
+
+def verify_ribbon_h_alternating(max_n: int = 6, jobs: int = 1) -> VerificationReport:
+    """The r = 1 slice of ``verify_colored_ribbon_h``: the ribbon Schur
+    polynomial is the alternating sum of complete homogeneous products over
+    the coarsenings of its composition."""
+    return _ribbon_h_sweep("ribbon-h", max_n, None, jobs)
 
 
 def verify_colored_rsk(
@@ -551,7 +506,7 @@ def verify_colored_rsk(
         for r in range(1, max_r + 1):
             seen = set()
             for w in enumerate_colored_permutations(n, r):
-                b.case(f"n={n},r={r}")
+                b.case(n, r)
                 p, q = colored_rsk(w)
                 ok = (
                     p.shape() == q.shape()
@@ -611,6 +566,9 @@ def run_identity(
     """Run one registered identity at its default or overridden range."""
     if name not in IDENTITY_REGISTRY:
         raise KeyError(f"unknown identity {name!r}")
+    for label, value in (("max_n", max_n), ("max_r", max_r), ("jobs", jobs)):
+        if value is not None and value < 1:
+            raise ValueError(f"{label} must be at least 1, got {value}")
     fn, (default_n, default_r) = IDENTITY_REGISTRY[name]
     return fn(
         max_n if max_n is not None else default_n,

@@ -14,7 +14,8 @@ Descent statistics:
   counted everywhere and position n present exactly when its color is > 0.
 
 Descent classes are computed by filtering a full enumeration of the group,
-bounded at n <= 8 by default (correctness over cleverness at desk scale).
+bounded by its order n! * r^n <= 8! (correctness over cleverness at desk
+scale).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations as _permutations
 from itertools import product
+from math import factorial
 
 from .compositions import (
     ColoredComposition,
@@ -32,8 +34,8 @@ from .compositions import (
 )
 from .errors import DimensionMismatchError, ParseError, ResourceLimitError
 
-#: Full-enumeration bound for descent-class filtering.
-MAX_FILTER_N = 8
+#: Largest group order n! * r^n that descent-class filtering enumerates.
+MAX_FILTER_ORDER = factorial(8)
 
 
 @dataclass(frozen=True)
@@ -205,29 +207,29 @@ def enumerate_colored_permutations(n: int, r: int):
             yield ColoredPermutation(p, colors, r)
 
 
-def _check_enumeration_bound(n: int, max_n: int) -> None:
-    if n > max_n:
+def _check_enumeration_bound(n: int, r: int) -> None:
+    order = factorial(n) * r**n
+    if order > MAX_FILTER_ORDER:
         raise ResourceLimitError(
-            f"descent classes are enumerated by filtering; n={n} exceeds bound {max_n}"
+            f"descent classes are enumerated by filtering; the group order "
+            f"{order} for n={n}, r={r} exceeds bound {MAX_FILTER_ORDER}"
         )
 
 
 def descent_class_table(
-    n: int, r: int, max_n: int = MAX_FILTER_N
+    n: int, r: int
 ) -> dict[ColoredComposition, list[ColoredPermutation]]:
     """Bucket the whole group by colored descent composition in one pass."""
-    _check_enumeration_bound(n, max_n)
+    _check_enumeration_bound(n, r)
     table: dict[ColoredComposition, list[ColoredPermutation]] = {}
     for a in enumerate_colored_permutations(n, r):
         table.setdefault(colored_descent_composition(a), []).append(a)
     return table
 
 
-def descent_class(
-    ce: ColoredComposition, max_n: int = MAX_FILTER_N
-) -> list[ColoredPermutation]:
+def descent_class(ce: ColoredComposition) -> list[ColoredPermutation]:
     """All colored permutations whose colored descent composition is ``ce``."""
-    _check_enumeration_bound(ce.n, max_n)
+    _check_enumeration_bound(ce.n, ce.r)
     return [
         a
         for a in enumerate_colored_permutations(ce.n, ce.r)
@@ -235,12 +237,10 @@ def descent_class(
     ]
 
 
-def conj_inverse_descent_class(
-    ce: ColoredComposition, max_n: int = MAX_FILTER_N
-) -> list[ColoredPermutation]:
+def conj_inverse_descent_class(ce: ColoredComposition) -> list[ColoredPermutation]:
     """All ``a`` with ``co(conj_inverse(a)) == ce``; since conjugate-inverse
     is an involution this is the image of ``descent_class(ce)`` under it."""
-    members = [conj_inverse(a) for a in descent_class(ce, max_n=max_n)]
+    members = [conj_inverse(a) for a in descent_class(ce)]
     members.sort(key=lambda a: (a.word, a.colors))
     return members
 

@@ -23,6 +23,7 @@ from .compositions import (
     ColoredSet,
     Composition,
     colored_set_to_colored_comp,
+    enumerate_compositions,
     rainbow_decomposition,
 )
 from .errors import ResourceLimitError, ShapeError
@@ -518,24 +519,11 @@ def enumerate_skew_shapes(ncells: int):
             offsets(clens, i - 1, chosen)
             chosen.pop()
 
-    for comp in _compositions_of(ncells):
-        clens = list(comp)  # row lengths top-down
+    for comp in enumerate_compositions(ncells):
+        clens = list(comp.parts)  # row lengths top-down
         k = len(clens)
         if k == 1:
             out.append(SkewShape((clens[0],), ()))
             continue
         offsets(clens, k - 2, [0])
     return out
-
-
-def _compositions_of(n: int):
-    def rec(remaining: int, prefix: list[int]):
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for p in range(1, remaining + 1):
-            prefix.append(p)
-            yield from rec(remaining - p, prefix)
-            prefix.pop()
-
-    yield from rec(n, [])

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement
 
-from ._backend import add_terms, mul_terms
+from ._poly_py import add_terms, mul_terms
 from .compositions import (
     ColoredComposition,
     Composition,
@@ -145,6 +145,13 @@ def one(widths) -> MultiAlphabetPolynomial:
     return MultiAlphabetPolynomial(widths, {bytes(sum(widths)): 1})
 
 
+def _product(factors, widths) -> MultiAlphabetPolynomial:
+    """Product of the factors, started from the first one; the unit when
+    there are none."""
+    factors = list(factors)
+    return reduce(MultiAlphabetPolynomial.__mul__, factors) if factors else one(widths)
+
+
 def _embed(local: dict[bytes, int], widths: tuple[int, ...], alphabet: int):
     """Lift a one-alphabet term map into the full variable layout."""
     offs = _offsets(widths)
@@ -207,10 +214,13 @@ def _translate_rows(shape: SkewShape, lo: int, hi: int) -> SkewShape:
 
 @lru_cache(maxsize=None)
 def _schur_local(shape: SkewShape, width: int) -> "MultiAlphabetPolynomial":
-    poly = MultiAlphabetPolynomial((width,), {bytes(width): 1})
-    for block in _row_blocks(shape) if shape.ncells else []:
-        poly = poly * MultiAlphabetPolynomial((width,), _ssyt_terms(block, width))
-    return poly
+    return _product(
+        (
+            MultiAlphabetPolynomial((width,), _ssyt_terms(block, width))
+            for block in (_row_blocks(shape) if shape.ncells else [])
+        ),
+        (width,),
+    )
 
 
 def schur_poly(shape, alphabet: int, widths) -> MultiAlphabetPolynomial:
@@ -253,26 +263,12 @@ def e_poly(k: int, alphabet: int, widths) -> MultiAlphabetPolynomial:
 
 def fundamental_F(a: Composition, alphabet: int, widths) -> MultiAlphabetPolynomial:
     """Fundamental quasisymmetric polynomial: weakly increasing index chains
-    with strict rises exactly after the proper partial sums of ``a``."""
+    with strict rises exactly after the proper partial sums of ``a``.  It is
+    the one-color ``colored_F``, placed in alphabet ``alphabet``."""
     widths = tuple(widths)
-    width = widths[alphabet]
-    n = a.n
-    strict_after = set(a.partial_sums()[:-1])
-    counts = bytearray(width)
-    local: dict[bytes, int] = {}
-
-    def rec(t: int, lo: int):
-        if t > n:
-            key = bytes(counts)
-            local[key] = local.get(key, 0) + 1
-            return
-        for i in range(lo, width + 1):
-            counts[i - 1] += 1
-            rec(t + 1, i + (1 if t in strict_after else 0))
-            counts[i - 1] -= 1
-
-    rec(1, 1)
-    return MultiAlphabetPolynomial(widths, _embed(local, widths, alphabet))
+    ce = ColoredComposition(a.parts, (0,) * len(a.parts), 1)
+    local = colored_F(ce, (widths[alphabet],))
+    return MultiAlphabetPolynomial(widths, _embed(local.terms, widths, alphabet))
 
 
 @lru_cache(maxsize=None)
@@ -323,10 +319,9 @@ def _normalize_components(components) -> tuple[SkewShape, ...]:
 
 @lru_cache(maxsize=None)
 def _colored_schur_cached(components: tuple[SkewShape, ...], widths):
-    poly = one(widths)
-    for j, comp in enumerate(components):
-        poly = poly * schur_poly(comp, j, widths)
-    return poly
+    return _product(
+        (schur_poly(comp, j, widths) for j, comp in enumerate(components)), widths
+    )
 
 
 def colored_schur(components, widths) -> MultiAlphabetPolynomial:
@@ -350,10 +345,13 @@ def colored_ribbon(ce: ColoredComposition, widths) -> MultiAlphabetPolynomial:
         raise DimensionMismatchError(
             f"need {ce.r} alphabet widths, got {len(widths)}"
         )
-    poly = one(widths)
-    for comp, color in rainbow_decomposition(ce).blocks:
-        poly = poly * schur_poly(zigzag_of(comp).shape, color, widths)
-    return poly
+    return _product(
+        (
+            schur_poly(zigzag_of(comp).shape, color, widths)
+            for comp, color in rainbow_decomposition(ce).blocks
+        ),
+        widths,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -362,11 +360,9 @@ def colored_h(bll: RPartitePartition, widths) -> MultiAlphabetPolynomial:
     widths = tuple(widths)
     if len(bll) != len(widths):
         raise DimensionMismatchError(f"{len(bll)} components vs {len(widths)} alphabets")
-    poly = one(widths)
-    for j, part in enumerate(bll):
-        for k in part:
-            poly = poly * h_poly(k, j, widths)
-    return poly
+    return _product(
+        (h_poly(k, j, widths) for j, part in enumerate(bll) for k in part), widths
+    )
 
 
 def h_index_of_colored_comp(ce: ColoredComposition) -> RPartitePartition:

@@ -8,7 +8,7 @@ criterion.  All equalities are exact; there are no tolerances.
 import time
 from collections import Counter
 
-from coloredsym._backend import add_terms
+from coloredsym._poly_py import add_terms
 from coloredsym import (
     ColoredComposition,
     ColoredPermutation,

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from coloredsym import ColoredComposition, ribbon_schur_by_counting
 from coloredsym.cli import main
 
@@ -119,6 +121,28 @@ def test_verify_passes(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--max-n", "0"), ("--max-r", "0"), ("--jobs", "-3")]
+)
+def test_verify_rejects_empty_range_and_bad_jobs(capsys, flag, value):
+    # an empty range would check 0 of 0 cases and pass vacuously
+    code, out, err = run_cli(capsys, "verify", "--identity", "rsk", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_ribbon_widths_need_a_polynomial_path(capsys):
+    args = ("ribbon", "--comp", "2^0,2^0", "--r", "1")
+    code, out, err = run_cli(capsys, *args, "--widths", "4,4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--widths" in err
+    code, out, _ = run_cli(capsys, *args, "--widths", "4", "--via-poly")
+    assert code == 0
+    assert json.loads(out)["basis"] == "schur"
 
 
 def test_verify_table_format(capsys):

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from coloredsym import IDENTITY_REGISTRY, VerificationReport, run_identity
+from coloredsym import (
+    IDENTITY_REGISTRY,
+    ColoredComposition,
+    VerificationReport,
+    colored_F,
+    colored_h,
+    run_identity,
+)
+from coloredsym import identities
 from coloredsym.identities import (
     verify_colored_ribbon_h,
     verify_colored_ribbon_schur,
@@ -100,3 +108,33 @@ def test_rsk_square_sum_guard():
     report = verify_colored_rsk(3, 2)
     assert report.passed
     assert report.breakdown["n=3,r=2"] == 48
+
+
+def test_classical_ribbon_suites_are_the_r1_slices():
+    for classical, colored in (("ribbon-schur", "colored-ribbon-schur"),
+                               ("ribbon-h", "colored-ribbon-h")):
+        small = run_identity(classical, 4).to_json()
+        sliced = run_identity(colored, 4, 1).to_json()
+        assert small["max_r"] is None and sliced["max_r"] == 1
+        assert small["cases_checked"] == sliced["cases_checked"] == 15
+        assert list(small["breakdown"]) == ["n=1", "n=2", "n=3", "n=4"]
+        assert list(sliced["breakdown"]) == ["n=1,r=1", "n=2,r=1", "n=3,r=1", "n=4,r=1"]
+
+
+def _doubled_at(fn, target):
+    return lambda key, widths: 2 * fn(key, widths) if key == target else fn(key, widths)
+
+
+def test_planted_fundamental_fault_fails_ribbon_schur(monkeypatch):
+    target = ColoredComposition((1, 2), (0, 0), 1)
+    monkeypatch.setattr(identities, "colored_F", _doubled_at(colored_F, target))
+    report = run_identity("ribbon-schur", 3)
+    assert not report.passed
+    assert report.failure_count > 0
+
+
+def test_planted_h_fault_fails_ribbon_h(monkeypatch):
+    monkeypatch.setattr(identities, "colored_h", _doubled_at(colored_h, ((2, 1),)))
+    report = run_identity("ribbon-h", 3)
+    assert not report.passed
+    assert report.failure_count > 0

@@ -1,17 +1,9 @@
-"""Parity and ring-law checks for the term-arithmetic kernels."""
+"""Ring laws and edge cases of the term-map kernels."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from coloredsym import _poly_py
-from coloredsym._backend import BACKEND
-
-try:
-    from coloredsym import _speedups
-except ImportError:
-    _speedups = None
-
-KERNELS = [_poly_py] + ([_speedups] if _speedups is not None else [])
+from coloredsym._poly_py import add_terms, mul_terms
 
 
 def term_maps(nvars=4, max_exp=5, max_terms=6):
@@ -22,45 +14,32 @@ def term_maps(nvars=4, max_exp=5, max_terms=6):
     return st.dictionaries(key, coeff, max_size=max_terms)
 
 
-def test_backend_is_known():
-    assert BACKEND in ("python", "compiled")
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled kernels unavailable")
-@given(term_maps(), term_maps())
-def test_mul_parity(a, b):
-    assert _poly_py.mul_terms(a, b) == _speedups.mul_terms(dict(a), dict(b))
-
-
-@pytest.mark.skipif(_speedups is None, reason="compiled kernels unavailable")
-@given(term_maps(), term_maps(), st.integers(min_value=-9, max_value=9))
-def test_add_parity(a, b, coeff):
-    assert _poly_py.add_terms(dict(a), b, coeff) == _speedups.add_terms(
-        dict(a), b, coeff
-    )
-
-
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda m: m.__name__)
 @given(a=term_maps(), b=term_maps())
-def test_mul_commutes(kernel, a, b):
-    assert kernel.mul_terms(a, b) == kernel.mul_terms(b, a)
+def test_mul_commutes(a, b):
+    assert mul_terms(a, b) == mul_terms(b, a)
 
 
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda m: m.__name__)
-def test_mul_edge_cases(kernel):
+def test_mul_edge_cases():
     one = {bytes(3): 1}
     p = {bytes((1, 0, 2)): 5, bytes((0, 1, 0)): -3}
-    assert kernel.mul_terms(p, {}) == {}
-    assert kernel.mul_terms(p, one) == p
+    assert mul_terms(p, {}) == {}
+    assert mul_terms(p, one) == p
     # (x - y) * (x + y) == x^2 - y^2 : cancellation drops the cross terms
     x, y = bytes((1, 0)), bytes((0, 1))
     left = {x: 1, y: -1}
     right = {x: 1, y: 1}
-    assert kernel.mul_terms(left, right) == {bytes((2, 0)): 1, bytes((0, 2)): -1}
+    assert mul_terms(left, right) == {bytes((2, 0)): 1, bytes((0, 2)): -1}
 
 
-@pytest.mark.parametrize("kernel", KERNELS, ids=lambda m: m.__name__)
-def test_add_cancellation(kernel):
+def test_exponent_overflow_raises():
+    # 255 is the largest exponent one byte holds; one more must raise, not
+    # carry into the next variable as x^256 == x^0 * y^1 would
+    assert mul_terms({bytes((200, 0)): 1}, {bytes((55, 0)): 1}) == {bytes((255, 0)): 1}
+    with pytest.raises(ValueError):
+        mul_terms({bytes((200, 0)): 1}, {bytes((56, 0)): 1})
+
+
+def test_add_cancellation():
     acc = {bytes((1, 1)): 2}
-    kernel.add_terms(acc, {bytes((1, 1)): 1}, -2)
+    add_terms(acc, {bytes((1, 1)): 1}, -2)
     assert acc == {}

@@ -236,6 +236,16 @@ class TestDescentClasses:
         with pytest.raises(ResourceLimitError):
             descent_class(ce)
 
+    @pytest.mark.parametrize("n,r", [(8, 4), (9, 1)])
+    def test_resource_bound_is_the_group_order(self, n, r):
+        # 8! * 4^8 is about 2.6e9 elements; n alone would admit it
+        ce = ColoredComposition((n,), (r - 1,), r)
+        for fn in (descent_class, conj_inverse_descent_class):
+            with pytest.raises(ResourceLimitError):
+                fn(ce)
+        with pytest.raises(ResourceLimitError):
+            descent_class_table(n, r)
+
 
 class TestText:
     def test_round_trip(self):
