@@ -6,7 +6,8 @@
   each left to right).
 * ``colored_class_to_tableau`` / ``colored_tableau_to_class``: a colored
   descent class corresponds to the standard fillings of the r-partite skew
-  shape built from its colored zigzag shape, block by rainbow block.
+  shape built from its colored zigzag shape; each increasing constant-color
+  run of the window word fills one row.
 * ``colored_rsk`` / ``colored_rsk_inverse``: the wreath-product insertion
   correspondence.  Position i inserts its value into the component of color
   z_i of P by classical row bumping while Q records i in the matching new
@@ -19,21 +20,20 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import chain
 
-from .compositions import ColoredComposition, Composition, rainbow_decomposition
+from .compositions import ColoredComposition, Composition
 from .errors import DimensionMismatchError, ShapeError
 from .permutations import (
     ColoredPermutation,
     Permutation,
+    colored_descent_composition,
     descent_composition,
 )
 from .shapes import (
-    EMPTY_TABLEAU,
     RPartiteTableau,
     SkewShape,
     StandardTableau,
     colored_zigzag_of,
     rpartite_shape_of,
-    tableau_direct_sum,
     zigzag_of,
 )
 
@@ -62,44 +62,26 @@ def reading_word_inverse(p: Permutation, a: Composition) -> StandardTableau:
     return StandardTableau(zigzag_of(a).shape, tuple(rows_bottom_up[::-1]))
 
 
-def _window_blocks(a: ColoredPermutation) -> list[tuple[tuple[int, ...], int]]:
-    """Maximal constant-color factors of the window word, with their colors."""
-    blocks = []
-    run: list[int] = []
-    run_color = a.colors[0]
-    for v, c in zip(a.word, a.colors):
-        if c != run_color:
-            blocks.append((tuple(run), run_color))
-            run, run_color = [], c
-        run.append(v)
-    blocks.append((tuple(run), run_color))
-    return blocks
-
-
-def _block_tableau(values: tuple[int, ...]) -> StandardTableau:
-    """Ribbon filling for one monochromatic factor: standardize, invert the
-    reading word, then restore the original values."""
-    ranks = {v: i + 1 for i, v in enumerate(sorted(values))}
-    std = Permutation(tuple(ranks[v] for v in values))
-    q_std = reading_word_inverse(std, descent_composition(std))
-    back = {rank: v for v, rank in ranks.items()}
-    return StandardTableau(
-        q_std.shape, tuple(tuple(back[x] for x in row) for row in q_std.rows)
-    )
-
-
 def colored_class_to_tableau(a: ColoredPermutation) -> RPartiteTableau:
     """Map a colored permutation to the standard filling of the r-partite
     skew shape attached to its colored descent composition.
 
-    Each rainbow block of the window word becomes a ribbon filling; blocks of
-    equal color are direct-summed in index order (later blocks on top)."""
-    components = [EMPTY_TABLEAU] * a.r
-    for values, color in _window_blocks(a):
-        components[color] = tableau_direct_sum(
-            components[color], _block_tableau(values)
+    Each part of the colored descent composition is one increasing
+    constant-color run of the window word and fills one row; the runs of
+    one color stack bottom to top in window order."""
+    ce = colored_descent_composition(a)
+    rows_bottom_up: list[list[tuple[int, ...]]] = [[] for _ in range(a.r)]
+    pos = 0
+    for part, color in zip(ce.parts, ce.colors):
+        rows_bottom_up[color].append(a.word[pos : pos + part])
+        pos += part
+    shapes = rpartite_shape_of(colored_zigzag_of(ce), a.r)
+    return RPartiteTableau(
+        tuple(
+            StandardTableau(shape, tuple(reversed(rows)))
+            for shape, rows in zip(shapes, rows_bottom_up)
         )
-    return RPartiteTableau(tuple(components))
+    )
 
 
 def colored_tableau_to_class(
@@ -107,30 +89,19 @@ def colored_tableau_to_class(
 ) -> ColoredPermutation:
     """Inverse of ``colored_class_to_tableau`` on the descent class of ``ce``.
 
-    The rainbow decomposition of ``ce`` prescribes how each component splits
-    back into ribbon summands; reading each summand recovers the block of the
-    window word."""
+    The parts of ``ce`` read the rows back: each takes the lowest unread
+    row of the component of its color."""
     if bq.r != ce.r:
         raise DimensionMismatchError(f"tableau has r={bq.r}, composition r={ce.r}")
-    blocks = rainbow_decomposition(ce).blocks
     expected = rpartite_shape_of(colored_zigzag_of(ce), ce.r)
     if bq.shape() != expected:
         raise ShapeError("tableau shape does not match the colored composition")
-    # Component rows split top-down into the reversed block list of its color.
-    cursor = {j: 0 for j in range(ce.r)}
-    block_rows: list[tuple[tuple[int, ...], ...]] = [()] * len(blocks)
-    for idx in reversed(range(len(blocks))):
-        comp, color = blocks[idx]
-        nrows = len(comp.parts)
-        rows = bq.components[color].rows
-        start = cursor[color]
-        block_rows[idx] = rows[start : start + nrows]
-        cursor[color] = start + nrows
+    unread = [list(q.rows) for q in bq.components]
     word: list[int] = []
     colors: list[int] = []
-    for (comp, color), rows in zip(blocks, block_rows):
-        word.extend(chain.from_iterable(reversed(rows)))
-        colors.extend([color] * comp.n)
+    for part, color in zip(ce.parts, ce.colors):
+        word.extend(unread[color].pop())
+        colors.extend([color] * part)
     return ColoredPermutation(Permutation(tuple(word)), tuple(colors), ce.r)
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .bijections import colored_class_to_tableau, colored_rsk
@@ -46,10 +45,6 @@ def _emit(obj, fmt: str, table_renderer=None) -> None:
         print(json.dumps(obj, indent=2, sort_keys=True))
     else:
         print(table_renderer(obj))
-
-
-def _default_jobs() -> int:
-    return int(os.environ.get("COLOREDSYM_JOBS", "1"))
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -119,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--max-r", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None, help="worker count")
+    p.add_argument("--jobs", type=int, default=1, help="worker count")
     _add_format(p)
 
     return parser
@@ -158,6 +153,8 @@ def _cmd_ribbon(args) -> int:
     ce = parse_colored_composition(args.comp, args.r)
     if args.widths and not (args.via_poly or args.dump_poly):
         raise ValueError("--widths applies only with --via-poly or --dump-poly")
+    if args.via_poly and args.basis != "schur":
+        raise ValueError("--via-poly applies only with --basis schur")
     widths = (
         tuple(int(w) for w in args.widths.split(","))
         if args.widths
@@ -165,7 +162,7 @@ def _cmd_ribbon(args) -> int:
     )
     if args.basis == "schur":
         if args.via_poly:
-            expansion = expand_in_colored_schur(colored_ribbon(ce, widths))
+            expansion = expand_in_colored_schur(colored_ribbon(ce, widths), ce.n)
         else:
             expansion = ribbon_schur_by_counting(ce)
         obj = expansion.to_json()
@@ -247,9 +244,8 @@ def _cmd_tableau_of(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
     names = sorted(IDENTITY_REGISTRY) if args.identity == "all" else [args.identity]
-    reports = [run_identity(name, args.max_n, args.max_r, jobs) for name in names]
+    reports = [run_identity(name, args.max_n, args.max_r, args.jobs) for name in names]
     if args.format == "table":
         print("\n\n".join(report.table() for report in reports))
     else:

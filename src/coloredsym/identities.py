@@ -6,14 +6,17 @@ exact integer arithmetic, and returns a :class:`VerificationReport` whose
 set, so silently skipped cases are impossible.  Failure witnesses carry the
 offending input and both sides of the identity (capped at 10 per report).
 
-The two colored ribbon verifiers share one memoized ribbon element per
-colored composition, so a double pass certifies mutual consistency of the
-Schur-positivity identity and the alternating h-expansion.  The classical
-ribbon suites are their r = 1 slices, run through the same sweeps.
+At ``jobs == 1`` the two colored ribbon verifiers share one memoized ribbon
+element per colored composition, so a double pass certifies mutual
+consistency of the Schur-positivity identity and the alternating
+h-expansion; worker processes do not share memos, so with more workers each
+suite builds its own.  The classical ribbon suites are their r = 1 slices,
+run through the same sweeps.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +34,6 @@ from .bijections import (
 from .compositions import (
     ColoredComposition,
     Composition,
-    coarsenings,
     enumerate_colored_compositions,
     enumerate_compositions,
 )
@@ -64,7 +66,7 @@ from .symfun import (
     colored_ribbon,
     expand_in_colored_schur,
     fundamental_F,
-    h_index_of_colored_comp,
+    ribbon_h_expansion,
     ribbon_schur_by_counting,
     schur_poly,
 )
@@ -175,11 +177,18 @@ class _Builder:
         )
 
 
+def _worker_count(jobs: int, cases: int) -> int:
+    """Requested workers, clamped to the case count and the CPU count: the
+    pool starts every worker at once, whether or not it gets any work."""
+    return min(jobs, cases, os.cpu_count() or 1)
+
+
 def _map_cases(fn, args_list, jobs: int):
-    if jobs <= 1:
+    workers = _worker_count(jobs, len(args_list))
+    if workers <= 1:
         return [fn(args) for args in args_list]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(args_list) // (4 * jobs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(args_list) // (4 * workers))
         return list(pool.map(fn, args_list, chunksize=chunk))
 
 
@@ -435,10 +444,8 @@ def _ribbon_h_case(args) -> dict | None:
     ce, widths = args
     ribbon = colored_ribbon(ce, widths)
     acc: dict[bytes, int] = {}
-    length = len(ce.parts)
-    for beta in coarsenings(ce):
-        sign = -1 if (length - len(beta.parts)) % 2 else 1
-        add_terms(acc, colored_h(h_index_of_colored_comp(beta), widths).terms, sign)
+    for index, coeff in ribbon_h_expansion(ce).coeffs.items():
+        add_terms(acc, colored_h(index, widths).terms, coeff)
     if ribbon.terms != acc:
         return {
             "composition": ce.to_json(),

@@ -135,28 +135,20 @@ class SkewShape:
     def is_straight(self) -> bool:
         return all(x == 0 for x in self.inner)
 
+    def _overlaps(self) -> list[int]:
+        """Columns shared by each row and the row below it."""
+        return [o - i for o, i in zip(self.outer[1:], self.inner)]
+
     def contains_2x2(self) -> bool:
-        cells = set(self.cells())
-        return any(
-            (r, c + 1) in cells and (r + 1, c) in cells and (r + 1, c + 1) in cells
-            for r, c in cells
-        )
+        return any(k >= 2 for k in self._overlaps())
 
     def is_connected(self) -> bool:
-        cells = set(self.cells())
-        if not cells:
-            return True
-        seen = set()
-        stack = [next(iter(cells))]
-        while stack:
-            r, c = stack.pop()
-            if (r, c) in seen:
-                continue
-            seen.add((r, c))
-            for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                if nb in cells and nb not in seen:
-                    stack.append(nb)
-        return len(seen) == len(cells)
+        """Every row from the first nonempty one down shares a column with
+        the row below it (trailing empty rows are stripped already)."""
+        first = next(
+            (r for r in range(self.nrows) if self.row_length(r)), self.nrows
+        )
+        return all(k >= 1 for k in self._overlaps()[first:])
 
     def to_json(self) -> dict:
         inner = list(self.inner)
@@ -303,14 +295,13 @@ class StandardTableau:
         for row in rows:
             if any(a >= b for a, b in zip(row, row[1:])):
                 raise ShapeError(f"row not strictly increasing: {row!r}")
-        grid = {}
-        for r, row in enumerate(rows):
-            for k, x in enumerate(row):
-                grid[(r, self.shape.inner[r] + k)] = x
-        for (r, c), x in grid.items():
-            above = grid.get((r - 1, c))
-            if above is not None and above >= x:
-                raise ShapeError(f"column not strictly increasing at {(r, c)}")
+        inner = self.shape.inner
+        for r in range(1, len(rows)):
+            # row r starts at or left of row r-1; compare shared columns only
+            shared = zip(rows[r - 1], rows[r][inner[r - 1] - inner[r] :])
+            for c, (above, x) in enumerate(shared, start=inner[r - 1]):
+                if above >= x:
+                    raise ShapeError(f"column not strictly increasing at {(r, c)}")
 
     @property
     def ncells(self) -> int:
@@ -329,18 +320,6 @@ class StandardTableau:
 
     def to_json(self) -> list:
         return [list(row) for row in self.rows]
-
-
-EMPTY_TABLEAU = StandardTableau(EMPTY_SHAPE, ())
-
-
-def tableau_direct_sum(a: StandardTableau, b: StandardTableau) -> StandardTableau:
-    """Direct sum of fillings: b's rows end up on top of a's."""
-    if a.ncells == 0:
-        return b
-    if b.ncells == 0:
-        return a
-    return StandardTableau(direct_sum(a.shape, b.shape), b.rows + a.rows)
 
 
 def tableau_descent_set(q: StandardTableau) -> frozenset[int]:

@@ -422,20 +422,23 @@ def expand_in_colored_schur(
     """Expand a homogeneous per-alphabet-symmetric element in the colored
     Schur basis by leading-monomial peeling.
 
-    Requires every alphabet width to be at least the degree.  Raises
+    Requires every alphabet width to be at least the degree, which is ``n``
+    when given: too few variables can truncate a nonzero element to zero,
+    so a zero element is checked against ``n`` too.  Raises
     ``NotInSchurSpanError`` when a leading exponent is not a partition in
     some alphabet, which is how asymmetric input manifests.
     """
     widths = p.widths
     r = p.r
     if p.is_zero():
-        return Expansion("schur", n if n is not None else 0, r, {})
-    degrees = p.degrees()
-    if len(degrees) != 1:
-        raise NotInSchurSpanError(f"not homogeneous: degrees {sorted(degrees)}")
-    degree = degrees.pop()
-    if n is not None and n != degree:
-        raise NotInSchurSpanError(f"degree {degree} differs from declared {n}")
+        degree = n if n is not None else 0
+    else:
+        degrees = p.degrees()
+        if len(degrees) != 1:
+            raise NotInSchurSpanError(f"not homogeneous: degrees {sorted(degrees)}")
+        degree = degrees.pop()
+        if n is not None and n != degree:
+            raise NotInSchurSpanError(f"degree {degree} differs from declared {n}")
     if any(w < degree for w in widths):
         raise ValueError(
             f"peeling needs widths >= degree {degree} in every alphabet: {widths!r}"

@@ -1,6 +1,6 @@
 """Reading words, the class/tableau correspondence and colored insertion."""
 
-from itertools import islice
+from itertools import groupby, islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +10,7 @@ from coloredsym import (
     ColoredPermutation,
     Composition,
     Permutation,
+    RPartiteTableau,
     StandardTableau,
     SkewShape,
     colored_class_to_tableau,
@@ -22,6 +23,7 @@ from coloredsym import (
     conj_inverse,
     descent_class_table,
     descent_composition,
+    direct_sum,
     enumerate_colored_compositions,
     enumerate_colored_permutations,
     enumerate_compositions,
@@ -34,7 +36,7 @@ from coloredsym import (
     zigzag_of,
 )
 from coloredsym.errors import ShapeError
-from coloredsym.shapes import straight_shape
+from coloredsym.shapes import EMPTY_SHAPE, straight_shape
 
 
 def classical_rs(word):
@@ -56,6 +58,25 @@ def classical_rs(word):
             x, row[bigger[0]] = row[bigger[0]], x
             r += 1
     return p_rows, q_rows
+
+
+def class_to_tableau_by_blocks(a):
+    """Reference: fill each maximal constant-color factor of the window word
+    as the ribbon of its standardization, through ``reading_word_inverse``,
+    then stack the ribbons of one color, later factors above and right."""
+    shapes = [EMPTY_SHAPE] * a.r
+    rows = [()] * a.r
+    for color, group in groupby(zip(a.word, a.colors), key=lambda vc: vc[1]):
+        values = [v for v, _ in group]
+        ranked = sorted(values)
+        std = Permutation(tuple(ranked.index(v) + 1 for v in values))
+        q = reading_word_inverse(std, descent_composition(std))
+        shapes[color] = direct_sum(shapes[color], q.shape)
+        restored = tuple(tuple(ranked[x - 1] for x in row) for row in q.rows)
+        rows[color] = restored + rows[color]
+    return RPartiteTableau(
+        tuple(StandardTableau(shape, rw) for shape, rw in zip(shapes, rows))
+    )
 
 
 class TestReadingWord:
@@ -115,6 +136,12 @@ class TestClassTableau:
         )
         assert rpartite_descent_set(bq) == colored_descent_set(conj_inverse(w))
         assert colored_tableau_to_class(bq, colored_descent_composition(w)) == w
+
+    def test_matches_ribbon_by_ribbon_reference(self):
+        for n in range(1, 5):
+            for r in (1, 2):
+                for a in enumerate_colored_permutations(n, r):
+                    assert colored_class_to_tableau(a) == class_to_tableau_by_blocks(a)
 
     def test_monochromatic_word(self):
         w = ColoredPermutation(Permutation((1, 2, 3)), (1, 1, 1), 2)

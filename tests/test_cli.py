@@ -145,6 +145,24 @@ def test_ribbon_widths_need_a_polynomial_path(capsys):
     assert json.loads(out)["basis"] == "schur"
 
 
+@pytest.mark.parametrize(
+    "comp,flags,needle",
+    [
+        ("2^0,1^0", ("--basis", "h", "--via-poly", "--widths", "9"), "--via-poly"),
+        ("2^0,1^0", ("--basis", "f", "--via-poly"), "--via-poly"),
+        ("1^0,1^0", ("--via-poly", "--widths", "1"), "widths >= degree 2"),
+        ("2^0", ("--via-poly", "--widths", "1"), "widths >= degree 2"),
+    ],
+)
+def test_ribbon_rejects_ignored_or_narrow_polynomial_path(capsys, comp, flags, needle):
+    # the h and f bases never peel a polynomial, and one variable truncates
+    # the ribbon of (1, 1) to zero
+    code, out, err = run_cli(capsys, "ribbon", "--comp", comp, "--r", "1", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and needle in err
+
+
 def test_verify_table_format(capsys):
     code, out, _ = run_cli(
         capsys,

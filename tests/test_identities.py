@@ -7,9 +7,11 @@ import pytest
 from coloredsym import (
     IDENTITY_REGISTRY,
     ColoredComposition,
+    Expansion,
     VerificationReport,
     colored_F,
     colored_h,
+    ribbon_h_expansion,
     run_identity,
 )
 from coloredsym import identities
@@ -64,6 +66,17 @@ def test_parallel_matches_serial():
     serial = verify_colored_ribbon_h(4, 2, jobs=1).to_json()
     parallel = verify_colored_ribbon_h(4, 2, jobs=2).to_json()
     assert serial == parallel
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    # a pool starts all its workers at once, so never more than can run
+    monkeypatch.setattr(identities.os, "cpu_count", lambda: 4)
+    assert identities._worker_count(5000, 100) == 4
+    assert identities._worker_count(5000, 3) == 3
+    assert identities._worker_count(2, 100) == 2
+    assert identities._worker_count(3, 0) == 0
+    monkeypatch.setattr(identities.os, "cpu_count", lambda: None)
+    assert identities._worker_count(8, 100) == 1
 
 
 def test_report_invariants():
@@ -138,3 +151,19 @@ def test_planted_h_fault_fails_ribbon_h(monkeypatch):
     report = run_identity("ribbon-h", 3)
     assert not report.passed
     assert report.failure_count > 0
+
+
+def test_planted_h_expansion_fault_fails_ribbon_h(monkeypatch):
+    target = ColoredComposition((1, 2), (0, 0), 1)
+
+    def dropped(ce):
+        expansion = ribbon_h_expansion(ce)
+        if ce != target:
+            return expansion
+        kept = dict(expansion.sorted_items()[1:])
+        return Expansion(expansion.basis, expansion.n, expansion.r, kept)
+
+    monkeypatch.setattr(identities, "ribbon_h_expansion", dropped)
+    report = run_identity("ribbon-h", 3)
+    assert not report.passed
+    assert report.failure_count == 1

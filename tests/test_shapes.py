@@ -1,5 +1,7 @@
 """Diagrams, tableaux and their descent statistics."""
 
+import re
+from itertools import product
 from math import factorial
 
 import pytest
@@ -10,6 +12,7 @@ from coloredsym import (
     SkewShape,
     StandardTableau,
     RPartiteTableau,
+    ZigzagShape,
     colored_zigzag_of,
     colored_zigzag_to_comp,
     direct_sum,
@@ -75,7 +78,85 @@ class TestSkewShape:
         assert s.row_profile_bottom_to_top() == (2, 2)
 
 
+def contained_partitions(lam):
+    """Every partition whose diagram fits in that of lam, zero-padded."""
+    for mu in product(*(range(part + 1) for part in lam)):
+        if all(a >= b for a, b in zip(mu, mu[1:])):
+            yield mu
+
+
+def cell_set_contains_2x2(shape):
+    cells = set(shape.cells())
+    return any(
+        (r, c + 1) in cells and (r + 1, c) in cells and (r + 1, c + 1) in cells
+        for r, c in cells
+    )
+
+
+def cell_set_is_connected(shape):
+    cells = set(shape.cells())
+    if not cells:
+        return True
+    seen = set()
+    stack = [next(iter(cells))]
+    while stack:
+        r, c = stack.pop()
+        if (r, c) in seen:
+            continue
+        seen.add((r, c))
+        for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if nb in cells and nb not in seen:
+                stack.append(nb)
+    return len(seen) == len(cells)
+
+
+class TestRowOverlapChecks:
+    def test_match_cell_set_reference(self):
+        # every outer/inner pair with |outer| <= 9; an inner row as long as
+        # its outer row leaves an empty row at the top or in the middle
+        shapes = [
+            SkewShape(lam, mu)
+            for m in range(10)
+            for lam in partitions(m)
+            for mu in contained_partitions(lam)
+        ]
+        assert len(shapes) == 1592
+        assert any(s.nrows and s.row_length(0) == 0 for s in shapes)
+        assert any(
+            s.row_length(r) == 0 for s in shapes for r in range(1, s.nrows - 1)
+        )
+        for s in shapes:
+            assert s.contains_2x2() == cell_set_contains_2x2(s), s
+            assert s.is_connected() == cell_set_is_connected(s), s
+
+
+class TestStandardTableau:
+    def test_column_violation_on_skew_shape(self):
+        shape = SkewShape((3, 3), (1,))
+        StandardTableau(shape, ((1, 2), (3, 4, 5)))
+        # the first violation in reading order is reported
+        for rows, cell in (
+            (((4, 5), (1, 2, 3)), (1, 1)),
+            (((1, 5), (2, 3, 4)), (1, 2)),
+        ):
+            message = f"column not strictly increasing at {cell}"
+            with pytest.raises(ShapeError, match=re.escape(message)):
+                StandardTableau(shape, rows)
+
+    def test_cells_outside_the_row_above_are_unchecked(self):
+        StandardTableau(SkewShape((4, 2), (1,)), ((2, 3, 4), (1, 5)))
+        StandardTableau(SkewShape((3, 1, 1), (1, 1)), ((2, 3), (), (1,)))
+
+
 class TestZigzag:
+    def test_rejects_square_and_disconnected(self):
+        for shape, parts in (
+            (SkewShape((2, 2), ()), (2, 2)),
+            (SkewShape((3, 1), (2,)), (1, 1)),
+        ):
+            with pytest.raises(ShapeError, match="connected and 2x2-free"):
+                ZigzagShape(shape, Composition(parts))
+
     def test_displayed_example(self):
         z = zigzag_of(Composition((2, 1, 2, 3, 1)))
         assert z.shape.outer == (5, 5, 3, 2, 2)

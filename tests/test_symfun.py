@@ -36,6 +36,7 @@ from coloredsym import (
     zigzag_of,
 )
 from coloredsym.errors import DimensionMismatchError, NotInSchurSpanError
+from coloredsym.symfun import zero
 
 RUNNING = ColoredComposition((2, 2, 1, 1, 3, 1), (0, 1, 1, 3, 1, 2), 4)
 
@@ -405,6 +406,12 @@ class TestExpansion:
     def test_rejects_narrow_widths(self):
         with pytest.raises(ValueError):
             expand_in_colored_schur(h_poly(4, 0, (3,)))
+        # one variable truncates the ribbon of (1, 1) to zero, so a zero
+        # element is checked against its declared degree
+        assert colored_ribbon(ColoredComposition((1, 1), (0, 0), 1), (1,)).is_zero()
+        assert expand_in_colored_schur(zero((1,))).coeffs == {}
+        with pytest.raises(ValueError):
+            expand_in_colored_schur(zero((1,)), 2)
 
     def test_json_term_order(self):
         exp = expand_in_colored_schur(colored_ribbon(RUNNING_CLASSICAL, (4,)))
