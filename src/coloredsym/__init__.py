@@ -35,9 +35,7 @@ from .permutations import (
     colored_descent_composition,
     colored_descent_set,
     conj_inverse,
-    conj_inverse_descent_class,
     conjugate,
-    descent_class,
     descent_class_table,
     descent_composition,
     descent_set,
@@ -78,6 +76,8 @@ from .bijections import (
     colored_rsk,
     colored_rsk_inverse,
     colored_tableau_to_class,
+    conj_inverse_descent_class,
+    descent_class,
     reading_word,
     reading_word_inverse,
 )

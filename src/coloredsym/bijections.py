@@ -8,6 +8,9 @@
   descent class corresponds to the standard fillings of the r-partite skew
   shape built from its colored zigzag shape; each increasing constant-color
   run of the window word fills one row.
+* ``descent_class`` / ``conj_inverse_descent_class``: a colored descent
+  class is listed as the image of those standard fillings, so its cost
+  grows with the class, not with the group.
 * ``colored_rsk`` / ``colored_rsk_inverse``: the wreath-product insertion
   correspondence.  Position i inserts its value into the component of color
   z_i of P by classical row bumping while Q records i in the matching new
@@ -25,7 +28,9 @@ from .errors import DimensionMismatchError, ShapeError
 from .permutations import (
     ColoredPermutation,
     Permutation,
+    _check_enumeration_bound,
     colored_descent_composition,
+    conj_inverse,
     descent_composition,
 )
 from .shapes import (
@@ -33,6 +38,7 @@ from .shapes import (
     SkewShape,
     StandardTableau,
     colored_zigzag_of,
+    enumerate_rpartite_syt,
     rpartite_shape_of,
     zigzag_of,
 )
@@ -103,6 +109,27 @@ def colored_tableau_to_class(
         word.extend(unread[color].pop())
         colors.extend([color] * part)
     return ColoredPermutation(Permutation(tuple(word)), tuple(colors), ce.r)
+
+
+def descent_class(ce: ColoredComposition) -> list[ColoredPermutation]:
+    """All colored permutations whose colored descent composition is ``ce``,
+    sorted by (word, colors): the images under ``colored_tableau_to_class``
+    of the standard fillings of the r-partite shape of ``ce``."""
+    _check_enumeration_bound(ce.n, ce.r)
+    shape = rpartite_shape_of(colored_zigzag_of(ce), ce.r)
+    members = [
+        colored_tableau_to_class(bq, ce) for bq in enumerate_rpartite_syt(shape)
+    ]
+    members.sort(key=lambda a: (a.word, a.colors))
+    return members
+
+
+def conj_inverse_descent_class(ce: ColoredComposition) -> list[ColoredPermutation]:
+    """All ``a`` with ``co(conj_inverse(a)) == ce``; since conjugate-inverse
+    is an involution this is the image of ``descent_class(ce)`` under it."""
+    members = [conj_inverse(a) for a in descent_class(ce)]
+    members.sort(key=lambda a: (a.word, a.colors))
+    return members
 
 
 def _row_insert(rows: list[list[int]], x: int) -> tuple[int, int]:

@@ -20,16 +20,16 @@ import argparse
 import json
 import sys
 
-from .bijections import colored_class_to_tableau, colored_rsk
-from .compositions import enumerate_colored_compositions, parse_colored_composition
-from .errors import ParseError, ResourceLimitError
-from .identities import IDENTITY_REGISTRY, run_identity
-from .permutations import (
-    colored_descent_composition,
+from .bijections import (
+    colored_class_to_tableau,
+    colored_rsk,
     conj_inverse_descent_class,
     descent_class,
-    parse_colored_permutation,
 )
+from .compositions import enumerate_colored_compositions, parse_colored_composition
+from .errors import ResourceLimitError
+from .identities import IDENTITY_REGISTRY, run_identity
+from .permutations import colored_descent_composition, parse_colored_permutation
 from .shapes import rpartite_descent_set
 from .symfun import (
     colored_ribbon,
@@ -245,7 +245,12 @@ def _cmd_tableau_of(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = sorted(IDENTITY_REGISTRY) if args.identity == "all" else [args.identity]
-    reports = [run_identity(name, args.max_n, args.max_r, args.jobs) for name in names]
+    reports = []
+    for name in names:
+        _, (_, default_r) = IDENTITY_REGISTRY[name]
+        # `all` passes --max-r only to the suites that have a color range
+        max_r = None if args.identity == "all" and default_r is None else args.max_r
+        reports.append(run_identity(name, args.max_n, max_r, args.jobs))
     if args.format == "table":
         print("\n\n".join(report.table() for report in reports))
     else:
@@ -271,10 +276,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
+    except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -198,8 +198,9 @@ def colored_comp_to_colored_set(ce: ColoredComposition) -> ColoredSet:
 
 def colored_set_to_colored_comp(cs: ColoredSet) -> ColoredComposition:
     """Inverse of ``colored_comp_to_colored_set``."""
-    comp = augmented_set_to_comp(AugmentedSubset(cs.n, cs.elements()))
-    return ColoredComposition(comp.parts, tuple(c for _, c in cs.pairs), cs.r)
+    elements = cs.elements()
+    parts = tuple(b - a for a, b in zip((0,) + elements, elements))
+    return ColoredComposition(parts, tuple(c for _, c in cs.pairs), cs.r)
 
 
 def extend_color_vector(ce: ColoredComposition) -> ColorVector:

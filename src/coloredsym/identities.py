@@ -570,13 +570,16 @@ IDENTITY_REGISTRY = {
 def run_identity(
     name: str, max_n: int | None = None, max_r: int | None = None, jobs: int = 1
 ) -> VerificationReport:
-    """Run one registered identity at its default or overridden range."""
+    """Run one registered identity at its default or overridden range.
+    ``max_r`` applies only to the suites with a color range."""
     if name not in IDENTITY_REGISTRY:
         raise KeyError(f"unknown identity {name!r}")
     for label, value in (("max_n", max_n), ("max_r", max_r), ("jobs", jobs)):
         if value is not None and value < 1:
             raise ValueError(f"{label} must be at least 1, got {value}")
     fn, (default_n, default_r) = IDENTITY_REGISTRY[name]
+    if max_r is not None and default_r is None:
+        raise ValueError(f"{name} has no color range; max_r does not apply")
     return fn(
         max_n if max_n is not None else default_n,
         max_r if max_r is not None else default_r,

@@ -13,9 +13,9 @@ Descent statistics:
 * ``steingrimsson_descent_set`` is the variant on [n] with color drops
   counted everywhere and position n present exactly when its color is > 0.
 
-Descent classes are computed by filtering a full enumeration of the group,
-bounded by its order n! * r^n <= 8! (correctness over cleverness at desk
-scale).
+``descent_class_table`` buckets the whole group by colored descent
+composition, bounded by its order n! * r^n <= 8!: the verifiers' oracle for
+the descent classes that ``bijections`` builds from standard fillings.
 """
 
 from __future__ import annotations
@@ -225,24 +225,6 @@ def descent_class_table(
     for a in enumerate_colored_permutations(n, r):
         table.setdefault(colored_descent_composition(a), []).append(a)
     return table
-
-
-def descent_class(ce: ColoredComposition) -> list[ColoredPermutation]:
-    """All colored permutations whose colored descent composition is ``ce``."""
-    _check_enumeration_bound(ce.n, ce.r)
-    return [
-        a
-        for a in enumerate_colored_permutations(ce.n, ce.r)
-        if colored_descent_composition(a) == ce
-    ]
-
-
-def conj_inverse_descent_class(ce: ColoredComposition) -> list[ColoredPermutation]:
-    """All ``a`` with ``co(conj_inverse(a)) == ce``; since conjugate-inverse
-    is an involution this is the image of ``descent_class(ce)`` under it."""
-    members = [conj_inverse(a) for a in descent_class(ce)]
-    members.sort(key=lambda a: (a.word, a.colors))
-    return members
 
 
 def parse_colored_permutation(text: str, r: int | None = None) -> ColoredPermutation:

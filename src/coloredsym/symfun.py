@@ -30,14 +30,12 @@ from .errors import DimensionMismatchError, NotInSchurSpanError, ShapeError
 from .permutations import colored_descent_composition
 from .shapes import (
     DEFAULT_MAX_CELLS,
-    Partition,
     RPartitePartition,
     SkewShape,
     as_skew,
     colored_zigzag_of,
     enumerate_rpartite_syt,
     is_partition,
-    partitions,
     rpartite_descent_composition,
     rpartite_shape_of,
     zigzag_of,
@@ -212,22 +210,18 @@ def _translate_rows(shape: SkewShape, lo: int, hi: int) -> SkewShape:
     )
 
 
-@lru_cache(maxsize=None)
-def _schur_local(shape: SkewShape, width: int) -> "MultiAlphabetPolynomial":
-    return _product(
+def schur_poly(shape, alphabet: int, widths) -> MultiAlphabetPolynomial:
+    """Schur polynomial of a (possibly skew) shape in one alphabet: the
+    generating function of its semistandard fillings with bounded entries."""
+    widths = tuple(widths)
+    shape, width = as_skew(shape), widths[alphabet]
+    local = _product(
         (
             MultiAlphabetPolynomial((width,), _ssyt_terms(block, width))
             for block in (_row_blocks(shape) if shape.ncells else [])
         ),
         (width,),
     )
-
-
-def schur_poly(shape, alphabet: int, widths) -> MultiAlphabetPolynomial:
-    """Schur polynomial of a (possibly skew) shape in one alphabet: the
-    generating function of its semistandard fillings with bounded entries."""
-    widths = tuple(widths)
-    local = _schur_local(as_skew(shape), widths[alphabet])
     return MultiAlphabetPolynomial(widths, _embed(local.terms, widths, alphabet))
 
 
@@ -469,73 +463,53 @@ def schur_coeff_by_tableau_count(
     ce: ColoredComposition, bll: RPartitePartition
 ) -> int:
     """Number of standard fillings of the r-partite shape ``bll`` whose
-    colored descent composition equals ``ce``.
-
-    The color vector of such a filling is forced (entry i must land in the
-    component of the extended color at i), so the search only branches over
-    addable rows, pruned by the required descent pattern.
-    """
+    colored descent composition equals ``ce``: its coefficient in
+    ``ribbon_schur_by_counting(ce)``."""
     bll = tuple(tuple(part) for part in bll)
     if len(bll) != ce.r:
         raise DimensionMismatchError(f"{len(bll)} components vs r={ce.r}")
     if any(not is_partition(part) for part in bll):
         raise ShapeError(f"not an r-tuple of partitions: {bll!r}")
-    n = ce.n
-    if sum(sum(part) for part in bll) != n:
-        return 0
-    sizes = ce.color_class_sizes()
-    if tuple(sum(part) for part in bll) != sizes:
-        return 0
-    ext = ce.extended_colors()
-    boundary = set(ce.composition().partial_sums()[:-1])
-    filled = [[0] * len(part) for part in bll]
-    count = 0
-
-    def addable(part: Partition, fill: list[int]):
-        return [
-            t
-            for t in range(len(part))
-            if fill[t] < part[t] and (t == 0 or fill[t - 1] > fill[t])
-        ]
-
-    def rec(i: int, prev_row: int):
-        nonlocal count
-        if i > n:
-            count += 1
-            return
-        color = ext[i - 1]
-        for row in addable(bll[color], filled[color]):
-            if i > 1 and ext[i - 2] == color:
-                # required descent pattern inside a component
-                if ((i - 1) in boundary) != (row > prev_row):
-                    continue
-            filled[color][row] += 1
-            rec(i + 1, row)
-            filled[color][row] -= 1
-
-    rec(1, -1)
-    return count
+    return ribbon_schur_by_counting(ce).coeffs.get(bll, 0)
 
 
 def ribbon_schur_by_counting(ce: ColoredComposition) -> Expansion:
-    """Schur expansion of the colored ribbon element with coefficients
-    obtained by counting standard fillings, color class by color class."""
-    sizes = ce.color_class_sizes()
+    """Schur expansion of the colored ribbon element: the coefficient of
+    ``bll`` counts the standard fillings of the r-partite shape ``bll``
+    whose colored descent composition is ``ce``.
+
+    Such a filling puts entry i in the component of the extended color at
+    i, in a strictly lower row than entry i-1 of the same component exactly
+    when i-1 ends a part.  One search grows all shapes at once, placing
+    entry i at any addable row that obeys this, a new bottom row included.
+    Row 0 or a new bottom row always qualifies, so no branch dies and the
+    search costs O(n) per counted filling.
+    """
+    ext = ce.extended_colors()
+    ends = set(ce.composition().partial_sums())
+    rows: list[list[int]] = [[] for _ in range(ce.r)]
     coeffs: dict[RPartitePartition, int] = {}
 
-    def rec(j: int, prefix: list[Partition]):
-        if j == ce.r:
-            bll = tuple(prefix)
-            c = schur_coeff_by_tableau_count(ce, bll)
-            if c:
-                coeffs[bll] = c
+    def rec(i: int, prev: int):
+        if i > ce.n:
+            bll = tuple(tuple(lengths) for lengths in rows)
+            coeffs[bll] = coeffs.get(bll, 0) + 1
             return
-        for part in partitions(sizes[j]):
-            prefix.append(part)
-            rec(j + 1, prefix)
-            prefix.pop()
+        lengths = rows[ext[i - 1]]
+        lo, hi = 0, len(lengths)
+        if i > 1 and ext[i - 2] == ext[i - 1]:
+            lo, hi = (prev + 1, hi) if i - 1 in ends else (0, prev)
+        for t in range(lo, hi + 1):
+            if t == len(lengths):
+                lengths.append(1)
+                rec(i + 1, t)
+                lengths.pop()
+            elif t == 0 or lengths[t - 1] > lengths[t]:
+                lengths[t] += 1
+                rec(i + 1, t)
+                lengths[t] -= 1
 
-    rec(0, [])
+    rec(1, -1)
     return Expansion("schur", ce.n, ce.r, coeffs)
 
 

@@ -21,6 +21,8 @@ from coloredsym import (
     colored_tableau_to_class,
     colored_zigzag_of,
     conj_inverse,
+    conj_inverse_descent_class,
+    descent_class,
     descent_class_table,
     descent_composition,
     direct_sum,
@@ -161,6 +163,21 @@ class TestClassTableau:
             for a in table.get(ce, []):
                 bq = colored_class_to_tableau(a)
                 assert colored_tableau_to_class(bq, ce) == a
+
+    @pytest.mark.parametrize(
+        "n,r", [(n, r) for n in range(1, 5) for r in (1, 2, 3)] + [(5, 1), (6, 1)]
+    )
+    def test_generated_classes_match_filtered_group(self, n, r):
+        # the classes built from fillings equal those filtered from the group,
+        # in the same (word, colors) order
+        table = descent_class_table(n, r)
+        conj_table: dict = {}
+        for a in enumerate_colored_permutations(n, r):
+            key = colored_descent_composition(conj_inverse(a))
+            conj_table.setdefault(key, []).append(a)
+        for ce in enumerate_colored_compositions(n, r):
+            assert descent_class(ce) == table.get(ce, [])
+            assert conj_inverse_descent_class(ce) == conj_table.get(ce, [])
 
     def test_shape_mismatch_rejected(self):
         w = ColoredPermutation(Permutation((1, 2)), (0, 0), 2)

@@ -134,6 +134,29 @@ def test_verify_rejects_empty_range_and_bad_jobs(capsys, flag, value):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "identity", ["reading-word", "skew-schur-f", "ribbon-schur", "ribbon-h"]
+)
+def test_verify_rejects_max_r_without_a_color_range(capsys, identity):
+    # these suites have no color range and would drop --max-r unread
+    code, out, err = run_cli(
+        capsys, "verify", "--identity", identity, "--max-n", "3", "--max-r", "3"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "max_r" in err
+
+
+def test_verify_all_passes_max_r_to_the_colored_suites_only(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--identity", "all", "--max-n", "2", "--max-r", "2"
+    )
+    assert code == 0
+    max_r = {report["identity"]: report["max_r"] for report in json.loads(out)}
+    assert max_r["reading-word"] is None and max_r["ribbon-h"] is None
+    assert max_r["rsk"] == 2 and max_r["colored-ribbon-schur"] == 2
+
+
 def test_ribbon_widths_need_a_polynomial_path(capsys):
     args = ("ribbon", "--comp", "2^0,2^0", "--r", "1")
     code, out, err = run_cli(capsys, *args, "--widths", "4,4")

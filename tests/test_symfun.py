@@ -1,6 +1,7 @@
 """Exact polynomial identities: Schur, fundamental, ribbon, h and e elements."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -23,6 +24,7 @@ from coloredsym import (
     h_index_of_colored_comp,
     h_poly,
     is_symmetric_per_alphabet,
+    partitions,
     qsym_generating_function,
     ribbon_f_expansion,
     ribbon_h_expansion,
@@ -430,6 +432,40 @@ class TestExpansion:
 RUNNING_CLASSICAL = ColoredComposition((2, 2), (0, 0), 1)
 
 
+def per_shape_counting_reference(ce):
+    """Schur coefficients of the colored ribbon by one pruned filling search
+    per r-tuple of partitions of the color-class sizes."""
+    ext = ce.extended_colors()
+    boundary = set(ce.composition().partial_sums()[:-1])
+
+    def count(bll):
+        filled = [[0] * len(part) for part in bll]
+        total = 0
+
+        def rec(i, prev_row):
+            nonlocal total
+            if i > ce.n:
+                total += 1
+                return
+            color = ext[i - 1]
+            part, fill = bll[color], filled[color]
+            for row in range(len(part)):
+                if fill[row] == part[row] or (row and fill[row - 1] <= fill[row]):
+                    continue
+                if i > 1 and ext[i - 2] == color:
+                    if ((i - 1) in boundary) != (row > prev_row):
+                        continue
+                fill[row] += 1
+                rec(i + 1, row)
+                fill[row] -= 1
+
+        rec(1, -1)
+        return total
+
+    shapes = product(*(list(partitions(size)) for size in ce.color_class_sizes()))
+    return {bll: c for bll in shapes if (c := count(bll))}
+
+
 class TestTableauCounting:
     def test_classical_22(self):
         ce = RUNNING_CLASSICAL
@@ -457,6 +493,14 @@ class TestTableauCounting:
                         if rpartite_descent_composition(bq) == ce
                     )
                     assert schur_coeff_by_tableau_count(ce, bll) == brute
+
+    @pytest.mark.parametrize(
+        "n,r", [(n, r) for n in range(1, 6) for r in (1, 2, 3)] + [(6, 1), (7, 1)]
+    )
+    def test_one_search_matches_per_shape_reference(self, n, r):
+        for ce in enumerate_colored_compositions(n, r):
+            want = per_shape_counting_reference(ce)
+            assert ribbon_schur_by_counting(ce).coeffs == want
 
     def test_counting_expansion_running_example(self):
         exp = ribbon_schur_by_counting(RUNNING)
