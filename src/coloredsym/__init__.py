@@ -78,6 +78,7 @@ from .bijections import (
     colored_tableau_to_class,
     conj_inverse_descent_class,
     descent_class,
+    descent_class_size,
     reading_word,
     reading_word_inverse,
 )
@@ -98,6 +99,7 @@ from .symfun import (
     ribbon_f_expansion,
     ribbon_h_expansion,
     ribbon_schur_by_counting,
+    ribbon_schur_by_peeling,
     schur_coeff_by_tableau_count,
     schur_poly,
 )

@@ -10,7 +10,8 @@
   run of the window word fills one row.
 * ``descent_class`` / ``conj_inverse_descent_class``: a colored descent
   class is listed as the image of those standard fillings, so its cost
-  grows with the class, not with the group.
+  grows with the class, not with the group.  ``descent_class_size`` counts
+  a class without listing it, and bounds the classes that are listed.
 * ``colored_rsk`` / ``colored_rsk_inverse``: the wreath-product insertion
   correspondence.  Position i inserts its value into the component of color
   z_i of P by classical row bumping while Q records i in the matching new
@@ -21,14 +22,14 @@
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain
+from itertools import accumulate, chain
+from math import comb, factorial
 
-from .compositions import ColoredComposition, Composition
-from .errors import DimensionMismatchError, ShapeError
+from .compositions import ColoredComposition, Composition, rainbow_decomposition
+from .errors import DimensionMismatchError, ResourceLimitError, ShapeError
 from .permutations import (
     ColoredPermutation,
     Permutation,
-    _check_enumeration_bound,
     colored_descent_composition,
     conj_inverse,
     descent_composition,
@@ -42,6 +43,9 @@ from .shapes import (
     rpartite_shape_of,
     zigzag_of,
 )
+
+#: Largest descent class that ``descent_class`` lists.
+MAX_CLASS_SIZE = factorial(8)
 
 
 def reading_word(q: StandardTableau) -> Permutation:
@@ -102,6 +106,11 @@ def colored_tableau_to_class(
     expected = rpartite_shape_of(colored_zigzag_of(ce), ce.r)
     if bq.shape() != expected:
         raise ShapeError("tableau shape does not match the colored composition")
+    return _read_rows(bq, ce)
+
+
+def _read_rows(bq: RPartiteTableau, ce: ColoredComposition) -> ColoredPermutation:
+    """The word of a filling of the shape of ``ce``, read part by part."""
     unread = [list(q.rows) for q in bq.components]
     word: list[int] = []
     colors: list[int] = []
@@ -111,15 +120,44 @@ def colored_tableau_to_class(
     return ColoredPermutation(Permutation(tuple(word)), tuple(colors), ce.r)
 
 
+def _ribbon_filling_count(parts: tuple[int, ...]) -> int:
+    """Standard fillings of the zigzag of ``parts``: the permutations of
+    [m] whose descents are exactly the proper partial sums.  ``ends[k]``
+    counts the prefixes of length i whose last entry is the k-th smallest;
+    an ascent extends the ones ending lower, a descent the ones ending
+    higher."""
+    descents = set(accumulate(parts[:-1]))
+    ends = [1]
+    for i in range(1, sum(parts)):
+        below = [0, *accumulate(ends)]
+        ends = [below[-1] - x for x in below] if i in descents else below
+    return sum(ends)
+
+
+def descent_class_size(ce: ColoredComposition) -> int:
+    """Number of colored permutations with colored descent composition
+    ``ce``: the standard fillings of its r-partite shape, whose rainbow
+    blocks are disjoint zigzags, so a multinomial coefficient of the block
+    sizes times the fillings of each block."""
+    size, placed = 1, 0
+    for comp, _ in rainbow_decomposition(ce).blocks:
+        placed += comp.n
+        size *= comb(placed, comp.n) * _ribbon_filling_count(comp.parts)
+    return size
+
+
 def descent_class(ce: ColoredComposition) -> list[ColoredPermutation]:
     """All colored permutations whose colored descent composition is ``ce``,
-    sorted by (word, colors): the images under ``colored_tableau_to_class``
-    of the standard fillings of the r-partite shape of ``ce``."""
-    _check_enumeration_bound(ce.n, ce.r)
+    sorted by (word, colors): the words read from the standard fillings of
+    the r-partite shape of ``ce`` (see ``colored_tableau_to_class``)."""
+    size = descent_class_size(ce)
+    if size > MAX_CLASS_SIZE:
+        raise ResourceLimitError(
+            f"the descent class has {size} members for n={ce.n}, r={ce.r}, "
+            f"over the bound {MAX_CLASS_SIZE}"
+        )
     shape = rpartite_shape_of(colored_zigzag_of(ce), ce.r)
-    members = [
-        colored_tableau_to_class(bq, ce) for bq in enumerate_rpartite_syt(shape)
-    ]
+    members = [_read_rows(bq, ce) for bq in enumerate_rpartite_syt(shape)]
     members.sort(key=lambda a: (a.word, a.colors))
     return members
 

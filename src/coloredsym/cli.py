@@ -37,6 +37,7 @@ from .symfun import (
     ribbon_f_expansion,
     ribbon_h_expansion,
     ribbon_schur_by_counting,
+    ribbon_schur_by_peeling,
 )
 
 
@@ -161,8 +162,10 @@ def _cmd_ribbon(args) -> int:
         else (ce.n,) * ce.r
     )
     if args.basis == "schur":
-        if args.via_poly:
+        if args.via_poly and args.widths:
             expansion = expand_in_colored_schur(colored_ribbon(ce, widths), ce.n)
+        elif args.via_poly:
+            expansion = ribbon_schur_by_peeling(ce)
         else:
             expansion = ribbon_schur_by_counting(ce)
         obj = expansion.to_json()

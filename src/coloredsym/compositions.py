@@ -81,13 +81,16 @@ class ColoredComposition:
     r: int
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
-        Composition(self.parts)
-        if len(self.parts) != len(self.colors):
+        parts = tuple(map(int, self.parts))
+        colors = tuple(map(int, self.colors))
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "colors", colors)
+        if not parts or min(parts) < 1:
+            raise ValueError(f"composition parts must be positive: {parts!r}")
+        if len(parts) != len(colors):
             raise ValueError("parts and colors must have equal length")
-        if self.r < 1 or any(not 0 <= c < self.r for c in self.colors):
-            raise ValueError(f"colors must lie in 0..{self.r - 1}: {self.colors!r}")
+        if self.r < 1 or min(colors) < 0 or max(colors) >= self.r:
+            raise ValueError(f"colors must lie in 0..{self.r - 1}: {colors!r}")
 
     @property
     def n(self) -> int:

@@ -61,14 +61,13 @@ from .shapes import (
     zigzag_of,
 )
 from .symfun import (
-    colored_F,
-    colored_h,
-    colored_ribbon,
-    expand_in_colored_schur,
-    fundamental_F,
+    _colored_F_terms,
+    _colored_h_terms,
+    _colored_ribbon_terms,
+    _schur_terms,
     ribbon_h_expansion,
     ribbon_schur_by_counting,
-    schur_poly,
+    ribbon_schur_by_peeling,
 )
 
 MAX_WITNESSES = 10
@@ -253,27 +252,27 @@ def verify_reading_word_bijection(max_n: int = 6, jobs: int = 1) -> Verification
 
 
 def verify_skew_schur_f_expansion(max_cells: int = 6, jobs: int = 1) -> VerificationReport:
-    """A skew Schur polynomial equals the sum of fundamental quasisymmetric
-    polynomials over the descent compositions of its standard fillings."""
+    """A skew Schur function equals the sum of fundamental quasisymmetric
+    functions over the descent compositions of its standard fillings."""
     shape_lists = {m: enumerate_skew_shapes(m) for m in range(1, max_cells + 1)}
     expected = sum(len(v) for v in shape_lists.values())
     b = _Builder("skew-schur-f", max_cells, None, expected, unit="cells")
     for m, shapes in shape_lists.items():
-        widths = (m,)
         for shape in shapes:
             b.case(m)
-            lhs = schur_poly(shape, 0, widths)
+            lhs = _schur_terms(shape, 0, 1)
             acc: dict[bytes, int] = {}
             for q in enumerate_syt(shape):
+                parts = tableau_descent_composition(q).parts
                 add_terms(
-                    acc, fundamental_F(tableau_descent_composition(q), 0, widths).terms, 1
+                    acc, _colored_F_terms(ColoredComposition(parts, (0,) * len(parts), 1))
                 )
-            if lhs.terms != acc:
+            if lhs != acc:
                 b.fail(
                     {
                         "cells": m,
                         "shape": shape.to_json(),
-                        "diff": _term_diff(lhs.terms, acc),
+                        "diff": _term_diff(lhs, acc),
                     }
                 )
     return b.report()
@@ -370,18 +369,18 @@ def _conj_inverse_f_counters(
 
 
 def _ribbon_schur_case(args) -> dict | None:
-    ce, fcounts, widths = args
-    ribbon = colored_ribbon(ce, widths)
+    ce, fcounts = args
+    ribbon = _colored_ribbon_terms(ce)
     acc: dict[bytes, int] = {}
     for comp, mult in fcounts:
-        add_terms(acc, colored_F(comp, widths).terms, mult)
-    if ribbon.terms != acc:
+        add_terms(acc, _colored_F_terms(comp), mult)
+    if ribbon != acc:
         return {
             "composition": ce.to_json(),
             "reason": "generating function differs from ribbon element",
-            "diff": _term_diff(ribbon.terms, acc),
+            "diff": _term_diff(ribbon, acc),
         }
-    expansion = expand_in_colored_schur(ribbon)
+    expansion = ribbon_schur_by_peeling(ce)
     if any(c <= 0 for c in expansion.coeffs.values()):
         return {
             "composition": ce.to_json(),
@@ -403,13 +402,12 @@ def _ribbon_schur_sweep(identity, max_n, max_r, jobs) -> VerificationReport:
     b = _Builder(identity, max_n, max_r, _colored_comp_cases(max_n, max_r or 1))
     for n in range(1, max_n + 1):
         for r in b.colors():
-            widths = (n,) * r
             counters = _conj_inverse_f_counters(n, r)
             args = []
             for ce in enumerate_colored_compositions(n, r):
                 b.case(n, r)
                 fcounts = tuple(sorted(counters.get(ce, Counter()).items(), key=_ce_key))
-                args.append((ce, fcounts, widths))
+                args.append((ce, fcounts))
             for witness in _map_cases(_ribbon_schur_case, args, jobs):
                 if witness is not None:
                     witness.update({"n": n, "r": r})
@@ -440,17 +438,16 @@ def _ce_key(item):
     return (ce.parts, ce.colors)
 
 
-def _ribbon_h_case(args) -> dict | None:
-    ce, widths = args
-    ribbon = colored_ribbon(ce, widths)
+def _ribbon_h_case(ce: ColoredComposition) -> dict | None:
+    ribbon = _colored_ribbon_terms(ce)
     acc: dict[bytes, int] = {}
     for index, coeff in ribbon_h_expansion(ce).coeffs.items():
-        add_terms(acc, colored_h(index, widths).terms, coeff)
-    if ribbon.terms != acc:
+        add_terms(acc, _colored_h_terms(index), coeff)
+    if ribbon != acc:
         return {
             "composition": ce.to_json(),
             "reason": "alternating h-sum differs from ribbon element",
-            "diff": _term_diff(ribbon.terms, acc),
+            "diff": _term_diff(ribbon, acc),
         }
     return None
 
@@ -465,11 +462,10 @@ def _ribbon_h_sweep(identity, max_n, max_r, jobs) -> VerificationReport:
     )
     for n in range(1, max_n + 1):
         for r in b.colors():
-            widths = (n,) * r
             args = []
             for ce in enumerate_colored_compositions(n, r):
                 b.case(n, r)
-                args.append((ce, widths))
+                args.append(ce)
             for witness in _map_cases(_ribbon_h_case, args, jobs):
                 if witness is not None:
                     witness.update({"n": n, "r": r})

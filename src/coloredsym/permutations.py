@@ -30,7 +30,6 @@ from .compositions import (
     ColoredSet,
     Composition,
     _parse_tokens,
-    colored_set_to_colored_comp,
 )
 from .errors import DimensionMismatchError, ParseError, ResourceLimitError
 
@@ -177,7 +176,18 @@ def colored_descent_set(a: ColoredPermutation) -> ColoredSet:
 
 def colored_descent_composition(a: ColoredPermutation) -> ColoredComposition:
     """Run lengths of maximal increasing constant-color runs with colors."""
-    return colored_set_to_colored_comp(colored_descent_set(a))
+    w, z = a.word, a.colors
+    parts, colors, run = [], [], 1
+    for i in range(1, a.n):
+        if z[i - 1] != z[i] or w[i - 1] > w[i]:
+            parts.append(run)
+            colors.append(z[i - 1])
+            run = 1
+        else:
+            run += 1
+    parts.append(run)
+    colors.append(z[-1])
+    return ColoredComposition(tuple(parts), tuple(colors), a.r)
 
 
 def steingrimsson_descent_set(a: ColoredPermutation) -> frozenset[int]:

@@ -1,15 +1,25 @@
-"""Exact polynomial models of colored symmetric and quasisymmetric functions.
+"""Exact models of colored symmetric and quasisymmetric functions.
 
-Elements live in truncated polynomial rings over r alphabets: alphabet j has
-``widths[j]`` variables and a monomial is an exponent vector stored as bytes,
-one byte per variable, alphabets concatenated in color order.  Coefficients
-are exact (unbounded) Python ints.  Byte-wise lexicographic comparison of
-keys is exactly the term order used for Schur-basis peeling: alphabet-major,
-then variable-major, exponents compared high to low.
+Every element built here is colored quasisymmetric in Poirier's sense: the
+r alphabets share one index order, and the coefficient of a monomial
+depends only on its packed form, which keeps the used indices in order and
+renumbers them 1..k.  Each index of a packed monomial carries a nonzero
+exponent vector in N^r.  An element is therefore fixed by its coefficients
+on packed monomials: its coordinates in the colored monomial
+quasisymmetric basis.
 
-Degree-n identities are checked at widths n per alphabet, which suffices to
-separate the Schur and fundamental elements of that degree; the width
-stability of expansions (n vs n+1) is asserted in the test suite.
+The private constructors (``_colored_F_terms`` and the others) return these
+packed coordinates as term maps.  A key of a degree-d element is r rows of
+d bytes, alphabet-major; column t holds the exponent vector of index t + 1.
+Coefficients are exact (unbounded) Python ints.  Products are quasi-shuffles
+(``mul_terms``).  Byte-wise lexicographic comparison of keys is the term
+order of Schur-basis peeling: alphabet-major, then index-major, exponents
+compared high to low.  The leading monomial of a per-alphabet symmetric
+element is packed, so peeling its packed coordinates gives its expansion.
+
+The public constructors return a ``MultiAlphabetPolynomial``, in which
+alphabet j has ``widths[j]`` variables.  It is made by placing each packed
+key on every increasing choice of indices that fits the widths.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, product
 
 from ._poly_py import add_terms, mul_terms
 from .compositions import (
@@ -48,6 +58,21 @@ def _offsets(widths: tuple[int, ...]) -> tuple[int, ...]:
         out.append(total)
         total += w
     return tuple(out)
+
+
+def _mul_full(a: dict[bytes, int], b: dict[bytes, int]) -> dict[bytes, int]:
+    """Product of two full term maps of one variable layout (zero
+    coefficients dropped)."""
+    out: dict[bytes, int] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = bytes(x + y for x, y in zip(ka, kb))
+            cur = out.get(key, 0) + ca * cb
+            if cur:
+                out[key] = cur
+            else:
+                out.pop(key, None)
+    return out
 
 
 @dataclass(frozen=True, eq=True)
@@ -109,7 +134,7 @@ class MultiAlphabetPolynomial:
             )
         self._check_ring(other)
         return MultiAlphabetPolynomial(
-            self.widths, mul_terms(self.terms, other.terms)
+            self.widths, _mul_full(self.terms, other.terms)
         )
 
     __rmul__ = __mul__
@@ -138,56 +163,91 @@ def zero(widths) -> MultiAlphabetPolynomial:
     return MultiAlphabetPolynomial(tuple(widths), {})
 
 
-def one(widths) -> MultiAlphabetPolynomial:
-    widths = tuple(widths)
-    return MultiAlphabetPolynomial(widths, {bytes(sum(widths)): 1})
+def _check_widths(r: int, widths: tuple[int, ...]) -> None:
+    if len(widths) != r:
+        raise DimensionMismatchError(f"need {r} alphabet widths, got {len(widths)}")
 
 
-def _product(factors, widths) -> MultiAlphabetPolynomial:
-    """Product of the factors, started from the first one; the unit when
-    there are none."""
-    factors = list(factors)
-    return reduce(MultiAlphabetPolynomial.__mul__, factors) if factors else one(widths)
-
-
-def _embed(local: dict[bytes, int], widths: tuple[int, ...], alphabet: int):
-    """Lift a one-alphabet term map into the full variable layout."""
+def _place(terms: dict[bytes, int], widths) -> MultiAlphabetPolynomial:
+    """The polynomial at ``widths`` of the element with packed coordinates
+    ``terms``: each packed key placed on every increasing choice of indices
+    whose variables exist in the widths."""
+    poly = MultiAlphabetPolynomial(tuple(widths))
+    widths, nvars = poly.widths, poly.nvars
     offs = _offsets(widths)
-    pre = bytes(offs[alphabet])
-    post = bytes(sum(widths) - offs[alphabet] - widths[alphabet])
-    return {pre + k + post: c for k, c in local.items()}
+    for key, coeff in terms.items():
+        w = len(key) // max(len(widths), 1)
+        # per used index: the (variable offset, exponent) of its nonzero
+        # entries, and the number of indices all its alphabets have
+        columns, caps = [], []
+        for t in range(w):
+            used = [j for j, e in enumerate(key[t::w]) if e]
+            if used:
+                columns.append([(offs[j], key[j * w + t]) for j in used])
+                caps.append(min(widths[j] for j in used))
+        top = max(caps, default=0)
+        capped = any(cap < top for cap in caps)
+        for indices in combinations(range(top), len(caps)):
+            if capped and any(i >= cap for i, cap in zip(indices, caps)):
+                continue
+            full = bytearray(nvars)
+            for i, cells in zip(indices, columns):
+                for off, e in cells:
+                    full[off + i] = e
+            poly.terms[bytes(full)] = coeff
+    return poly
+
+
+def _product(factors, r: int) -> dict[bytes, int]:
+    """Quasi-shuffle product of packed term maps over r alphabets, started
+    from the first factor; the unit when there are none."""
+    factors = list(factors)
+    return reduce(lambda a, b: mul_terms(a, b, r), factors) if factors else {b"": 1}
+
+
+def _embed(terms: dict[bytes, int], alphabet: int, r: int) -> dict[bytes, int]:
+    """Lift one-alphabet packed terms into alphabet ``alphabet`` of r."""
+    if r == 1:
+        return terms
+    out = {}
+    for key, c in terms.items():
+        w = len(key)
+        out[bytes(alphabet * w) + key + bytes((r - 1 - alphabet) * w)] = c
+    return out
 
 
 @lru_cache(maxsize=None)
-def _ssyt_terms(shape: SkewShape, width: int) -> dict[bytes, int]:
-    """Semistandard fillings of a connected row-block, as a local term map."""
-    cells = shape.cells()
-    if not cells:
-        return {bytes(0): 1}
-    if width < 1:
-        return {}
-    grid: dict[tuple[int, int], int] = {}
-    counts = bytearray(width)
-    terms: dict[bytes, int] = {}
+def _ssyt_terms(shape: SkewShape) -> dict[bytes, int]:
+    """Semistandard fillings of a row block with entries exactly 1..k, as
+    one-alphabet packed terms: the cells holding i form a nonempty
+    horizontal strip, so each filling is a chain of strips from the inner
+    shape to the outer one, keyed by the strip sizes."""
+    outer = shape.outer
+    chains: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
-    def rec(idx: int):
-        if idx == len(cells):
-            key = bytes(counts)
-            terms[key] = terms.get(key, 0) + 1
-            return
-        r, c = cells[idx]
-        left = grid.get((r, c - 1), 1)
-        above = grid.get((r - 1, c))
-        lo = max(left, above + 1 if above is not None else 1)
-        for v in range(lo, width + 1):
-            grid[(r, c)] = v
-            counts[v - 1] += 1
-            rec(idx + 1)
-            counts[v - 1] -= 1
-        grid.pop((r, c), None)
+    def grow(inner: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        if inner == outer:
+            return {(): 1}
+        got = chains.get(inner)
+        if got is None:
+            got = {}
+            # a horizontal strip adds to row i only columns that row i-1
+            # already covered
+            ranges = [
+                range(inner[i], min(outer[i], inner[i - 1] if i else outer[0]) + 1)
+                for i in range(len(outer))
+            ]
+            for nxt in product(*ranges):
+                size = sum(nxt) - sum(inner)
+                if size:
+                    for sizes, c in grow(nxt).items():
+                        key = (size,) + sizes
+                        got[key] = got.get(key, 0) + c
+            chains[inner] = got
+        return got
 
-    rec(0)
-    return terms
+    m = shape.ncells
+    return {bytes(sizes) + bytes(m - len(sizes)): c for sizes, c in grow(shape.inner).items()}
 
 
 def _row_blocks(shape: SkewShape) -> list[SkewShape]:
@@ -210,19 +270,81 @@ def _translate_rows(shape: SkewShape, lo: int, hi: int) -> SkewShape:
     )
 
 
+def _schur_terms(shape: SkewShape, alphabet: int, r: int) -> dict[bytes, int]:
+    """Packed Schur element of a (skew) shape in one alphabet of r."""
+    blocks = _row_blocks(shape) if shape.ncells else []
+    return _product((_embed(_ssyt_terms(b), alphabet, r) for b in blocks), r)
+
+
+@lru_cache(maxsize=None)
+def _colored_F_terms(ce: ColoredComposition) -> dict[bytes, int]:
+    """Packed colored fundamental element (see ``colored_F``).  A packed
+    index chain groups the positions into consecutive blocks of equal
+    index: a strict position always ends a block, any other position may.
+    Each grouping is one term."""
+    ext = ce.extended_colors()
+    n = ce.n
+    sums = ce.composition().partial_sums()
+    strict_after = {
+        sums[j] for j in range(len(ce.parts) - 1) if ce.colors[j] >= ce.colors[j + 1]
+    }
+    optional = [t for t in range(1, n) if t not in strict_after]
+    terms: dict[bytes, int] = {}
+    for chosen in product((False, True), repeat=len(optional)):
+        ends = strict_after.union(t for t, end in zip(optional, chosen) if end)
+        counts = bytearray(n * ce.r)
+        block = 0
+        for t in range(1, n + 1):
+            counts[ext[t - 1] * n + block] += 1
+            block += t in ends
+        terms[bytes(counts)] = 1
+    return terms
+
+
+def _h_terms(k: int) -> dict[bytes, int]:
+    """Packed complete homogeneous h_k in one alphabet: every composition of
+    k, which is the fundamental element of the one-part composition."""
+    return _colored_F_terms(ColoredComposition((k,), (0,), 1)) if k else {b"": 1}
+
+
+def _normalize_components(components) -> tuple[SkewShape, ...]:
+    return tuple(as_skew(c) for c in components)
+
+
+@lru_cache(maxsize=None)
+def _colored_schur_terms(components: tuple[SkewShape, ...]) -> dict[bytes, int]:
+    """Packed product of per-alphabet Schur elements, component j in
+    alphabet j."""
+    r = len(components)
+    return _product((_schur_terms(comp, j, r) for j, comp in enumerate(components)), r)
+
+
+@lru_cache(maxsize=None)
+def _colored_ribbon_terms(ce: ColoredComposition) -> dict[bytes, int]:
+    """Packed colored ribbon element: the product over rainbow blocks of the
+    ribbon Schur element of the block in the block's alphabet."""
+    return _product(
+        (
+            _schur_terms(zigzag_of(comp).shape, color, ce.r)
+            for comp, color in rainbow_decomposition(ce).blocks
+        ),
+        ce.r,
+    )
+
+
+@lru_cache(maxsize=None)
+def _colored_h_terms(bll: RPartitePartition) -> dict[bytes, int]:
+    """Packed product of complete homogeneous elements, component j in
+    alphabet j."""
+    r = len(bll)
+    return _product((_embed(_h_terms(k), j, r) for j, part in enumerate(bll) for k in part), r)
+
+
 def schur_poly(shape, alphabet: int, widths) -> MultiAlphabetPolynomial:
     """Schur polynomial of a (possibly skew) shape in one alphabet: the
     generating function of its semistandard fillings with bounded entries."""
     widths = tuple(widths)
-    shape, width = as_skew(shape), widths[alphabet]
-    local = _product(
-        (
-            MultiAlphabetPolynomial((width,), _ssyt_terms(block, width))
-            for block in (_row_blocks(shape) if shape.ncells else [])
-        ),
-        (width,),
-    )
-    return MultiAlphabetPolynomial(widths, _embed(local.terms, widths, alphabet))
+    return _place(_schur_terms(as_skew(shape), alphabet, len(widths)), widths)
 
 
 def h_poly(k: int, alphabet: int, widths) -> MultiAlphabetPolynomial:
@@ -230,14 +352,7 @@ def h_poly(k: int, alphabet: int, widths) -> MultiAlphabetPolynomial:
     widths = tuple(widths)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    width = widths[alphabet]
-    local: dict[bytes, int] = {}
-    for combo in combinations_with_replacement(range(width), k):
-        counts = bytearray(width)
-        for i in combo:
-            counts[i] += 1
-        local[bytes(counts)] = 1
-    return MultiAlphabetPolynomial(widths, _embed(local, widths, alphabet))
+    return _place(_embed(_h_terms(k), alphabet, len(widths)), widths)
 
 
 def e_poly(k: int, alphabet: int, widths) -> MultiAlphabetPolynomial:
@@ -245,14 +360,7 @@ def e_poly(k: int, alphabet: int, widths) -> MultiAlphabetPolynomial:
     widths = tuple(widths)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    width = widths[alphabet]
-    local: dict[bytes, int] = {}
-    for combo in combinations(range(width), k):
-        counts = bytearray(width)
-        for i in combo:
-            counts[i] = 1
-        local[bytes(counts)] = 1
-    return MultiAlphabetPolynomial(widths, _embed(local, widths, alphabet))
+    return _place(_embed({bytes((1,) * k): 1}, alphabet, len(widths)), widths)
 
 
 def fundamental_F(a: Composition, alphabet: int, widths) -> MultiAlphabetPolynomial:
@@ -261,11 +369,9 @@ def fundamental_F(a: Composition, alphabet: int, widths) -> MultiAlphabetPolynom
     the one-color ``colored_F``, placed in alphabet ``alphabet``."""
     widths = tuple(widths)
     ce = ColoredComposition(a.parts, (0,) * len(a.parts), 1)
-    local = colored_F(ce, (widths[alphabet],))
-    return MultiAlphabetPolynomial(widths, _embed(local.terms, widths, alphabet))
+    return _place(_embed(_colored_F_terms(ce), alphabet, len(widths)), widths)
 
 
-@lru_cache(maxsize=None)
 def colored_F(ce: ColoredComposition, widths) -> MultiAlphabetPolynomial:
     """Colored fundamental quasisymmetric polynomial.
 
@@ -275,47 +381,8 @@ def colored_F(ce: ColoredComposition, widths) -> MultiAlphabetPolynomial:
     colors satisfy color_j >= color_{j+1}.
     """
     widths = tuple(widths)
-    if len(widths) != ce.r:
-        raise DimensionMismatchError(
-            f"need {ce.r} alphabet widths, got {len(widths)}"
-        )
-    ext = ce.extended_colors()
-    n = ce.n
-    offs = _offsets(widths)
-    sums = ce.composition().partial_sums()
-    strict_after = {
-        sums[j]
-        for j in range(len(ce.parts) - 1)
-        if ce.colors[j] >= ce.colors[j + 1]
-    }
-    counts = bytearray(sum(widths))
-    terms: dict[bytes, int] = {}
-
-    def rec(t: int, lo: int):
-        if t > n:
-            key = bytes(counts)
-            terms[key] = terms.get(key, 0) + 1
-            return
-        al = ext[t - 1]
-        pos = offs[al] - 1
-        for i in range(lo, widths[al] + 1):
-            counts[pos + i] += 1
-            rec(t + 1, i + (1 if t in strict_after else 0))
-            counts[pos + i] -= 1
-
-    rec(1, 1)
-    return MultiAlphabetPolynomial(widths, terms)
-
-
-def _normalize_components(components) -> tuple[SkewShape, ...]:
-    return tuple(as_skew(c) for c in components)
-
-
-@lru_cache(maxsize=None)
-def _colored_schur_cached(components: tuple[SkewShape, ...], widths):
-    return _product(
-        (schur_poly(comp, j, widths) for j, comp in enumerate(components)), widths
-    )
+    _check_widths(ce.r, widths)
+    return _place(_colored_F_terms(ce), widths)
 
 
 def colored_schur(components, widths) -> MultiAlphabetPolynomial:
@@ -327,36 +394,23 @@ def colored_schur(components, widths) -> MultiAlphabetPolynomial:
         raise DimensionMismatchError(
             f"{len(components)} components vs {len(widths)} alphabets"
         )
-    return _colored_schur_cached(components, widths)
+    return _place(_colored_schur_terms(components), widths)
 
 
-@lru_cache(maxsize=None)
 def colored_ribbon(ce: ColoredComposition, widths) -> MultiAlphabetPolynomial:
     """Colored ribbon Schur element: the product over rainbow blocks of the
     ribbon Schur polynomial of the block in the block's alphabet."""
     widths = tuple(widths)
-    if len(widths) != ce.r:
-        raise DimensionMismatchError(
-            f"need {ce.r} alphabet widths, got {len(widths)}"
-        )
-    return _product(
-        (
-            schur_poly(zigzag_of(comp).shape, color, widths)
-            for comp, color in rainbow_decomposition(ce).blocks
-        ),
-        widths,
-    )
+    _check_widths(ce.r, widths)
+    return _place(_colored_ribbon_terms(ce), widths)
 
 
-@lru_cache(maxsize=None)
 def colored_h(bll: RPartitePartition, widths) -> MultiAlphabetPolynomial:
     """Product of complete homogeneous polynomials, component j in alphabet j."""
     widths = tuple(widths)
     if len(bll) != len(widths):
         raise DimensionMismatchError(f"{len(bll)} components vs {len(widths)} alphabets")
-    return _product(
-        (h_poly(k, j, widths) for j, part in enumerate(bll) for k in part), widths
-    )
+    return _place(_colored_h_terms(bll), widths)
 
 
 def h_index_of_colored_comp(ce: ColoredComposition) -> RPartitePartition:
@@ -381,8 +435,9 @@ def qsym_generating_function(
     )
     acc: dict[bytes, int] = {}
     for ce, mult in counter.items():
-        add_terms(acc, colored_F(ce, widths).terms, mult)
-    return MultiAlphabetPolynomial(widths, acc)
+        _check_widths(ce.r, widths)
+        add_terms(acc, _colored_F_terms(ce), mult)
+    return _place(acc, widths)
 
 
 @dataclass(frozen=True)
@@ -410,35 +465,14 @@ class Expansion:
         }
 
 
-def expand_in_colored_schur(
-    p: MultiAlphabetPolynomial, n: int | None = None
-) -> Expansion:
-    """Expand a homogeneous per-alphabet-symmetric element in the colored
-    Schur basis by leading-monomial peeling.
-
-    Requires every alphabet width to be at least the degree, which is ``n``
-    when given: too few variables can truncate a nonzero element to zero,
-    so a zero element is checked against ``n`` too.  Raises
-    ``NotInSchurSpanError`` when a leading exponent is not a partition in
-    some alphabet, which is how asymmetric input manifests.
-    """
-    widths = p.widths
-    r = p.r
-    if p.is_zero():
-        degree = n if n is not None else 0
-    else:
-        degrees = p.degrees()
-        if len(degrees) != 1:
-            raise NotInSchurSpanError(f"not homogeneous: degrees {sorted(degrees)}")
-        degree = degrees.pop()
-        if n is not None and n != degree:
-            raise NotInSchurSpanError(f"degree {degree} differs from declared {n}")
-    if any(w < degree for w in widths):
-        raise ValueError(
-            f"peeling needs widths >= degree {degree} in every alphabet: {widths!r}"
-        )
+def _peel(
+    terms: dict[bytes, int], widths: tuple[int, ...], schur_terms
+) -> dict[RPartitePartition, int]:
+    """Colored Schur coefficients of ``terms`` by leading-monomial peeling;
+    ``schur_terms(bll)`` gives the terms of the colored Schur element of
+    ``bll`` in the same coordinates."""
     offs = _offsets(widths)
-    rem = dict(p.terms)
+    rem = dict(terms)
     out: dict[RPartitePartition, int] = {}
     while rem:
         key = max(rem)
@@ -453,10 +487,52 @@ def expand_in_colored_schur(
         bll = tuple(bll)
         coeff = rem[key]
         out[bll] = coeff
-        add_terms(rem, colored_schur(bll, widths).terms, -coeff)
+        add_terms(rem, schur_terms(bll), -coeff)
         if rem and max(rem) >= key:
             raise NotInSchurSpanError("peeling made no progress")
-    return Expansion("schur", degree, r, out)
+    return out
+
+
+def expand_in_colored_schur(
+    p: MultiAlphabetPolynomial, n: int | None = None
+) -> Expansion:
+    """Expand a homogeneous per-alphabet-symmetric element in the colored
+    Schur basis by leading-monomial peeling of all its terms.
+
+    Requires every alphabet width to be at least the degree, which is ``n``
+    when given: too few variables can truncate a nonzero element to zero,
+    so a zero element is checked against ``n`` too.  Raises
+    ``NotInSchurSpanError`` when a leading exponent is not a partition in
+    some alphabet, which is how asymmetric input manifests.
+    """
+    widths = p.widths
+    if p.is_zero():
+        degree = n if n is not None else 0
+    else:
+        degrees = p.degrees()
+        if len(degrees) != 1:
+            raise NotInSchurSpanError(f"not homogeneous: degrees {sorted(degrees)}")
+        degree = degrees.pop()
+        if n is not None and n != degree:
+            raise NotInSchurSpanError(f"degree {degree} differs from declared {n}")
+    if any(w < degree for w in widths):
+        raise ValueError(
+            f"peeling needs widths >= degree {degree} in every alphabet: {widths!r}"
+        )
+    coeffs = _peel(p.terms, widths, lambda bll: colored_schur(bll, widths).terms)
+    return Expansion("schur", degree, p.r, coeffs)
+
+
+def ribbon_schur_by_peeling(ce: ColoredComposition) -> Expansion:
+    """Schur expansion of the colored ribbon element, peeled from its packed
+    coordinates.  Colored Schur elements are packed the same way, so no
+    choice of widths is involved."""
+    coeffs = _peel(
+        _colored_ribbon_terms(ce),
+        (ce.n,) * ce.r,
+        lambda bll: _colored_schur_terms(_normalize_components(bll)),
+    )
+    return Expansion("schur", ce.n, ce.r, coeffs)
 
 
 def schur_coeff_by_tableau_count(

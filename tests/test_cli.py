@@ -1,6 +1,7 @@
 """Command-line behaviour: schemas, determinism and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +78,24 @@ def test_ribbon_dump_poly(capsys):
     }
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "flags,golden",
+    [
+        (("--dump-poly", "--widths", "2,5"), "ribbon_dump_poly_widths_2_5.json"),
+        (("--dump-poly",), "ribbon_dump_poly.json"),
+        (("--via-poly", "--widths", "4,6"), "ribbon_via_poly_widths_4_6.json"),
+    ],
+)
+def test_ribbon_polynomial_golden_stdout(capsys, flags, golden):
+    # placement on uneven widths is where packed and full polynomials meet
+    code, out, _ = run_cli(capsys, "ribbon", "--comp", "2^0,1^1,1^0", "--r", "2", *flags)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_descent_class(capsys):
     code, out, _ = run_cli(
         capsys, "descent-class", "--comp", "2^0,2^0", "--r", "1", "--conj-inverse"
@@ -85,6 +104,17 @@ def test_descent_class(capsys):
     payload = json.loads(out)
     assert payload["count"] == 5
     assert "1^0,3^0,2^0,4^0" in payload["members"]
+
+
+def test_descent_class_bound_is_the_class_size(capsys):
+    # a class of one member in a group of 9! elements
+    code, out, _ = run_cli(capsys, "descent-class", "--comp", "9^0", "--r", "1")
+    assert code == 0
+    assert json.loads(out)["members"] == ["1^0,2^0,3^0,4^0,5^0,6^0,7^0,8^0,9^0"]
+    alternating = ",".join(["1^0", "1^1"] * 4 + ["1^0"])
+    code, out, err = run_cli(capsys, "descent-class", "--comp", alternating, "--r", "2")
+    assert code == 2 and out == ""
+    assert "362880 members" in err
 
 
 def test_rsk_round_trip_schema(capsys):

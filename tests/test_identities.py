@@ -9,12 +9,11 @@ from coloredsym import (
     ColoredComposition,
     Expansion,
     VerificationReport,
-    colored_F,
-    colored_h,
     ribbon_h_expansion,
     run_identity,
 )
 from coloredsym import identities
+from coloredsym.symfun import _colored_F_terms, _colored_h_terms
 from coloredsym.identities import (
     verify_colored_ribbon_h,
     verify_colored_ribbon_schur,
@@ -135,19 +134,28 @@ def test_classical_ribbon_suites_are_the_r1_slices():
 
 
 def _doubled_at(fn, target):
-    return lambda key, widths: 2 * fn(key, widths) if key == target else fn(key, widths)
+    """``fn`` with every coefficient doubled at ``target``."""
+    def planted(key):
+        terms = fn(key)
+        return {k: 2 * c for k, c in terms.items()} if key == target else terms
+
+    return planted
 
 
 def test_planted_fundamental_fault_fails_ribbon_schur(monkeypatch):
     target = ColoredComposition((1, 2), (0, 0), 1)
-    monkeypatch.setattr(identities, "colored_F", _doubled_at(colored_F, target))
+    monkeypatch.setattr(
+        identities, "_colored_F_terms", _doubled_at(_colored_F_terms, target)
+    )
     report = run_identity("ribbon-schur", 3)
     assert not report.passed
     assert report.failure_count > 0
 
 
 def test_planted_h_fault_fails_ribbon_h(monkeypatch):
-    monkeypatch.setattr(identities, "colored_h", _doubled_at(colored_h, ((2, 1),)))
+    monkeypatch.setattr(
+        identities, "_colored_h_terms", _doubled_at(_colored_h_terms, ((2, 1),))
+    )
     report = run_identity("ribbon-h", 3)
     assert not report.passed
     assert report.failure_count > 0

@@ -1,4 +1,4 @@
-"""Ring laws and edge cases of the term-map kernels."""
+"""Quasi-shuffle laws and edge cases of the term-map kernels."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,35 +6,74 @@ from hypothesis import given, strategies as st
 from coloredsym._poly_py import add_terms, mul_terms
 
 
-def term_maps(nvars=4, max_exp=5, max_terms=6):
-    key = st.binary(min_size=nvars, max_size=nvars).map(
-        lambda b: bytes(x % (max_exp + 1) for x in b)
+def packed_key(columns, r, pad=0):
+    """Alphabet-major key of the given exponent vectors, one per index."""
+    width = len(columns) + pad
+    rows = [bytes(col[j] for col in columns) + bytes(pad) for j in range(r)]
+    assert all(len(row) == width for row in rows)
+    return b"".join(rows)
+
+
+@st.composite
+def packed_maps(draw, r, max_terms=4):
+    """Packed term maps over r alphabets whose keys share one width, so
+    that no monomial has two keys."""
+    width = draw(st.integers(0, 3))
+    vector = st.tuples(*[st.integers(0, 4)] * r).filter(any)
+    key = st.lists(vector, max_size=width).map(
+        lambda cols: packed_key(cols, r, width - len(cols))
     )
     coeff = st.integers(min_value=-(10**6), max_value=10**6).filter(bool)
-    return st.dictionaries(key, coeff, max_size=max_terms)
+    return draw(st.dictionaries(key, coeff, max_size=max_terms))
 
 
-@given(a=term_maps(), b=term_maps())
-def test_mul_commutes(a, b):
-    assert mul_terms(a, b) == mul_terms(b, a)
+@given(st.data(), st.integers(1, 3))
+def test_mul_commutes(data, r):
+    a, b = data.draw(packed_maps(r)), data.draw(packed_maps(r))
+    assert mul_terms(a, b, r) == mul_terms(b, a, r)
+
+
+@given(st.data(), st.integers(1, 3))
+def test_mul_associative(data, r):
+    a, b, c = (data.draw(packed_maps(r, max_terms=3)) for _ in range(3))
+    assert mul_terms(mul_terms(a, b, r), c, r) == mul_terms(a, mul_terms(b, c, r), r)
+
+
+@given(st.data(), st.integers(1, 3))
+def test_empty_key_is_the_unit(data, r):
+    a = data.draw(packed_maps(r))
+    assert mul_terms(a, {b"": 1}, r) == a
+    assert mul_terms({b"": 1}, a, r) == a
 
 
 def test_mul_edge_cases():
-    one = {bytes(3): 1}
-    p = {bytes((1, 0, 2)): 5, bytes((0, 1, 0)): -3}
-    assert mul_terms(p, {}) == {}
-    assert mul_terms(p, one) == p
-    # (x - y) * (x + y) == x^2 - y^2 : cancellation drops the cross terms
-    x, y = bytes((1, 0)), bytes((0, 1))
-    left = {x: 1, y: -1}
-    right = {x: 1, y: 1}
-    assert mul_terms(left, right) == {bytes((2, 0)): 1, bytes((0, 2)): -1}
+    p = {packed_key([(1, 0), (0, 2)], 2): 5, packed_key([(0, 1)], 2, pad=1): -3}
+    assert mul_terms(p, {}, 2) == {}
+    assert mul_terms({}, p, 2) == {}
+    # M_1 * M_1 = 2 M_11 + M_2 in one alphabet
+    m1 = {bytes((1,)): 1}
+    assert mul_terms(m1, m1) == {bytes((1, 1)): 2, bytes((2, 0)): 1}
+    # over two alphabets the joint column adds the vectors
+    x, y = packed_key([(1, 0)], 2), packed_key([(0, 1)], 2)
+    assert mul_terms({x: 1}, {y: 1}, 2) == {
+        packed_key([(1, 0), (0, 1)], 2): 1,
+        packed_key([(0, 1), (1, 0)], 2): 1,
+        packed_key([(1, 1)], 2, pad=1): 1,
+    }
+    # (M_1 - M_2) * M_1 + M_2 * M_1 == M_1 * M_1 : cancellation drops terms
+    left = mul_terms({bytes((1, 0)): 1, bytes((2, 0)): -1}, m1)
+    add_terms(left, mul_terms({bytes((2, 0)): 1}, m1))
+    assert left == {bytes((1, 1, 0)): 2, bytes((2, 0, 0)): 1}
 
 
 def test_exponent_overflow_raises():
     # 255 is the largest exponent one byte holds; one more must raise, not
     # carry into the next variable as x^256 == x^0 * y^1 would
-    assert mul_terms({bytes((200, 0)): 1}, {bytes((55, 0)): 1}) == {bytes((255, 0)): 1}
+    assert mul_terms({bytes((200, 0)): 1}, {bytes((55, 0)): 1}) == {
+        bytes((200, 55, 0, 0)): 1,
+        bytes((55, 200, 0, 0)): 1,
+        bytes((255, 0, 0, 0)): 1,
+    }
     with pytest.raises(ValueError):
         mul_terms({bytes((200, 0)): 1}, {bytes((56, 0)): 1})
 

@@ -1,5 +1,6 @@
 """Group law, descent statistics and descent classes."""
 
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from coloredsym import (
     conj_inverse_descent_class,
     conjugate,
     descent_class,
+    descent_class_size,
     descent_class_table,
     descent_composition,
     descent_set,
@@ -218,8 +220,6 @@ class TestDescentClasses:
     def test_partition_of_group(self, n, r):
         table = descent_class_table(n, r)
         total = sum(len(v) for v in table.values())
-        import math
-
         assert total == math.factorial(n) * r**n
         assert set(table) <= set(enumerate_colored_compositions(n, r))
         for ce, members in table.items():
@@ -232,19 +232,34 @@ class TestDescentClasses:
             assert len(descent_class(ce)) == len(conj_inverse_descent_class(ce))
 
     def test_resource_bound(self):
-        ce = ColoredComposition((9,), (0,), 1)
-        with pytest.raises(ResourceLimitError):
-            descent_class(ce)
-
-    @pytest.mark.parametrize("n,r", [(8, 4), (9, 1)])
-    def test_resource_bound_is_the_group_order(self, n, r):
-        # 8! * 4^8 is about 2.6e9 elements; n alone would admit it
-        ce = ColoredComposition((n,), (r - 1,), r)
+        # nine one-cell ribbons of alternating colors: 9! members
+        ce = ColoredComposition((1,) * 9, (0, 1) * 4 + (0,), 2)
+        assert descent_class_size(ce) == math.factorial(9)
         for fn in (descent_class, conj_inverse_descent_class):
             with pytest.raises(ResourceLimitError):
                 fn(ce)
+
+    @pytest.mark.parametrize("n,r", [(8, 4), (9, 1)])
+    def test_resource_bound_is_the_group_order(self, n, r):
+        # the table filters the whole group: 8! * 4^8 is about 2.6e9
+        # elements, although n alone would admit it
         with pytest.raises(ResourceLimitError):
             descent_class_table(n, r)
+
+    @pytest.mark.parametrize("n,r", [(8, 4), (9, 1)])
+    def test_class_bound_is_the_class_size(self, n, r):
+        # one ribbon of one color is a class of one member, however large
+        # the group
+        ce = ColoredComposition((n,), (r - 1,), r)
+        for fn in (descent_class, conj_inverse_descent_class):
+            assert len(fn(ce)) == 1
+
+    @pytest.mark.parametrize(
+        "n,r", [(n, r) for n in range(1, 5) for r in (1, 2, 3)] + [(5, 1), (6, 1)]
+    )
+    def test_class_size_formula(self, n, r):
+        for ce in enumerate_colored_compositions(n, r):
+            assert descent_class_size(ce) == len(descent_class(ce))
 
 
 class TestText:

@@ -4,6 +4,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coloredsym import (
     ColoredComposition,
@@ -52,6 +53,14 @@ def poly_from(widths, entries):
     return MultiAlphabetPolynomial(tuple(widths), terms)
 
 
+def full_term_maps(nvars=4, max_exp=5, max_terms=6):
+    key = st.binary(min_size=nvars, max_size=nvars).map(
+        lambda b: bytes(x % (max_exp + 1) for x in b)
+    )
+    coeff = st.integers(min_value=-(10**6), max_value=10**6).filter(bool)
+    return st.dictionaries(key, coeff, max_size=max_terms)
+
+
 class TestRingOperations:
     def test_add_zero_and_mul_one(self):
         p = h_poly(2, 0, (3,))
@@ -71,6 +80,24 @@ class TestRingOperations:
     def test_integer_scaling(self):
         p = e_poly(1, 0, (2,))
         assert 3 * p == p + p + p
+
+    @given(full_term_maps(), full_term_maps())
+    def test_mul_commutes(self, a, b):
+        p, q = MultiAlphabetPolynomial((1, 3), a), MultiAlphabetPolynomial((1, 3), b)
+        assert p * q == q * p
+
+    def test_mul_edge_cases(self):
+        p = poly_from((1, 2), {((1,), (0, 2)): 5, ((0,), (1, 0)): -3})
+        assert p * zero((1, 2)) == zero((1, 2))
+        assert p * MultiAlphabetPolynomial((1, 2), {bytes(3): 1}) == p
+
+    def test_exponent_overflow_raises(self):
+        # 255 is the largest exponent one byte holds; one more must raise,
+        # not carry into the next variable as x^256 == x^0 * y^1 would
+        x200 = poly_from((2,), {((200, 0),): 1})
+        assert x200 * poly_from((2,), {((55, 0),): 1}) == poly_from((2,), {((255, 0),): 1})
+        with pytest.raises(ValueError):
+            x200 * poly_from((2,), {((56, 0),): 1})
 
     def test_width_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -1,0 +1,133 @@
+"""The truncated constructors that the packed ones replaced, kept as the
+reference: every monomial at the given widths is enumerated directly, and
+products multiply exponent vectors variable by variable."""
+
+from itertools import combinations_with_replacement
+
+from coloredsym import ColoredComposition, zigzag_of
+from coloredsym.compositions import rainbow_decomposition
+from coloredsym.shapes import as_skew
+
+
+def _offsets(widths):
+    out, total = [], 0
+    for w in widths:
+        out.append(total)
+        total += w
+    return out
+
+
+def mul(a, b):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = bytes(x + y for x, y in zip(ka, kb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def product(factors, widths):
+    acc = {bytes(sum(widths)): 1}
+    for f in factors:
+        acc = mul(acc, f)
+    return acc
+
+
+def embed(local, widths, alphabet):
+    offs = _offsets(widths)
+    pre = bytes(offs[alphabet])
+    post = bytes(sum(widths) - offs[alphabet] - widths[alphabet])
+    return {pre + k + post: c for k, c in local.items()}
+
+
+def ssyt(shape, width):
+    """Semistandard fillings of a skew shape with entries at most width."""
+    cells = shape.cells()
+    grid, terms = {}, {}
+    counts = bytearray(width)
+
+    def rec(idx):
+        if idx == len(cells):
+            key = bytes(counts)
+            terms[key] = terms.get(key, 0) + 1
+            return
+        r, c = cells[idx]
+        lo = grid.get((r, c - 1), 1)
+        above = grid.get((r - 1, c))
+        if above is not None:
+            lo = max(lo, above + 1)
+        for v in range(lo, width + 1):
+            grid[(r, c)] = v
+            counts[v - 1] += 1
+            rec(idx + 1)
+            counts[v - 1] -= 1
+        grid.pop((r, c), None)
+
+    rec(0)
+    return terms
+
+
+def schur(shape, alphabet, widths):
+    return embed(ssyt(as_skew(shape), widths[alphabet]), widths, alphabet)
+
+
+def h(k, alphabet, widths):
+    width = widths[alphabet]
+    local = {}
+    for combo in combinations_with_replacement(range(width), k):
+        counts = bytearray(width)
+        for i in combo:
+            counts[i] += 1
+        local[bytes(counts)] = 1
+    return embed(local, widths, alphabet)
+
+
+def colored_F(ce, widths):
+    """Weakly increasing index chains, strict after a part boundary exactly
+    when the colors do not rise there."""
+    ext = ce.extended_colors()
+    offs = _offsets(widths)
+    sums = ce.composition().partial_sums()
+    strict_after = {
+        sums[j] for j in range(len(ce.parts) - 1) if ce.colors[j] >= ce.colors[j + 1]
+    }
+    counts = bytearray(sum(widths))
+    terms = {}
+
+    def rec(t, lo):
+        if t > ce.n:
+            key = bytes(counts)
+            terms[key] = terms.get(key, 0) + 1
+            return
+        al = ext[t - 1]
+        for i in range(lo, widths[al] + 1):
+            counts[offs[al] + i - 1] += 1
+            rec(t + 1, i + (1 if t in strict_after else 0))
+            counts[offs[al] + i - 1] -= 1
+
+    rec(1, 1)
+    return terms
+
+
+def colored_ribbon(ce, widths):
+    return product(
+        (
+            schur(zigzag_of(comp).shape, color, widths)
+            for comp, color in rainbow_decomposition(ce).blocks
+        ),
+        widths,
+    )
+
+
+def colored_h(bll, widths):
+    return product(
+        (h(k, j, widths) for j, part in enumerate(bll) for k in part), widths
+    )
+
+
+def colored_schur(bll, widths):
+    return product((schur(part, j, widths) for j, part in enumerate(bll)), widths)
+
+
+def one_color(parts):
+    return ColoredComposition(tuple(parts), (0,) * len(parts), 1)
