@@ -54,6 +54,7 @@ from .shapes import (
     SkewShape,
     StandardTableau,
     ZigzagShape,
+    colored_composition_shape,
     colored_zigzag_of,
     colored_zigzag_to_comp,
     direct_sum,

@@ -38,9 +38,8 @@ from .shapes import (
     RPartiteTableau,
     SkewShape,
     StandardTableau,
-    colored_zigzag_of,
+    colored_composition_shape,
     enumerate_rpartite_syt,
-    rpartite_shape_of,
     zigzag_of,
 )
 
@@ -85,7 +84,7 @@ def colored_class_to_tableau(a: ColoredPermutation) -> RPartiteTableau:
     for part, color in zip(ce.parts, ce.colors):
         rows_bottom_up[color].append(a.word[pos : pos + part])
         pos += part
-    shapes = rpartite_shape_of(colored_zigzag_of(ce), a.r)
+    shapes = colored_composition_shape(ce)
     return RPartiteTableau(
         tuple(
             StandardTableau(shape, tuple(reversed(rows)))
@@ -103,8 +102,7 @@ def colored_tableau_to_class(
     row of the component of its color."""
     if bq.r != ce.r:
         raise DimensionMismatchError(f"tableau has r={bq.r}, composition r={ce.r}")
-    expected = rpartite_shape_of(colored_zigzag_of(ce), ce.r)
-    if bq.shape() != expected:
+    if bq.shape() != colored_composition_shape(ce):
         raise ShapeError("tableau shape does not match the colored composition")
     return _read_rows(bq, ce)
 
@@ -156,8 +154,10 @@ def descent_class(ce: ColoredComposition) -> list[ColoredPermutation]:
             f"the descent class has {size} members for n={ce.n}, r={ce.r}, "
             f"over the bound {MAX_CLASS_SIZE}"
         )
-    shape = rpartite_shape_of(colored_zigzag_of(ce), ce.r)
-    members = [_read_rows(bq, ce) for bq in enumerate_rpartite_syt(shape)]
+    shape = colored_composition_shape(ce)
+    members = [
+        _read_rows(bq, ce) for bq in enumerate_rpartite_syt(shape, max_cells=ce.n)
+    ]
     members.sort(key=lambda a: (a.word, a.colors))
     return members
 

@@ -32,9 +32,10 @@ class Composition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-        if not self.parts or any(p < 1 for p in self.parts):
-            raise ValueError(f"composition parts must be positive: {self.parts!r}")
+        parts = tuple(map(int, self.parts))
+        object.__setattr__(self, "parts", parts)
+        if not parts or min(parts) < 1:
+            raise ValueError(f"composition parts must be positive: {parts!r}")
 
     @property
     def n(self) -> int:

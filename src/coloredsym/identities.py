@@ -324,24 +324,28 @@ def verify_colored_class_tableau(
                 members = table.get(ce, [])
                 shape = rpartite_shape_of(colored_zigzag_of(ce), r)
                 all_fillings = set(enumerate_rpartite_syt(shape))
-                images = []
+                member_des = []
+                image_des = {}  # image -> its descent set, once per member
                 ok = True
                 for a in members:
                     bq = colored_class_to_tableau(a)
-                    images.append(bq)
+                    des = colored_descent_set(conj_inverse(a))
+                    member_des.append(des)
+                    bq_des = rpartite_descent_set(bq)
+                    image_des[bq] = bq_des
                     if bq.shape() != shape:
                         ok = False
-                    if rpartite_descent_set(bq) != colored_descent_set(
-                        conj_inverse(a)
-                    ):
+                    if bq_des != des:
                         ok = False
                     if colored_tableau_to_class(bq, ce) != a:
                         ok = False
-                if len(set(images)) != len(members) or set(images) != all_fillings:
+                if len(image_des) != len(members) or image_des.keys() != all_fillings:
                     ok = False
-                if Counter(
-                    colored_descent_set(conj_inverse(a)) for a in members
-                ) != Counter(rpartite_descent_set(bq) for bq in all_fillings):
+                # a filling that is an image has the descent set of that image
+                if Counter(member_des) != Counter(
+                    image_des[f] if f in image_des else rpartite_descent_set(f)
+                    for f in all_fillings
+                ):
                     ok = False
                 if not ok:
                     b.fail(

@@ -14,9 +14,9 @@ by stripping trailing empty rows so equality is structural.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import product
+from itertools import chain, product
 from math import factorial
+from operator import ge, ne, sub
 
 from .compositions import (
     ColoredComposition,
@@ -24,7 +24,6 @@ from .compositions import (
     Composition,
     colored_set_to_colored_comp,
     enumerate_compositions,
-    rainbow_decomposition,
 )
 from .errors import ResourceLimitError, ShapeError
 
@@ -91,22 +90,34 @@ class SkewShape:
     inner: tuple[int, ...]
 
     def __post_init__(self):
-        outer = tuple(int(x) for x in self.outer)
-        inner = tuple(int(x) for x in self.inner)
-        if len(inner) > len(outer):
-            if any(x != 0 for x in inner[len(outer) :]):
+        outer = tuple(map(int, self.outer))
+        inner = tuple(map(int, self.inner))
+        k = len(outer)
+        if len(inner) > k:
+            if any(inner[k:]):
                 raise ShapeError(f"inner exceeds outer: {inner!r} vs {outer!r}")
-            inner = inner[: len(outer)]
-        inner = inner + (0,) * (len(outer) - len(inner))
-        while outer and outer[-1] == inner[-1]:
-            outer, inner = outer[:-1], inner[:-1]
-        if any(x < 0 for x in outer) or any(x < 0 for x in inner):
-            raise ShapeError("row lengths must be nonnegative")
-        if any(a < b for a, b in zip(outer, outer[1:])) or any(
-            a < b for a, b in zip(inner, inner[1:])
-        ):
+            inner = inner[:k]
+        elif len(inner) < k:
+            inner += (0,) * (k - len(inner))
+        while k and outer[k - 1] == inner[k - 1]:
+            k -= 1
+        if k < len(outer):
+            outer, inner = outer[:k], inner[:k]
+        # one pass; a negative row is reported first, so it raises at once
+        decreasing = fits = True
+        if k:
+            o_above, i_above = outer[0], inner[0]
+            for o, i in zip(outer, inner):
+                if o < 0 or i < 0:
+                    raise ShapeError("row lengths must be nonnegative")
+                if o > o_above or i > i_above:
+                    decreasing = False
+                if i > o:
+                    fits = False
+                o_above, i_above = o, i
+        if not decreasing:
             raise ShapeError(f"outer and inner must weakly decrease: {outer!r}/{inner!r}")
-        if any(i > o for o, i in zip(outer, inner)):
+        if not fits:
             raise ShapeError(f"inner must fit inside outer: {outer!r}/{inner!r}")
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
@@ -181,9 +192,21 @@ class ZigzagShape:
     source: Composition
 
     def __post_init__(self):
-        if self.shape.row_profile_bottom_to_top() != self.source.parts:
+        # once the profile matches, every row is nonempty, so "connected and
+        # 2x2-free" says each row starts one column left of the end of the
+        # row below it: the two rows share exactly one column
+        outer, inner = self.shape.outer, self.shape.inner
+        if len(outer) != len(self.source.parts):
             raise ShapeError("row profile does not match the source composition")
-        if not self.shape.is_connected() or self.shape.contains_2x2():
+        ribbon = True
+        start = None
+        for o, i, part in zip(reversed(outer), reversed(inner), self.source.parts):
+            if o - i != part:
+                raise ShapeError("row profile does not match the source composition")
+            if start is not None and i != start:
+                ribbon = False
+            start = o - 1
+        if not ribbon:
             raise ShapeError("a zigzag diagram must be connected and 2x2-free")
 
     @property
@@ -197,13 +220,14 @@ def zigzag_of(a: Composition) -> ZigzagShape:
     Consecutive rows overlap in exactly one column: each row starts at the
     column where the row below ends.
     """
-    starts = [0]
-    for p in a.parts[:-1]:
-        starts.append(starts[-1] + p - 1)
-    rows = list(zip(starts, a.parts))[::-1]  # top row first
-    outer = tuple(s + p for s, p in rows)
-    inner = tuple(s for s, _ in rows)
-    return ZigzagShape(SkewShape(outer, inner), a)
+    outer: list[int] = []
+    inner: list[int] = []
+    start = 0
+    for p in a.parts:
+        inner.append(start)
+        outer.append(start + p)
+        start += p - 1
+    return ZigzagShape(SkewShape(outer[::-1], inner[::-1]), a)  # top row first
 
 
 @dataclass(frozen=True)
@@ -232,12 +256,18 @@ class ColoredZigzagShape:
 
 
 def colored_zigzag_of(ce: ColoredComposition) -> ColoredZigzagShape:
-    """One zigzag per rainbow block, colored by the block color."""
-    blocks = rainbow_decomposition(ce).blocks
-    return ColoredZigzagShape(
-        tuple(zigzag_of(comp) for comp, _ in blocks),
-        tuple(color for _, color in blocks),
-    )
+    """One zigzag per rainbow block (maximal run of one color), colored by
+    the block color."""
+    parts, colors = ce.parts, ce.colors
+    zigzags: list[ZigzagShape] = []
+    block_colors: list[int] = []
+    begin, m = 0, len(parts)
+    for end in range(1, m + 1):
+        if end == m or colors[end] != colors[begin]:
+            zigzags.append(zigzag_of(Composition(parts[begin:end])))
+            block_colors.append(colors[begin])
+            begin = end
+    return ColoredZigzagShape(tuple(zigzags), tuple(block_colors))
 
 
 def colored_zigzag_to_comp(czz: ColoredZigzagShape, r: int) -> ColoredComposition:
@@ -264,14 +294,43 @@ def direct_sum(a: SkewShape, b: SkewShape) -> SkewShape:
 
 
 def rpartite_shape_of(czz: ColoredZigzagShape, r: int) -> tuple[SkewShape, ...]:
-    """Component j is the direct sum, in index order, of the color-j zigzags."""
-    if any(c >= r for c in czz.colors):
+    """Component j is the direct sum, in index order, of the color-j zigzags:
+    their rows, each zigzag shifted right to the end of the top row of the
+    ones before it."""
+    if any(not 0 <= c < r for c in czz.colors):
         raise ShapeError("zigzag color out of range")
-    out = []
-    for j in range(r):
-        shapes = [z.shape for z, c in zip(czz.zigzags, czz.colors) if c == j]
-        out.append(reduce(direct_sum, shapes, EMPTY_SHAPE))
-    return tuple(out)
+    outer: list[list[int]] = [[] for _ in range(r)]  # rows bottom to top
+    inner: list[list[int]] = [[] for _ in range(r)]
+    for z, c in zip(czz.zigzags, czz.colors):
+        shift = outer[c][-1] if outer[c] else 0
+        outer[c].extend(x + shift for x in reversed(z.shape.outer))
+        inner[c].extend(x + shift for x in reversed(z.shape.inner))
+    return tuple(SkewShape(o[::-1], i[::-1]) for o, i in zip(outer, inner))
+
+
+def colored_composition_shape(ce: ColoredComposition) -> tuple[SkewShape, ...]:
+    """``rpartite_shape_of(colored_zigzag_of(ce), ce.r)`` in one pass over
+    the parts, with no zigzag built.
+
+    Each component grows bottom to top, one row per part of its color.  A
+    part in the same color run as the part before it starts one column left
+    of the end of the row below (the ribbon); a part that starts a run
+    starts at the end of its component's top row (the direct sum)."""
+    outer: list[list[int]] = [[] for _ in range(ce.r)]  # rows bottom to top
+    inner: list[list[int]] = [[] for _ in range(ce.r)]
+    previous = None
+    for p, c in zip(ce.parts, ce.colors):
+        rows = outer[c]
+        if c == previous:
+            start = rows[-1] - 1
+        elif rows:
+            start = rows[-1]
+        else:
+            start = 0
+        inner[c].append(start)
+        rows.append(start + p)
+        previous = c
+    return tuple(SkewShape(o[::-1], i[::-1]) for o, i in zip(outer, inner))
 
 
 @dataclass(frozen=True)
@@ -283,25 +342,25 @@ class StandardTableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
-        if len(rows) != self.shape.nrows or any(
-            len(row) != self.shape.row_length(r) for r, row in enumerate(rows)
+        outer, inner = self.shape.outer, self.shape.inner
+        if len(rows) != len(outer) or any(
+            map(ne, map(len, rows), map(sub, outer, inner))
         ):
             raise ShapeError("rows do not match the shape")
-        entries = [x for row in rows for x in row]
+        entries = list(chain.from_iterable(rows))
         if len(set(entries)) != len(entries):
             raise ShapeError("entries must be distinct")
         for row in rows:
-            if any(a >= b for a, b in zip(row, row[1:])):
+            if any(map(ge, row, row[1:])):
                 raise ShapeError(f"row not strictly increasing: {row!r}")
-        inner = self.shape.inner
         for r in range(1, len(rows)):
             # row r starts at or left of row r-1; compare shared columns only
-            shared = zip(rows[r - 1], rows[r][inner[r - 1] - inner[r] :])
-            for c, (above, x) in enumerate(shared, start=inner[r - 1]):
-                if above >= x:
-                    raise ShapeError(f"column not strictly increasing at {(r, c)}")
+            below = rows[r][inner[r - 1] - inner[r] :]
+            if any(map(ge, rows[r - 1], below)):
+                c = inner[r - 1] + list(map(ge, rows[r - 1], below)).index(True)
+                raise ShapeError(f"column not strictly increasing at {(r, c)}")
 
     @property
     def ncells(self) -> int:
@@ -352,7 +411,9 @@ class RPartiteTableau:
     components: tuple[StandardTableau, ...]
 
     def __post_init__(self):
-        entries = sorted(x for q in self.components for x in q.entries())
+        entries = sorted(
+            chain.from_iterable(chain.from_iterable(q.rows for q in self.components))
+        )
         if entries != list(range(1, len(entries) + 1)):
             raise ShapeError("entries must be exactly 1..n across components")
 
@@ -435,24 +496,44 @@ def enumerate_rpartite_syt(shapes, max_cells: int = DEFAULT_MAX_CELLS):
     filled = [[0] * s.nrows for s in shapes]
     rows: list[list[list[int]]] = [[[] for _ in range(s.nrows)] for s in shapes]
 
-    def rec(i: int):
-        if i > n:
-            yield RPartiteTableau(
-                tuple(
-                    StandardTableau(s, tuple(tuple(row) for row in rows[k]))
-                    for k, s in enumerate(shapes)
-                )
-            )
-            return
-        for k, s in enumerate(shapes):
-            for r in _addable_rows(s, filled[k]):
-                rows[k][r].append(i)
-                filled[k][r] += 1
-                yield from rec(i + 1)
-                filled[k][r] -= 1
-                rows[k][r].pop()
+    def addable():
+        return iter([
+            (k, r) for k, s in enumerate(shapes) for r in _addable_rows(s, filled[k])
+        ])
 
-    yield from rec(1)
+    def filling() -> RPartiteTableau:
+        return RPartiteTableau(
+            tuple(
+                StandardTableau(s, tuple(tuple(row) for row in rows[k]))
+                for k, s in enumerate(shapes)
+            )
+        )
+
+    if n == 0:
+        yield filling()
+        return
+    # depth-first with an explicit stack, so the depth n is not bounded by
+    # the recursion limit: stack[i - 1] holds the cells left to try for
+    # entry i, and placed[i - 1] the cell entry i sits in now
+    stack = [addable()]
+    placed: list[tuple[int, int]] = []
+    while stack:
+        if len(placed) == len(stack):
+            k, r = placed.pop()
+            rows[k][r].pop()
+            filled[k][r] -= 1
+        cell = next(stack[-1], None)
+        if cell is None:
+            stack.pop()
+            continue
+        k, r = cell
+        rows[k][r].append(len(stack))
+        filled[k][r] += 1
+        placed.append(cell)
+        if len(stack) == n:
+            yield filling()
+        else:
+            stack.append(addable())
 
 
 def enumerate_syt(shape, max_cells: int = DEFAULT_MAX_CELLS):

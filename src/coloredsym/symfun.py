@@ -43,11 +43,10 @@ from .shapes import (
     RPartitePartition,
     SkewShape,
     as_skew,
-    colored_zigzag_of,
+    colored_composition_shape,
     enumerate_rpartite_syt,
     is_partition,
     rpartite_descent_composition,
-    rpartite_shape_of,
     zigzag_of,
 )
 
@@ -611,7 +610,7 @@ def ribbon_f_expansion(
     """Multiplicities of the colored fundamental elements in the colored
     ribbon element: the distribution of the colored descent composition over
     standard fillings of the attached r-partite skew shape."""
-    shape = rpartite_shape_of(colored_zigzag_of(ce), ce.r)
+    shape = colored_composition_shape(ce)
     counter: Counter[ColoredComposition] = Counter(
         rpartite_descent_composition(bq)
         for bq in enumerate_rpartite_syt(shape, max_cells=max_cells)

@@ -117,6 +117,37 @@ def test_descent_class_bound_is_the_class_size(capsys):
     assert "362880 members" in err
 
 
+def test_descent_class_cells_are_bounded_by_the_class_size_only(capsys):
+    # one-member classes longer than the 12-cell enumeration default, up to
+    # a length the recursion limit would refuse to a recursive search
+    for n in (13, 2000):
+        code, out, err = run_cli(capsys, "descent-class", "--comp", f"{n}^0", "--r", "1")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["count"] == 1
+        assert payload["members"] == [",".join(f"{i}^0" for i in range(1, n + 1))]
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (
+            ("--identity", "zigzag-count", "--max-n", "4", "--max-r", "3"),
+            "verify_zigzag_count_n4_r3.json",
+        ),
+        (
+            ("--identity", "class-tableau", "--max-n", "3", "--max-r", "2"),
+            "verify_class_tableau_n3_r2.json",
+        ),
+    ],
+)
+def test_verify_golden_stdout(capsys, argv, golden):
+    # report bytes and breakdown order of the shape suites
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_rsk_round_trip_schema(capsys):
     code, out, _ = run_cli(
         capsys, "rsk", "--perm", "3^0,4^0,1^0,2^0", "--r", "1"

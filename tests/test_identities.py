@@ -12,7 +12,7 @@ from coloredsym import (
     ribbon_h_expansion,
     run_identity,
 )
-from coloredsym import identities
+from coloredsym import SkewShape, bijections, colored_composition_shape, identities
 from coloredsym.symfun import _colored_F_terms, _colored_h_terms
 from coloredsym.identities import (
     verify_colored_ribbon_h,
@@ -175,3 +175,32 @@ def test_planted_h_expansion_fault_fails_ribbon_h(monkeypatch):
     report = run_identity("ribbon-h", 3)
     assert not report.passed
     assert report.failure_count == 1
+
+
+def _shape_with_shifted_direct_sums(ce):
+    """The one-pass r-partite shape with every run after the first of its
+    color started one column right of its component's top row."""
+    outer = [[] for _ in range(ce.r)]
+    inner = [[] for _ in range(ce.r)]
+    previous = None
+    for p, c in zip(ce.parts, ce.colors):
+        rows = outer[c]
+        start = rows[-1] - 1 if c == previous else rows[-1] + 1 if rows else 0
+        inner[c].append(start)
+        rows.append(start + p)
+        previous = c
+    return tuple(SkewShape(o[::-1], i[::-1]) for o, i in zip(outer, inner))
+
+
+def test_planted_direct_sum_shift_fails_class_tableau(monkeypatch):
+    # the bijection builds the planted shape in both directions, so only the
+    # suite's shape oracle, the direct sum of the colored zigzags, sees it
+    ce = ColoredComposition((1, 1, 1), (0, 1, 0), 2)
+    assert _shape_with_shifted_direct_sums(ce) != colored_composition_shape(ce)
+    monkeypatch.setattr(
+        bijections, "colored_composition_shape", _shape_with_shifted_direct_sums
+    )
+    report = run_identity("class-tableau", 3, 2)
+    assert not report.passed
+    assert report.failure_count > 0
+    assert {(w["n"], w["r"]) for w in report.failures} == {(3, 2)}

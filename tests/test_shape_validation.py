@@ -1,0 +1,196 @@
+"""The one-pass shape constructors against the multi-pass validation they
+replaced, kept here as the reference: on exhaustive grids each input is
+accepted with the same stored fields or refused with the same exception
+type and message."""
+
+from itertools import chain, combinations, product
+
+from coloredsym import (
+    Composition,
+    RPartiteTableau,
+    SkewShape,
+    StandardTableau,
+    ZigzagShape,
+    enumerate_compositions,
+    enumerate_skew_shapes,
+    partitions,
+    zigzag_of,
+)
+from coloredsym.errors import ShapeError
+
+
+def reference_skew(outer, inner):
+    """Normalized (outer, inner) of ``SkewShape``, validated in the order
+    the constructor reports its errors."""
+    outer = tuple(int(x) for x in outer)
+    inner = tuple(int(x) for x in inner)
+    if len(inner) > len(outer):
+        if any(x != 0 for x in inner[len(outer) :]):
+            raise ShapeError(f"inner exceeds outer: {inner!r} vs {outer!r}")
+        inner = inner[: len(outer)]
+    inner = inner + (0,) * (len(outer) - len(inner))
+    while outer and outer[-1] == inner[-1]:
+        outer, inner = outer[:-1], inner[:-1]
+    if any(x < 0 for x in outer) or any(x < 0 for x in inner):
+        raise ShapeError("row lengths must be nonnegative")
+    if any(a < b for a, b in zip(outer, outer[1:])) or any(
+        a < b for a, b in zip(inner, inner[1:])
+    ):
+        raise ShapeError(f"outer and inner must weakly decrease: {outer!r}/{inner!r}")
+    if any(i > o for o, i in zip(outer, inner)):
+        raise ShapeError(f"inner must fit inside outer: {outer!r}/{inner!r}")
+    return outer, inner
+
+
+def reference_zigzag(shape, source):
+    """``ZigzagShape`` validation through the row profile and the cell-set
+    predicates of the shape."""
+    if shape.row_profile_bottom_to_top() != source.parts:
+        raise ShapeError("row profile does not match the source composition")
+    if not shape.is_connected() or shape.contains_2x2():
+        raise ShapeError("a zigzag diagram must be connected and 2x2-free")
+
+
+def reference_tableau(shape, rows):
+    """Rows of ``StandardTableau`` after validation."""
+    rows = tuple(tuple(int(x) for x in row) for row in rows)
+    if len(rows) != shape.nrows or any(
+        len(row) != shape.row_length(r) for r, row in enumerate(rows)
+    ):
+        raise ShapeError("rows do not match the shape")
+    entries = [x for row in rows for x in row]
+    if len(set(entries)) != len(entries):
+        raise ShapeError("entries must be distinct")
+    for row in rows:
+        if any(a >= b for a, b in zip(row, row[1:])):
+            raise ShapeError(f"row not strictly increasing: {row!r}")
+    inner = shape.inner
+    for r in range(1, len(rows)):
+        shared = zip(rows[r - 1], rows[r][inner[r - 1] - inner[r] :])
+        for c, (above, x) in enumerate(shared, start=inner[r - 1]):
+            if above >= x:
+                raise ShapeError(f"column not strictly increasing at {(r, c)}")
+    return rows
+
+
+def outcome(build, *args):
+    """("ok", value) or (exception type name, message)."""
+    try:
+        return "ok", build(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc).__name__, str(exc)
+
+
+def kind(result):
+    """The outcome without the data its message quotes."""
+    status, value = result
+    return status if status == "ok" else value.split(":")[0].split(" at ")[0]
+
+
+def built_zigzag(shape, source):
+    ZigzagShape(shape, source)
+
+
+def built_tableau(shape, rows):
+    return StandardTableau(shape, rows).rows
+
+
+def test_skew_shape_matches_reference_on_every_small_pair():
+    # every outer/inner pair of length <= 4 with entries in -1..4; the loop
+    # is inlined, as it runs 1555^2 times
+    seqs = [seq for k in range(5) for seq in product(range(-1, 5), repeat=k)]
+    assert len(seqs) == 1555
+    messages, accepted, mismatches = set(), 0, []
+    for outer in seqs:
+        for inner in seqs:
+            try:
+                want = reference_skew(outer, inner)
+                accepted += 1
+            except ShapeError as exc:
+                want = str(exc)
+                messages.add(want.split(":")[0])
+            try:
+                shape = SkewShape(outer, inner)
+                got = shape.outer, shape.inner
+            except ShapeError as exc:
+                got = str(exc)
+            if got != want:
+                mismatches.append((outer, inner, want, got))
+    assert mismatches == []
+    assert accepted > 0
+    assert messages == {
+        "inner exceeds outer",
+        "row lengths must be nonnegative",
+        "outer and inner must weakly decrease",
+        "inner must fit inside outer",
+    }
+
+
+def small_skew_shapes(max_cells):
+    """Every lam/mu with |lam| <= max_cells + 3, including empty top and
+    middle rows, plus every bottom-left justified shape and ribbon."""
+    out = set()
+    for m in range(max_cells + 4):
+        for lam in partitions(m):
+            for mu in product(*(range(part + 1) for part in lam)):
+                if all(a >= b for a, b in zip(mu, mu[1:])):
+                    shape = SkewShape(lam, mu)
+                    if shape.ncells <= max_cells:
+                        out.add(shape)
+    for m in range(1, max_cells + 1):
+        out.update(enumerate_skew_shapes(m))
+        out.update(zigzag_of(a).shape for a in enumerate_compositions(m))
+    return sorted(out, key=lambda s: (s.outer, s.inner))
+
+
+def test_zigzag_matches_reference_on_every_small_pair():
+    # every (shape, source) pair with at most 6 cells on each side
+    shapes = small_skew_shapes(6)
+    sources = [a for m in range(1, 7) for a in enumerate_compositions(m)]
+    kinds = set()
+    for shape in shapes:
+        for source in sources:
+            want = outcome(reference_zigzag, shape, source)
+            assert outcome(built_zigzag, shape, source) == want, (shape, source)
+            kinds.add(kind(want))
+    assert kinds == {
+        "ok",
+        "row profile does not match the source composition",
+        "a zigzag diagram must be connected and 2x2-free",
+    }
+
+
+def test_standard_tableau_matches_reference_on_small_fillings():
+    # every shape with at most 4 cells, filled row by row from every word
+    # over 1..4, and the same words split into rows of the wrong lengths
+    kinds = set()
+    for shape in small_skew_shapes(4):
+        lengths = [shape.row_length(r) for r in range(shape.nrows)]
+        splits = [lengths, lengths[::-1], lengths[:-1], lengths + [0]]
+        for word in product(range(1, 5), repeat=shape.ncells):
+            for split in splits:
+                ends = [0, *(sum(split[: k + 1]) for k in range(len(split)))]
+                rows = tuple(word[a:b] for a, b in zip(ends, ends[1:]))
+                want = outcome(reference_tableau, shape, rows)
+                assert outcome(built_tableau, shape, rows) == want, (shape, rows)
+                kinds.add(kind(want))
+    assert kinds == {
+        "ok",
+        "rows do not match the shape",
+        "entries must be distinct",
+        "row not strictly increasing",
+        "column not strictly increasing",
+    }
+
+
+def test_rpartite_tableau_entries_match_reference():
+    # every pair of one-row fillings with entries in 1..4
+    rows = [row for k in range(4) for row in combinations(range(1, 5), k)]
+    singles = [StandardTableau(SkewShape((len(row),), ()), (row,) if row else ()) for row in rows]
+    for q1, q2 in product(singles, repeat=2):
+        entries = sorted(chain(*q1.rows, *q2.rows))
+        got = outcome(RPartiteTableau, (q1, q2))
+        if entries == list(range(1, len(entries) + 1)):
+            assert got[0] == "ok", (q1, q2)
+        else:
+            assert got == ("ShapeError", "entries must be exactly 1..n across components")

@@ -1,6 +1,7 @@
 """Diagrams, tableaux and their descent statistics."""
 
 import re
+import sys
 from itertools import product
 from math import factorial
 
@@ -13,6 +14,7 @@ from coloredsym import (
     StandardTableau,
     RPartiteTableau,
     ZigzagShape,
+    colored_composition_shape,
     colored_zigzag_of,
     colored_zigzag_to_comp,
     direct_sum,
@@ -227,6 +229,7 @@ class TestColoredZigzag:
 
     def test_rpartite_shape_of_running_example(self):
         shapes = rpartite_shape_of(colored_zigzag_of(RUNNING), 4)
+        assert colored_composition_shape(RUNNING) == shapes
         assert shapes == (
             straight_shape((2,)),
             SkewShape((5, 2, 2), (2, 1)),
@@ -254,6 +257,16 @@ class TestColoredZigzag:
                     collision = True
                 seen[shape] = key
         assert collision
+
+
+class TestColoredCompositionShape:
+    @pytest.mark.parametrize(
+        "n,r", [(n, r) for n in range(1, 7) for r in (1, 2, 3)] + [(7, 1), (8, 1)]
+    )
+    def test_equals_the_direct_sum_of_the_colored_zigzags(self, n, r):
+        for ce in enumerate_colored_compositions(n, r):
+            want = rpartite_shape_of(colored_zigzag_of(ce), r)
+            assert colored_composition_shape(ce) == want, ce
 
 
 class TestSytEnumeration:
@@ -297,6 +310,11 @@ class TestSytEnumeration:
             list(enumerate_rpartite_syt(((13,),)))
         # the bound is configurable
         assert sum(1 for _ in enumerate_rpartite_syt(((13,),), max_cells=13)) == 1
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        n = 3 * sys.getrecursionlimit()
+        (bq,) = enumerate_rpartite_syt(((), (n,), ()), max_cells=n)
+        assert bq.components[1].rows == (tuple(range(1, n + 1)),)
 
 
 class TestTableauDescents:
