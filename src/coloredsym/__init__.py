@@ -36,7 +36,6 @@ from .permutations import (
     colored_descent_set,
     conj_inverse,
     conjugate,
-    descent_class_table,
     descent_composition,
     descent_set,
     enumerate_colored_permutations,

@@ -11,7 +11,8 @@
 * ``descent_class`` / ``conj_inverse_descent_class``: a colored descent
   class is listed as the image of those standard fillings, so its cost
   grows with the class, not with the group.  ``descent_class_size`` counts
-  a class without listing it, and bounds the classes that are listed.
+  a class without listing it; it bounds the classes that are listed, and
+  the ``class-tableau`` suite checks every class it lists against it.
 * ``colored_rsk`` / ``colored_rsk_inverse``: the wreath-product insertion
   correspondence.  Position i inserts its value into the component of color
   z_i of P by classical row bumping while Q records i in the matching new

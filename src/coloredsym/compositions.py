@@ -138,12 +138,20 @@ class ColoredSet:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "pairs", tuple((int(e), int(c)) for e, c in self.pairs)
-        )
-        AugmentedSubset(self.n, tuple(e for e, _ in self.pairs))
-        if self.r < 1 or any(not 0 <= c < self.r for _, c in self.pairs):
-            raise ValueError(f"colors must lie in 0..{self.r - 1}: {self.pairs!r}")
+        pairs = tuple((int(e), int(c)) for e, c in self.pairs)
+        object.__setattr__(self, "pairs", pairs)
+        n, r = self.n, self.r
+        if n < 1:
+            raise ValueError("n must be positive")
+        if not pairs or pairs[-1][0] != n:
+            raise ValueError(f"augmented subset must contain n={n}: {self.elements()!r}")
+        previous, colors_fit = 0, r >= 1
+        for e, c in pairs:  # an element out of order is reported before a color
+            if e <= previous:
+                raise ValueError(f"elements must be strictly increasing in [n]: {self.elements()!r}")
+            previous, colors_fit = e, colors_fit and 0 <= c < r
+        if not colors_fit:
+            raise ValueError(f"colors must lie in 0..{r - 1}: {pairs!r}")
 
     def elements(self) -> tuple[int, ...]:
         return tuple(e for e, _ in self.pairs)

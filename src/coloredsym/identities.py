@@ -5,6 +5,9 @@ exact integer arithmetic, and returns a :class:`VerificationReport` whose
 ``cases_checked`` is compared against the a-priori cardinality of the case
 set, so silently skipped cases are impossible.  Failure witnesses carry the
 offending input and both sides of the identity (capped at 10 per report).
+The class suites read each descent class from fillings and certify it by
+counting; only ``rsk`` and the conjugate-inverse counts of the ribbon Schur
+suites enumerate the group, as their statements are about all of it.
 
 At ``jobs == 1`` the two colored ribbon verifiers share one memoized ribbon
 element per colored composition, so a double pass certifies mutual
@@ -25,15 +28,15 @@ from math import factorial
 
 from ._poly_py import add_terms
 from .bijections import (
+    _read_rows,
     colored_class_to_tableau,
     colored_rsk,
     colored_rsk_inverse,
-    colored_tableau_to_class,
+    descent_class_size,
     reading_word,
 )
 from .compositions import (
     ColoredComposition,
-    Composition,
     enumerate_colored_compositions,
     enumerate_compositions,
 )
@@ -41,11 +44,9 @@ from .permutations import (
     colored_descent_composition,
     colored_descent_set,
     conj_inverse,
-    descent_class_table,
     descent_composition,
     descent_set,
     enumerate_colored_permutations,
-    enumerate_permutations,
 )
 from .shapes import (
     colored_zigzag_of,
@@ -215,40 +216,44 @@ def verify_reading_word_bijection(max_n: int = 6, jobs: int = 1) -> Verification
     """Reading words biject ribbon fillings with the descent class of the
     ribbon's composition, matching descents of fillings with descents of
     inverses; consequently descent sets are equidistributed over the inverse
-    class and the fillings."""
+    class and the fillings.  The words are certified to be the classes by
+    counting, as in ``verify_colored_class_tableau``."""
     b = _Builder("reading-word", max_n, None, _colored_comp_cases(max_n, 1))
     for n in range(1, max_n + 1):
-        classes: dict[Composition, set] = {}
-        inv_des: dict[Composition, Counter] = {}
-        for p in enumerate_permutations(n):
-            classes.setdefault(descent_composition(p), set()).add(p.word)
-            inv_des.setdefault(descent_composition(p.inverse()), Counter())[
-                descent_set(p)
-            ] += 1
-        for a in enumerate_compositions(n):
+        comps = enumerate_compositions(n)
+        total = 0
+        for a in comps:
             b.case(n)
-            tableaux = list(enumerate_syt(zigzag_of(a).shape))
-            words = [reading_word(q) for q in tableaux]
-            ok = (
-                len({w.word for w in words}) == len(tableaux)
-                and {w.word for w in words} == classes.get(a, set())
-                and all(
-                    tableau_descent_set(q) == descent_set(w.inverse())
-                    for q, w in zip(tableaux, words)
+            words, ok = [], True
+            for q in enumerate_syt(zigzag_of(a).shape):
+                w = reading_word(q)
+                words.append(w.word)
+                ok = (
+                    ok
+                    and descent_composition(w) == a
+                    and tableau_descent_set(q) == descent_set(w.inverse())
                 )
-                and Counter(tableau_descent_set(q) for q in tableaux)
-                == inv_des.get(a, Counter())
-            )
-            if not ok:
+            class_size = len(set(words))
+            total += class_size
+            if not (ok and class_size == len(words)):
                 b.fail(
                     {
                         "n": n,
                         "composition": list(a.parts),
-                        "tableau_count": len(tableaux),
-                        "class_size": len(classes.get(a, set())),
+                        "tableau_count": len(words),
+                        "class_size": class_size,
                     }
                 )
+        _check_partition(b, {"n": n}, comps, total, factorial(n))
     return b.report()
+
+
+def _check_partition(b: _Builder, where: dict, keys: list, total: int, order: int) -> None:
+    """Descent classes partition the group, so distinct sets that lie in the
+    classes of distinct keys and sum to the group order are those classes."""
+    if len(set(keys)) != len(keys) or total != order:
+        b.fail({**where, "class_size_sum": total, "group_order": order,
+                "distinct_compositions": len(set(keys))})
 
 
 def verify_skew_schur_f_expansion(max_cells: int = 6, jobs: int = 1) -> VerificationReport:
@@ -312,51 +317,53 @@ def verify_colored_class_tableau(
 ) -> VerificationReport:
     """Each colored descent class bijects with the standard fillings of its
     r-partite skew shape, transporting the colored descent set of the
-    conjugate-inverse; hence both sDes distributions agree."""
+    conjugate-inverse; hence both sDes distributions agree.  Each class is
+    read from the fillings of the direct sum of its colored zigzag and
+    certified by counting: ``descent_class_size`` distinct members, each in
+    the class and mapped back to its filling, and the class sizes of each
+    (n, r) sum to the group order."""
     b = _Builder(
         "class-tableau", max_n, max_r, _colored_comp_cases(max_n, max_r)
     )
     for n in range(1, max_n + 1):
         for r in range(1, max_r + 1):
-            table = descent_class_table(n, r)
-            for ce in enumerate_colored_compositions(n, r):
+            ces = enumerate_colored_compositions(n, r)
+            total = 0
+            for ce in ces:
                 b.case(n, r)
-                members = table.get(ce, [])
                 shape = rpartite_shape_of(colored_zigzag_of(ce), r)
-                all_fillings = set(enumerate_rpartite_syt(shape))
-                member_des = []
-                image_des = {}  # image -> its descent set, once per member
+                keys, member_des, filling_des = [], Counter(), Counter()
                 ok = True
-                for a in members:
-                    bq = colored_class_to_tableau(a)
+                for bq in enumerate_rpartite_syt(shape):
+                    a = _read_rows(bq, ce)
+                    keys.append((a.word, a.colors))
                     des = colored_descent_set(conj_inverse(a))
-                    member_des.append(des)
                     bq_des = rpartite_descent_set(bq)
-                    image_des[bq] = bq_des
-                    if bq.shape() != shape:
-                        ok = False
-                    if bq_des != des:
-                        ok = False
-                    if colored_tableau_to_class(bq, ce) != a:
-                        ok = False
-                if len(image_des) != len(members) or image_des.keys() != all_fillings:
-                    ok = False
-                # a filling that is an image has the descent set of that image
-                if Counter(member_des) != Counter(
-                    image_des[f] if f in image_des else rpartite_descent_set(f)
-                    for f in all_fillings
+                    member_des[des] += 1
+                    filling_des[bq_des] += 1
+                    ok = (
+                        ok
+                        and colored_descent_composition(a) == ce
+                        and colored_class_to_tableau(a) == bq
+                        and bq_des == des
+                    )
+                class_size = len(set(keys))
+                total += class_size
+                if not (
+                    ok
+                    and class_size == len(keys) == descent_class_size(ce)
+                    and member_des == filling_des
                 ):
-                    ok = False
-                if not ok:
                     b.fail(
                         {
                             "n": n,
                             "r": r,
                             "composition": ce.to_json(),
-                            "class_size": len(members),
-                            "filling_count": len(all_fillings),
+                            "class_size": class_size,
+                            "filling_count": len(keys),
                         }
                     )
+            _check_partition(b, {"n": n, "r": r}, ces, total, factorial(n) * r**n)
     return b.report()
 
 

@@ -13,9 +13,10 @@ Descent statistics:
 * ``steingrimsson_descent_set`` is the variant on [n] with color drops
   counted everywhere and position n present exactly when its color is > 0.
 
-``descent_class_table`` buckets the whole group by colored descent
-composition, bounded by its order n! * r^n <= 8!: the verifiers' oracle for
-the descent classes that ``bijections`` builds from standard fillings.
+The verifiers enumerate the whole group only for statements about the
+whole group (the insertion correspondence and the conjugate-inverse class
+counts); descent classes are listed by ``bijections`` from standard
+fillings.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations as _permutations
 from itertools import product
-from math import factorial
 
 from .compositions import (
     ColoredComposition,
@@ -31,10 +31,7 @@ from .compositions import (
     Composition,
     _parse_tokens,
 )
-from .errors import DimensionMismatchError, ParseError, ResourceLimitError
-
-#: Largest group order n! * r^n that descent-class filtering enumerates.
-MAX_FILTER_ORDER = factorial(8)
+from .errors import DimensionMismatchError, ParseError
 
 
 @dataclass(frozen=True)
@@ -215,26 +212,6 @@ def enumerate_colored_permutations(n: int, r: int):
         p = Permutation(word)
         for colors in product(range(r), repeat=n):
             yield ColoredPermutation(p, colors, r)
-
-
-def _check_enumeration_bound(n: int, r: int) -> None:
-    order = factorial(n) * r**n
-    if order > MAX_FILTER_ORDER:
-        raise ResourceLimitError(
-            f"descent classes are enumerated by filtering; the group order "
-            f"{order} for n={n}, r={r} exceeds bound {MAX_FILTER_ORDER}"
-        )
-
-
-def descent_class_table(
-    n: int, r: int
-) -> dict[ColoredComposition, list[ColoredPermutation]]:
-    """Bucket the whole group by colored descent composition in one pass."""
-    _check_enumeration_bound(n, r)
-    table: dict[ColoredComposition, list[ColoredPermutation]] = {}
-    for a in enumerate_colored_permutations(n, r):
-        table.setdefault(colored_descent_composition(a), []).append(a)
-    return table
 
 
 def parse_colored_permutation(text: str, r: int | None = None) -> ColoredPermutation:

@@ -139,10 +139,18 @@ def test_descent_class_cells_are_bounded_by_the_class_size_only(capsys):
             ("--identity", "class-tableau", "--max-n", "3", "--max-r", "2"),
             "verify_class_tableau_n3_r2.json",
         ),
+        (
+            ("--identity", "class-tableau", "--max-n", "4", "--max-r", "2"),
+            "verify_class_tableau_n4_r2.json",
+        ),
+        (
+            ("--identity", "reading-word", "--max-n", "6"),
+            "verify_reading_word_n6.json",
+        ),
     ],
 )
 def test_verify_golden_stdout(capsys, argv, golden):
-    # report bytes and breakdown order of the shape suites
+    # report bytes and breakdown order of the shape and class suites
     code, out, _ = run_cli(capsys, "verify", *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()

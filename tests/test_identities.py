@@ -7,10 +7,22 @@ import pytest
 from coloredsym import (
     IDENTITY_REGISTRY,
     ColoredComposition,
+    ColoredPermutation,
+    Composition,
     Expansion,
+    Permutation,
     VerificationReport,
+    colored_zigzag_of,
+    descent_class_size,
+    enumerate_colored_compositions,
+    enumerate_compositions,
+    enumerate_rpartite_syt,
+    enumerate_syt,
+    reading_word,
     ribbon_h_expansion,
+    rpartite_shape_of,
     run_identity,
+    zigzag_of,
 )
 from coloredsym import SkewShape, bijections, colored_composition_shape, identities
 from coloredsym.symfun import _colored_F_terms, _colored_h_terms
@@ -204,3 +216,125 @@ def test_planted_direct_sum_shift_fails_class_tableau(monkeypatch):
     assert not report.passed
     assert report.failure_count > 0
     assert {(w["n"], w["r"]) for w in report.failures} == {(3, 2)}
+
+
+# Planted faults in the two class suites, which read every class from
+# fillings and certify it by counting: each fault must fail the planted cell
+# and no other.  Each planted class has the size of another class of its
+# cell, (1^0, 2^1) and (1, 2), so a composition duplicated in its place
+# leaves the size sum at the group order.
+FAULTS = ["wrong-member", "duplicated-filling", "dropped-filling", "duplicated-composition"]
+PLANTED_CE = ColoredComposition((2, 1), (0, 1), 2)
+PLANTED_COMP = Composition((2, 1))
+CHANGE_FILLINGS = {
+    "duplicated-filling": lambda fillings: fillings + fillings[:1],
+    "dropped-filling": lambda fillings: fillings[1:],
+}
+
+
+def _first_changed(fn, hit, change):
+    """``fn`` with ``change`` applied to its first result on arguments that
+    ``hit`` accepts."""
+    pending = [True]
+
+    def planted(*args):
+        out = fn(*args)
+        if pending and hit(*args):
+            pending.pop()
+            return change(out)
+        return out
+
+    return planted
+
+
+def _fillings_changed(fn, target, change):
+    """``fn`` with ``change`` applied to the list of fillings of ``target``."""
+
+    def planted(shape, *rest):
+        out = list(fn(shape, *rest))
+        return change(out) if shape == target else out
+
+    return planted
+
+
+def _replaced_at(fn, at, old, new):
+    """``fn`` with ``old`` replaced by ``new`` in its list for arguments ``at``."""
+
+    def planted(*args):
+        out = fn(*args)
+        return [new if x == old else x for x in out] if args == at else out
+
+    return planted
+
+
+def _swap_last_two(a):
+    """``a`` with its last two letters, values and colors, exchanged: a
+    member of another class."""
+    word, colors = a.word, a.colors
+    swapped = Permutation(word[:-2] + word[:-3:-1])
+    return ColoredPermutation(swapped, colors[:-2] + colors[:-3:-1], a.r)
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_planted_fault_fails_class_tableau_at_its_cell(monkeypatch, fault):
+    if fault == "wrong-member":
+        monkeypatch.setattr(identities, "_read_rows", _first_changed(
+            bijections._read_rows, lambda bq, ce: ce == PLANTED_CE, _swap_last_two
+        ))
+    elif fault in CHANGE_FILLINGS:
+        target = rpartite_shape_of(colored_zigzag_of(PLANTED_CE), 2)
+        monkeypatch.setattr(identities, "enumerate_rpartite_syt", _fillings_changed(
+            enumerate_rpartite_syt, target, CHANGE_FILLINGS[fault]
+        ))
+    else:
+        other = ColoredComposition((1, 2), (0, 1), 2)
+        assert descent_class_size(other) == descent_class_size(PLANTED_CE)
+        monkeypatch.setattr(identities, "enumerate_colored_compositions", _replaced_at(
+            enumerate_colored_compositions, (3, 2), PLANTED_CE, other
+        ))
+    report = run_identity("class-tableau", 4, 2)
+    assert not report.passed
+    assert {(w["n"], w["r"]) for w in report.failures} == {(3, 2)}
+    if fault in ("wrong-member", "duplicated-composition"):
+        assert report.failure_count == 1
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_planted_fault_fails_reading_word_at_its_size(monkeypatch, fault):
+    target = zigzag_of(PLANTED_COMP).shape
+    if fault == "wrong-member":
+        monkeypatch.setattr(identities, "reading_word", _first_changed(
+            reading_word,
+            lambda q: q.shape == target,
+            lambda p: _swap_last_two(ColoredPermutation(p, (0,) * p.n, 1)).perm,
+        ))
+    elif fault in CHANGE_FILLINGS:
+        monkeypatch.setattr(identities, "enumerate_syt", _fillings_changed(
+            enumerate_syt, target, CHANGE_FILLINGS[fault]
+        ))
+    else:
+        other = Composition((1, 2))
+        assert len(list(enumerate_syt(zigzag_of(other).shape))) == len(
+            list(enumerate_syt(target))
+        )
+        monkeypatch.setattr(identities, "enumerate_compositions", _replaced_at(
+            enumerate_compositions, (3,), PLANTED_COMP, other
+        ))
+    report = run_identity("reading-word", 5)
+    assert not report.passed
+    assert {w["n"] for w in report.failures} == {3}
+    if fault in ("wrong-member", "duplicated-composition"):
+        assert report.failure_count == 1
+
+
+def test_planted_class_size_fault_fails_class_tableau_at_its_cell(monkeypatch):
+    # the filling count of each class must equal its counted size
+    monkeypatch.setattr(
+        identities,
+        "descent_class_size",
+        lambda ce: descent_class_size(ce) + (ce == PLANTED_CE),
+    )
+    report = run_identity("class-tableau", 4, 2)
+    assert not report.passed
+    assert report.failure_count == 1
+    assert report.failures[0]["composition"] == PLANTED_CE.to_json()

@@ -1,11 +1,13 @@
-"""The one-pass shape constructors against the multi-pass validation they
-replaced, kept here as the reference: on exhaustive grids each input is
-accepted with the same stored fields or refused with the same exception
-type and message."""
+"""The one-pass shape and colored-set constructors against the multi-pass
+validation they replaced, kept here as the reference: on exhaustive grids
+each input is accepted with the same stored fields or refused with the same
+exception type and message."""
 
 from itertools import chain, combinations, product
 
 from coloredsym import (
+    AugmentedSubset,
+    ColoredSet,
     Composition,
     RPartiteTableau,
     SkewShape,
@@ -71,6 +73,16 @@ def reference_tableau(shape, rows):
             if above >= x:
                 raise ShapeError(f"column not strictly increasing at {(r, c)}")
     return rows
+
+
+def reference_colored_set(n, r, pairs):
+    """Pairs of ``ColoredSet`` after validation through a throwaway
+    ``AugmentedSubset``."""
+    pairs = tuple((int(e), int(c)) for e, c in pairs)
+    AugmentedSubset(n, tuple(e for e, _ in pairs))
+    if r < 1 or any(not 0 <= c < r for _, c in pairs):
+        raise ValueError(f"colors must lie in 0..{r - 1}: {pairs!r}")
+    return pairs
 
 
 def outcome(build, *args):
@@ -194,3 +206,27 @@ def test_rpartite_tableau_entries_match_reference():
             assert got[0] == "ok", (q1, q2)
         else:
             assert got == ("ShapeError", "entries must be exactly 1..n across components")
+
+
+def test_colored_set_matches_reference_on_every_small_input():
+    # every n in 0..3, r in 0..2 and up to three pairs with elements in
+    # 0..3 and colors in -1..1, plus a pair that is not a pair of integers
+    letters = list(product(range(4), range(-1, 2)))
+    lists = [seq for k in range(4) for seq in product(letters, repeat=k)]
+    lists.append((("x", 0),))
+    kinds = set()
+    for n in range(4):
+        for r in range(3):
+            for pairs in lists:
+                want = outcome(reference_colored_set, n, r, pairs)
+                got = outcome(lambda *args: ColoredSet(*args).pairs, n, r, pairs)
+                assert got == want, (n, r, pairs)
+                kinds.add(kind(want))
+    assert kinds == {
+        "ok",
+        "n must be positive",
+        *(f"augmented subset must contain n={n}" for n in range(1, 4)),
+        "elements must be strictly increasing in [n]",
+        *(f"colors must lie in 0..{r - 1}" for r in range(3)),
+        "invalid literal for int() with base 10",
+    }
