@@ -156,9 +156,7 @@ def descent_class(ce: ColoredComposition) -> list[ColoredPermutation]:
             f"over the bound {MAX_CLASS_SIZE}"
         )
     shape = colored_composition_shape(ce)
-    members = [
-        _read_rows(bq, ce) for bq in enumerate_rpartite_syt(shape, max_cells=ce.n)
-    ]
+    members = [_read_rows(bq, ce) for bq in enumerate_rpartite_syt(shape)]
     members.sort(key=lambda a: (a.word, a.colors))
     return members
 

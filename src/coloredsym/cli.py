@@ -115,7 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--max-r", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="worker count")
+    # kept so that scripts passing `--jobs 1` still run; any other value exits 2
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted only as 1: suites run in-process"
+    )
     _add_format(p)
 
     return parser
@@ -152,17 +155,17 @@ def _cmd_descent_class(args) -> int:
 
 def _cmd_ribbon(args) -> int:
     ce = parse_colored_composition(args.comp, args.r)
-    if args.widths and not (args.via_poly or args.dump_poly):
+    if args.widths is not None and not (args.via_poly or args.dump_poly):
         raise ValueError("--widths applies only with --via-poly or --dump-poly")
     if args.via_poly and args.basis != "schur":
         raise ValueError("--via-poly applies only with --basis schur")
     widths = (
         tuple(int(w) for w in args.widths.split(","))
-        if args.widths
+        if args.widths is not None
         else (ce.n,) * ce.r
     )
     if args.basis == "schur":
-        if args.via_poly and args.widths:
+        if args.via_poly and args.widths is not None:
             expansion = expand_in_colored_schur(colored_ribbon(ce, widths), ce.n)
         elif args.via_poly:
             expansion = ribbon_schur_by_peeling(ce)
@@ -247,13 +250,15 @@ def _cmd_tableau_of(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.jobs != 1:
+        raise ValueError(f"--jobs must be 1 (every suite runs in-process), got {args.jobs}")
     names = sorted(IDENTITY_REGISTRY) if args.identity == "all" else [args.identity]
     reports = []
     for name in names:
         _, (_, default_r) = IDENTITY_REGISTRY[name]
         # `all` passes --max-r only to the suites that have a color range
         max_r = None if args.identity == "all" and default_r is None else args.max_r
-        reports.append(run_identity(name, args.max_n, max_r, args.jobs))
+        reports.append(run_identity(name, args.max_n, max_r))
     if args.format == "table":
         print("\n\n".join(report.table() for report in reports))
     else:

@@ -9,20 +9,17 @@ The class suites read each descent class from fillings and certify it by
 counting; only ``rsk`` and the conjugate-inverse counts of the ribbon Schur
 suites enumerate the group, as their statements are about all of it.
 
-At ``jobs == 1`` the two colored ribbon verifiers share one memoized ribbon
-element per colored composition, so a double pass certifies mutual
-consistency of the Schur-positivity identity and the alternating
-h-expansion; worker processes do not share memos, so with more workers each
-suite builds its own.  The classical ribbon suites are their r = 1 slices,
-run through the same sweeps.
+Every suite runs in-process.  The two colored ribbon verifiers share one
+memoized ribbon element per colored composition, so a double pass (as in
+``verify --identity all``) certifies mutual consistency of the
+Schur-positivity identity and the alternating h-expansion.  The classical
+ribbon suites are their r = 1 slices, run through the same sweeps.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -177,21 +174,6 @@ class _Builder:
         )
 
 
-def _worker_count(jobs: int, cases: int) -> int:
-    """Requested workers, clamped to the case count and the CPU count: the
-    pool starts every worker at once, whether or not it gets any work."""
-    return min(jobs, cases, os.cpu_count() or 1)
-
-
-def _map_cases(fn, args_list, jobs: int):
-    workers = _worker_count(jobs, len(args_list))
-    if workers <= 1:
-        return [fn(args) for args in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(args_list) // (4 * workers))
-        return list(pool.map(fn, args_list, chunksize=chunk))
-
-
 def _term_diff(lhs: dict, rhs: dict, limit: int = 5) -> list[dict]:
     """First few monomials on which two term maps disagree."""
     out = []
@@ -212,7 +194,7 @@ def _colored_comp_cases(max_n: int, max_r: int) -> int:
     )
 
 
-def verify_reading_word_bijection(max_n: int = 6, jobs: int = 1) -> VerificationReport:
+def verify_reading_word_bijection(max_n: int = 6) -> VerificationReport:
     """Reading words biject ribbon fillings with the descent class of the
     ribbon's composition, matching descents of fillings with descents of
     inverses; consequently descent sets are equidistributed over the inverse
@@ -256,12 +238,13 @@ def _check_partition(b: _Builder, where: dict, keys: list, total: int, order: in
                 "distinct_compositions": len(set(keys))})
 
 
-def verify_skew_schur_f_expansion(max_cells: int = 6, jobs: int = 1) -> VerificationReport:
+def verify_skew_schur_f_expansion(max_n: int = 6) -> VerificationReport:
     """A skew Schur function equals the sum of fundamental quasisymmetric
-    functions over the descent compositions of its standard fillings."""
-    shape_lists = {m: enumerate_skew_shapes(m) for m in range(1, max_cells + 1)}
+    functions over the descent compositions of its standard fillings, for
+    every skew shape of at most ``max_n`` cells."""
+    shape_lists = {m: enumerate_skew_shapes(m) for m in range(1, max_n + 1)}
     expected = sum(len(v) for v in shape_lists.values())
-    b = _Builder("skew-schur-f", max_cells, None, expected, unit="cells")
+    b = _Builder("skew-schur-f", max_n, None, expected, unit="cells")
     for m, shapes in shape_lists.items():
         for shape in shapes:
             b.case(m)
@@ -283,9 +266,7 @@ def verify_skew_schur_f_expansion(max_cells: int = 6, jobs: int = 1) -> Verifica
     return b.report()
 
 
-def verify_colored_zigzag_count(
-    max_n: int = 7, max_r: int = 4, jobs: int = 1
-) -> VerificationReport:
+def verify_colored_zigzag_count(max_n: int = 7, max_r: int = 4) -> VerificationReport:
     """Colored compositions inject onto colored zigzag shapes, whose number
     is r(r+1)^(n-1)."""
     b = _Builder(
@@ -312,9 +293,7 @@ def verify_colored_zigzag_count(
     return b.report()
 
 
-def verify_colored_class_tableau(
-    max_n: int = 5, max_r: int = 3, jobs: int = 1
-) -> VerificationReport:
+def verify_colored_class_tableau(max_n: int = 5, max_r: int = 3) -> VerificationReport:
     """Each colored descent class bijects with the standard fillings of its
     r-partite skew shape, transporting the colored descent set of the
     conjugate-inverse; hence both sDes distributions agree.  Each class is
@@ -379,11 +358,10 @@ def _conj_inverse_f_counters(
     return counters
 
 
-def _ribbon_schur_case(args) -> dict | None:
-    ce, fcounts = args
+def _ribbon_schur_case(ce: ColoredComposition, counter: Counter) -> dict | None:
     ribbon = _colored_ribbon_terms(ce)
     acc: dict[bytes, int] = {}
-    for comp, mult in fcounts:
+    for comp, mult in counter.items():
         add_terms(acc, _colored_F_terms(comp), mult)
     if ribbon != acc:
         return {
@@ -409,44 +387,33 @@ def _ribbon_schur_case(args) -> dict | None:
     return None
 
 
-def _ribbon_schur_sweep(identity, max_n, max_r, jobs) -> VerificationReport:
+def _ribbon_schur_sweep(identity, max_n, max_r) -> VerificationReport:
     b = _Builder(identity, max_n, max_r, _colored_comp_cases(max_n, max_r or 1))
     for n in range(1, max_n + 1):
         for r in b.colors():
             counters = _conj_inverse_f_counters(n, r)
-            args = []
             for ce in enumerate_colored_compositions(n, r):
                 b.case(n, r)
-                fcounts = tuple(sorted(counters.get(ce, Counter()).items(), key=_ce_key))
-                args.append((ce, fcounts))
-            for witness in _map_cases(_ribbon_schur_case, args, jobs):
+                witness = _ribbon_schur_case(ce, counters.get(ce, Counter()))
                 if witness is not None:
-                    witness.update({"n": n, "r": r})
-                    b.fail(witness)
+                    b.fail({**witness, "n": n, "r": r})
     return b.report()
 
 
-def verify_colored_ribbon_schur(
-    max_n: int = 5, max_r: int = 3, jobs: int = 1
-) -> VerificationReport:
+def verify_colored_ribbon_schur(max_n: int = 5, max_r: int = 3) -> VerificationReport:
     """Three-way identity: the colored ribbon element equals the colored
     quasisymmetric generating function of the conjugate-inverse descent
     class, and its Schur expansion is nonnegative with coefficients counting
     r-partite standard fillings by colored descent composition."""
-    return _ribbon_schur_sweep("colored-ribbon-schur", max_n, max_r, jobs)
+    return _ribbon_schur_sweep("colored-ribbon-schur", max_n, max_r)
 
 
-def verify_ribbon_schur_positive(max_n: int = 6, jobs: int = 1) -> VerificationReport:
+def verify_ribbon_schur_positive(max_n: int = 6) -> VerificationReport:
     """The r = 1 slice of ``verify_colored_ribbon_schur``: the ribbon Schur
     polynomial equals the generating function of the inverse descent class
     and expands Schur-positively with coefficients counting standard
     fillings by descent composition."""
-    return _ribbon_schur_sweep("ribbon-schur", max_n, None, jobs)
-
-
-def _ce_key(item):
-    ce, _ = item
-    return (ce.parts, ce.colors)
+    return _ribbon_schur_sweep("ribbon-schur", max_n, None)
 
 
 def _ribbon_h_case(ce: ColoredComposition) -> dict | None:
@@ -463,7 +430,7 @@ def _ribbon_h_case(ce: ColoredComposition) -> dict | None:
     return None
 
 
-def _ribbon_h_sweep(identity, max_n, max_r, jobs) -> VerificationReport:
+def _ribbon_h_sweep(identity, max_n, max_r) -> VerificationReport:
     b = _Builder(
         identity,
         max_n,
@@ -473,35 +440,28 @@ def _ribbon_h_sweep(identity, max_n, max_r, jobs) -> VerificationReport:
     )
     for n in range(1, max_n + 1):
         for r in b.colors():
-            args = []
             for ce in enumerate_colored_compositions(n, r):
                 b.case(n, r)
-                args.append(ce)
-            for witness in _map_cases(_ribbon_h_case, args, jobs):
+                witness = _ribbon_h_case(ce)
                 if witness is not None:
-                    witness.update({"n": n, "r": r})
-                    b.fail(witness)
+                    b.fail({**witness, "n": n, "r": r})
     return b.report()
 
 
-def verify_colored_ribbon_h(
-    max_n: int = 5, max_r: int = 3, jobs: int = 1
-) -> VerificationReport:
+def verify_colored_ribbon_h(max_n: int = 5, max_r: int = 3) -> VerificationReport:
     """The colored ribbon element is the alternating sum of colored complete
     homogeneous products over the coarsenings of its colored composition."""
-    return _ribbon_h_sweep("colored-ribbon-h", max_n, max_r, jobs)
+    return _ribbon_h_sweep("colored-ribbon-h", max_n, max_r)
 
 
-def verify_ribbon_h_alternating(max_n: int = 6, jobs: int = 1) -> VerificationReport:
+def verify_ribbon_h_alternating(max_n: int = 6) -> VerificationReport:
     """The r = 1 slice of ``verify_colored_ribbon_h``: the ribbon Schur
     polynomial is the alternating sum of complete homogeneous products over
     the coarsenings of its composition."""
-    return _ribbon_h_sweep("ribbon-h", max_n, None, jobs)
+    return _ribbon_h_sweep("ribbon-h", max_n, None)
 
 
-def verify_colored_rsk(
-    max_n: int = 4, max_r: int = 3, jobs: int = 1
-) -> VerificationReport:
+def verify_colored_rsk(max_n: int = 4, max_r: int = 3) -> VerificationReport:
     """The insertion correspondence is a bijection onto equal-shape pairs of
     r-partite standard fillings, the recording side carries the colored
     descent set of the word and the insertion side that of its
@@ -560,28 +520,30 @@ def _multinomial(n: int, sizes: tuple[int, ...]) -> int:
     return out
 
 
-#: name -> (callable taking max_n, max_r, jobs; default range)
+#: name -> (callable taking max_n, max_r; default range).  The lambdas look
+#: the verifiers up as module globals at call time, so rebinding a verifier
+#: in this module reaches the registry.
 IDENTITY_REGISTRY = {
-    "reading-word": (lambda max_n, max_r, jobs: verify_reading_word_bijection(max_n, jobs=jobs), (6, None)),
-    "skew-schur-f": (lambda max_n, max_r, jobs: verify_skew_schur_f_expansion(max_n, jobs=jobs), (6, None)),
-    "ribbon-schur": (lambda max_n, max_r, jobs: verify_ribbon_schur_positive(max_n, jobs=jobs), (6, None)),
-    "ribbon-h": (lambda max_n, max_r, jobs: verify_ribbon_h_alternating(max_n, jobs=jobs), (6, None)),
-    "zigzag-count": (lambda max_n, max_r, jobs: verify_colored_zigzag_count(max_n, max_r, jobs=jobs), (7, 4)),
-    "class-tableau": (lambda max_n, max_r, jobs: verify_colored_class_tableau(max_n, max_r, jobs=jobs), (5, 3)),
-    "colored-ribbon-schur": (lambda max_n, max_r, jobs: verify_colored_ribbon_schur(max_n, max_r, jobs=jobs), (5, 3)),
-    "colored-ribbon-h": (lambda max_n, max_r, jobs: verify_colored_ribbon_h(max_n, max_r, jobs=jobs), (5, 3)),
-    "rsk": (lambda max_n, max_r, jobs: verify_colored_rsk(max_n, max_r, jobs=jobs), (4, 3)),
+    "reading-word": (lambda max_n, max_r: verify_reading_word_bijection(max_n), (6, None)),
+    "skew-schur-f": (lambda max_n, max_r: verify_skew_schur_f_expansion(max_n), (6, None)),
+    "ribbon-schur": (lambda max_n, max_r: verify_ribbon_schur_positive(max_n), (6, None)),
+    "ribbon-h": (lambda max_n, max_r: verify_ribbon_h_alternating(max_n), (6, None)),
+    "zigzag-count": (lambda max_n, max_r: verify_colored_zigzag_count(max_n, max_r), (7, 4)),
+    "class-tableau": (lambda max_n, max_r: verify_colored_class_tableau(max_n, max_r), (5, 3)),
+    "colored-ribbon-schur": (lambda max_n, max_r: verify_colored_ribbon_schur(max_n, max_r), (5, 3)),
+    "colored-ribbon-h": (lambda max_n, max_r: verify_colored_ribbon_h(max_n, max_r), (5, 3)),
+    "rsk": (lambda max_n, max_r: verify_colored_rsk(max_n, max_r), (4, 3)),
 }
 
 
 def run_identity(
-    name: str, max_n: int | None = None, max_r: int | None = None, jobs: int = 1
+    name: str, max_n: int | None = None, max_r: int | None = None
 ) -> VerificationReport:
     """Run one registered identity at its default or overridden range.
     ``max_r`` applies only to the suites with a color range."""
     if name not in IDENTITY_REGISTRY:
         raise KeyError(f"unknown identity {name!r}")
-    for label, value in (("max_n", max_n), ("max_r", max_r), ("jobs", jobs)):
+    for label, value in (("max_n", max_n), ("max_r", max_r)):
         if value is not None and value < 1:
             raise ValueError(f"{label} must be at least 1, got {value}")
     fn, (default_n, default_r) = IDENTITY_REGISTRY[name]
@@ -590,5 +552,4 @@ def run_identity(
     return fn(
         max_n if max_n is not None else default_n,
         max_r if max_r is not None else default_r,
-        jobs,
     )

@@ -25,16 +25,13 @@ from .compositions import (
     colored_set_to_colored_comp,
     enumerate_compositions,
 )
-from .errors import ResourceLimitError, ShapeError
+from .errors import ShapeError
 
 #: Weakly decreasing positive parts, e.g. ``(3, 2, 1)``; ``()`` is empty.
 Partition = tuple[int, ...]
 
 #: r-tuple of partitions with a given total size.
 RPartitePartition = tuple[Partition, ...]
-
-#: Default cell bound for tableau enumerations.
-DEFAULT_MAX_CELLS = 12
 
 
 def is_partition(parts) -> bool:
@@ -469,36 +466,36 @@ def rpartite_descent_composition(bq: RPartiteTableau) -> ColoredComposition:
     return colored_set_to_colored_comp(rpartite_descent_set(bq))
 
 
-def _addable_rows(shape: SkewShape, filled: list[int]) -> list[int]:
-    """Rows whose next free cell has its left and upper neighbours settled."""
+def _addable_rows(shape: SkewShape, rows: list[list[int]]) -> list[int]:
+    """Rows whose next free cell, after the partial ``rows``, has its left
+    and upper neighbours settled."""
     out = []
     for r in range(shape.nrows):
-        if filled[r] >= shape.row_length(r):
+        filled = len(rows[r])
+        if filled >= shape.row_length(r):
             continue
-        col = shape.inner[r] + filled[r]
+        col = shape.inner[r] + filled
         if r > 0 and shape.inner[r - 1] <= col < shape.outer[r - 1]:
-            if col - shape.inner[r - 1] >= filled[r - 1]:
+            if col - shape.inner[r - 1] >= len(rows[r - 1]):
                 continue  # cell above exists but is still empty
         out.append(r)
     return out
 
 
-def enumerate_rpartite_syt(shapes, max_cells: int = DEFAULT_MAX_CELLS):
-    """All standard fillings of an r-tuple of (possibly skew) shapes.
+def enumerate_rpartite_syt(shapes):
+    """All standard fillings of an r-tuple of (possibly skew) shapes, lazily.
 
     Entries 1..n are placed in increasing order, each at an addable cell of
-    some component, so only standard fillings are ever generated.
+    some component, so only standard fillings are ever generated.  The
+    caller decides how many to consume.
     """
     shapes = tuple(as_skew(s) for s in shapes)
     n = sum(s.ncells for s in shapes)
-    if n > max_cells:
-        raise ResourceLimitError(f"{n} cells exceed the bound {max_cells}")
-    filled = [[0] * s.nrows for s in shapes]
     rows: list[list[list[int]]] = [[[] for _ in range(s.nrows)] for s in shapes]
 
     def addable():
         return iter([
-            (k, r) for k, s in enumerate(shapes) for r in _addable_rows(s, filled[k])
+            (k, r) for k, s in enumerate(shapes) for r in _addable_rows(s, rows[k])
         ])
 
     def filling() -> RPartiteTableau:
@@ -521,14 +518,12 @@ def enumerate_rpartite_syt(shapes, max_cells: int = DEFAULT_MAX_CELLS):
         if len(placed) == len(stack):
             k, r = placed.pop()
             rows[k][r].pop()
-            filled[k][r] -= 1
         cell = next(stack[-1], None)
         if cell is None:
             stack.pop()
             continue
         k, r = cell
         rows[k][r].append(len(stack))
-        filled[k][r] += 1
         placed.append(cell)
         if len(stack) == n:
             yield filling()
@@ -536,9 +531,9 @@ def enumerate_rpartite_syt(shapes, max_cells: int = DEFAULT_MAX_CELLS):
             stack.append(addable())
 
 
-def enumerate_syt(shape, max_cells: int = DEFAULT_MAX_CELLS):
-    """All standard Young tableaux of one (possibly skew) shape."""
-    for bq in enumerate_rpartite_syt((as_skew(shape),), max_cells=max_cells):
+def enumerate_syt(shape):
+    """All standard Young tableaux of one (possibly skew) shape, lazily."""
+    for bq in enumerate_rpartite_syt((as_skew(shape),)):
         yield bq.components[0]
 
 

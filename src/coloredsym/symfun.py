@@ -39,7 +39,6 @@ from .compositions import (
 from .errors import DimensionMismatchError, NotInSchurSpanError, ShapeError
 from .permutations import colored_descent_composition
 from .shapes import (
-    DEFAULT_MAX_CELLS,
     RPartitePartition,
     SkewShape,
     as_skew,
@@ -558,33 +557,51 @@ def ribbon_schur_by_counting(ce: ColoredComposition) -> Expansion:
     when i-1 ends a part.  One search grows all shapes at once, placing
     entry i at any addable row that obeys this, a new bottom row included.
     Row 0 or a new bottom row always qualifies, so no branch dies and the
-    search costs O(n) per counted filling.
+    search costs O(n) per counted filling.  It keeps an explicit stack, so
+    n is not bounded by the recursion limit.
     """
-    ext = ce.extended_colors()
+    n, ext = ce.n, ce.extended_colors()
     ends = set(ce.composition().partial_sums())
     rows: list[list[int]] = [[] for _ in range(ce.r)]
     coeffs: dict[RPartitePartition, int] = {}
 
-    def rec(i: int, prev: int):
-        if i > ce.n:
-            bll = tuple(tuple(lengths) for lengths in rows)
-            coeffs[bll] = coeffs.get(bll, 0) + 1
-            return
+    def choices(i: int, prev: int):
+        """Rows open to entry i, given the row ``prev`` of entry i - 1."""
         lengths = rows[ext[i - 1]]
         lo, hi = 0, len(lengths)
         if i > 1 and ext[i - 2] == ext[i - 1]:
             lo, hi = (prev + 1, hi) if i - 1 in ends else (0, prev)
-        for t in range(lo, hi + 1):
-            if t == len(lengths):
-                lengths.append(1)
-                rec(i + 1, t)
-                lengths.pop()
-            elif t == 0 or lengths[t - 1] > lengths[t]:
-                lengths[t] += 1
-                rec(i + 1, t)
-                lengths[t] -= 1
+        return iter([
+            t for t in range(lo, hi + 1)
+            if t == len(lengths) or t == 0 or lengths[t - 1] > lengths[t]
+        ])
 
-    rec(1, -1)
+    # stack[i - 1] holds the rows left to try for entry i, and placed[i - 1]
+    # the row entry i sits in now
+    stack = [choices(1, -1)]
+    placed: list[int] = []
+    while stack:
+        i = len(stack)
+        lengths = rows[ext[i - 1]]
+        if len(placed) == i:
+            t = placed.pop()
+            lengths[t] -= 1
+            if not lengths[t]:
+                lengths.pop()
+        t = next(stack[-1], None)
+        if t is None:
+            stack.pop()
+            continue
+        if t == len(lengths):
+            lengths.append(1)
+        else:
+            lengths[t] += 1
+        placed.append(t)
+        if i == n:
+            bll = tuple(tuple(part) for part in rows)
+            coeffs[bll] = coeffs.get(bll, 0) + 1
+        else:
+            stack.append(choices(i + 1, t))
     return Expansion("schur", ce.n, ce.r, coeffs)
 
 
@@ -604,16 +621,14 @@ def ribbon_h_expansion(ce: ColoredComposition) -> Expansion:
     return Expansion("h", ce.n, ce.r, coeffs)
 
 
-def ribbon_f_expansion(
-    ce: ColoredComposition, max_cells: int = DEFAULT_MAX_CELLS
-) -> dict[ColoredComposition, int]:
+def ribbon_f_expansion(ce: ColoredComposition) -> dict[ColoredComposition, int]:
     """Multiplicities of the colored fundamental elements in the colored
     ribbon element: the distribution of the colored descent composition over
     standard fillings of the attached r-partite skew shape."""
     shape = colored_composition_shape(ce)
     counter: Counter[ColoredComposition] = Counter(
         rpartite_descent_composition(bq)
-        for bq in enumerate_rpartite_syt(shape, max_cells=max_cells)
+        for bq in enumerate_rpartite_syt(shape)
     )
     return dict(counter)
 

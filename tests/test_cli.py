@@ -65,6 +65,12 @@ def test_ribbon_f_basis(capsys):
     assert counts == {(2, 2): 2, (3, 1): 1, (1, 3): 1, (1, 2, 1): 1}
 
 
+def test_ribbon_f_basis_has_no_cell_bound(capsys):
+    code, out, _ = run_cli(capsys, "ribbon", "--comp", "13^0", "--r", "1", "--basis", "f")
+    assert code == 0
+    assert json.loads(out)["terms"] == [{"parts": [13], "colors": [0], "coeff": 1}]
+
+
 def test_ribbon_dump_poly(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -203,6 +209,19 @@ def test_verify_rejects_empty_range_and_bad_jobs(capsys, flag, value):
     assert err.startswith("error:")
 
 
+def test_verify_runs_in_process_only(capsys):
+    # every suite runs in-process, so a worker count other than 1 is refused
+    # rather than ignored
+    args = ("verify", "--identity", "rsk", "--max-n", "2")
+    code, out, err = run_cli(capsys, *args, "--jobs", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--jobs" in err
+    code, out, _ = run_cli(capsys, *args, "--jobs", "1")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 @pytest.mark.parametrize(
     "identity", ["reading-word", "skew-schur-f", "ribbon-schur", "ribbon-h"]
 )
@@ -244,6 +263,7 @@ def test_ribbon_widths_need_a_polynomial_path(capsys):
         ("2^0,1^0", ("--basis", "f", "--via-poly"), "--via-poly"),
         ("1^0,1^0", ("--via-poly", "--widths", "1"), "widths >= degree 2"),
         ("2^0", ("--via-poly", "--widths", "1"), "widths >= degree 2"),
+        ("2^0", ("--via-poly", "--widths", ""), "invalid literal"),
     ],
 )
 def test_ribbon_rejects_ignored_or_narrow_polynomial_path(capsys, comp, flags, needle):

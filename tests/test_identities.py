@@ -73,23 +73,6 @@ def test_timing_excluded_by_default():
     assert "wall_time_s" in report.to_json(include_timing=True)
 
 
-def test_parallel_matches_serial():
-    serial = verify_colored_ribbon_h(4, 2, jobs=1).to_json()
-    parallel = verify_colored_ribbon_h(4, 2, jobs=2).to_json()
-    assert serial == parallel
-
-
-def test_worker_count_is_clamped(monkeypatch):
-    # a pool starts all its workers at once, so never more than can run
-    monkeypatch.setattr(identities.os, "cpu_count", lambda: 4)
-    assert identities._worker_count(5000, 100) == 4
-    assert identities._worker_count(5000, 3) == 3
-    assert identities._worker_count(2, 100) == 2
-    assert identities._worker_count(3, 0) == 0
-    monkeypatch.setattr(identities.os, "cpu_count", lambda: None)
-    assert identities._worker_count(8, 100) == 1
-
-
 def test_report_invariants():
     report = VerificationReport(
         identity="demo",

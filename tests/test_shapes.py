@@ -33,7 +33,7 @@ from coloredsym import (
     tableau_descent_set,
     zigzag_of,
 )
-from coloredsym.errors import ResourceLimitError, ShapeError
+from coloredsym.errors import ShapeError
 from coloredsym.shapes import EMPTY_SHAPE, straight_shape
 
 RUNNING = ColoredComposition((2, 2, 1, 1, 3, 1), (0, 1, 1, 3, 1, 2), 4)
@@ -305,15 +305,13 @@ class TestSytEnumeration:
         assert len(fills) == 1
         assert fills[0].components[1].rows == ((1, 2, 3, 4),)
 
-    def test_resource_bound(self):
-        with pytest.raises(ResourceLimitError):
-            list(enumerate_rpartite_syt(((13,),)))
-        # the bound is configurable
-        assert sum(1 for _ in enumerate_rpartite_syt(((13,),), max_cells=13)) == 1
+    def test_no_cell_bound(self):
+        # a lazy generator bounds nothing; its caller decides how much to take
+        assert sum(1 for _ in enumerate_rpartite_syt(((13,),))) == 1
 
     def test_depth_is_not_bounded_by_the_recursion_limit(self):
         n = 3 * sys.getrecursionlimit()
-        (bq,) = enumerate_rpartite_syt(((), (n,), ()), max_cells=n)
+        (bq,) = enumerate_rpartite_syt(((), (n,), ()))
         assert bq.components[1].rows == (tuple(range(1, n + 1)),)
 
 

@@ -1,6 +1,7 @@
 """Exact polynomial identities: Schur, fundamental, ribbon, h and e elements."""
 
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -528,6 +529,14 @@ class TestTableauCounting:
         for ce in enumerate_colored_compositions(n, r):
             want = per_shape_counting_reference(ce)
             assert ribbon_schur_by_counting(ce).coeffs == want
+
+    def test_counting_is_not_bounded_by_the_recursion_limit(self):
+        n = 3 * sys.getrecursionlimit()
+        row = ColoredComposition((n,), (0,), 1)
+        column = ColoredComposition((1,) * n, (0,) * n, 1)
+        assert ribbon_schur_by_counting(row).coeffs == {((n,),): 1}
+        assert ribbon_schur_by_counting(column).coeffs == {((1,) * n,): 1}
+        assert schur_coeff_by_tableau_count(row, ((n,),)) == 1
 
     def test_counting_expansion_running_example(self):
         exp = ribbon_schur_by_counting(RUNNING)
