@@ -366,14 +366,6 @@ class StandardTableau:
     def entries(self) -> tuple[int, ...]:
         return tuple(sorted(x for row in self.rows for x in row))
 
-    def positions(self) -> dict[int, tuple[int, int]]:
-        """Entry -> (row, column) in diagram coordinates."""
-        out = {}
-        for r, row in enumerate(self.rows):
-            for k, x in enumerate(row):
-                out[x] = (r, self.shape.inner[r] + k)
-        return out
-
     def to_json(self) -> list:
         return [list(row) for row in self.rows]
 

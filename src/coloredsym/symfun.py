@@ -8,13 +8,19 @@ exponent vector in N^r.  An element is therefore fixed by its coefficients
 on packed monomials: its coordinates in the colored monomial
 quasisymmetric basis.
 
-The private constructors (``_colored_F_terms`` and the others) return these
-packed coordinates as term maps.  A key of a degree-d element is r rows of
-d bytes, alphabet-major; column t holds the exponent vector of index t + 1.
-Coefficients are exact (unbounded) Python ints.  Products are quasi-shuffles
-(``mul_terms``).  Byte-wise lexicographic comparison of keys is the term
-order of Schur-basis peeling: alphabet-major, then index-major, exponents
-compared high to low.  The leading monomial of a per-alphabet symmetric
+Two private constructors build every element as packed coordinates (term
+maps).  ``_colored_F_terms`` gives colored F, F, and h_k in alphabet j as
+the colored F of the one-part composition k^j.  ``_colored_schur_terms``
+multiplies the Schur elements of the row blocks of each component, in its
+alphabet: Schur, e_k (the column 1^k), colored Schur, and the colored
+ribbon, the colored skew Schur element of its r-partite shape.
+
+A key of a degree-d element is r rows of d bytes, alphabet-major; column
+t holds the exponent vector of index t + 1.  Coefficients are exact
+(unbounded) Python ints.  Products are quasi-shuffles (``mul_terms``).
+Byte-wise lexicographic comparison of keys is the term order of
+Schur-basis peeling: alphabet-major, then index-major, exponents compared
+high to low.  The leading monomial of a per-alphabet symmetric
 element is packed, so peeling its packed coordinates gives its expansion.
 
 The public constructors return a ``MultiAlphabetPolynomial``, in which
@@ -30,15 +36,11 @@ from functools import lru_cache, reduce
 from itertools import combinations, product
 
 from ._poly_py import add_terms, mul_terms
-from .compositions import (
-    ColoredComposition,
-    Composition,
-    coarsenings,
-    rainbow_decomposition,
-)
+from .compositions import ColoredComposition, Composition, coarsenings
 from .errors import DimensionMismatchError, NotInSchurSpanError, ShapeError
 from .permutations import colored_descent_composition
 from .shapes import (
+    EMPTY_SHAPE,
     RPartitePartition,
     SkewShape,
     as_skew,
@@ -46,7 +48,7 @@ from .shapes import (
     enumerate_rpartite_syt,
     is_partition,
     rpartite_descent_composition,
-    zigzag_of,
+    straight_shape,
 )
 
 
@@ -166,6 +168,13 @@ def _check_widths(r: int, widths: tuple[int, ...]) -> None:
         raise DimensionMismatchError(f"need {r} alphabet widths, got {len(widths)}")
 
 
+def _check_alphabet(alphabet: int, widths: tuple[int, ...]) -> None:
+    if not 0 <= alphabet < len(widths):
+        raise DimensionMismatchError(
+            f"alphabet {alphabet} is not one of the {len(widths)} alphabets"
+        )
+
+
 def _place(terms: dict[bytes, int], widths) -> MultiAlphabetPolynomial:
     """The polynomial at ``widths`` of the element with packed coordinates
     ``terms``: each packed key placed on every increasing choice of indices
@@ -249,15 +258,11 @@ def _ssyt_terms(shape: SkewShape) -> dict[bytes, int]:
 
 
 def _row_blocks(shape: SkewShape) -> list[SkewShape]:
-    """Split at rows sharing no column; factors multiply independently."""
-    blocks: list[SkewShape] = []
-    start = 0
-    for i in range(shape.nrows - 1):
-        if shape.inner[i] >= shape.outer[i + 1]:
-            blocks.append(_translate_rows(shape, start, i + 1))
-            start = i + 1
-    blocks.append(_translate_rows(shape, start, shape.nrows))
-    return blocks
+    """Split at rows sharing no column; factors multiply independently.  An
+    empty shape has no blocks."""
+    ends = [i + 1 for i in range(shape.nrows - 1) if shape.inner[i] >= shape.outer[i + 1]]
+    ends.append(shape.nrows)
+    return [_translate_rows(shape, lo, hi) for lo, hi in zip([0] + ends, ends) if lo < hi]
 
 
 def _translate_rows(shape: SkewShape, lo: int, hi: int) -> SkewShape:
@@ -266,12 +271,6 @@ def _translate_rows(shape: SkewShape, lo: int, hi: int) -> SkewShape:
         tuple(x - shift for x in shape.outer[lo:hi]),
         tuple(x - shift for x in shape.inner[lo:hi]),
     )
-
-
-def _schur_terms(shape: SkewShape, alphabet: int, r: int) -> dict[bytes, int]:
-    """Packed Schur element of a (skew) shape in one alphabet of r."""
-    blocks = _row_blocks(shape) if shape.ncells else []
-    return _product((_embed(_ssyt_terms(b), alphabet, r) for b in blocks), r)
 
 
 @lru_cache(maxsize=None)
@@ -299,50 +298,51 @@ def _colored_F_terms(ce: ColoredComposition) -> dict[bytes, int]:
     return terms
 
 
-def _h_terms(k: int) -> dict[bytes, int]:
-    """Packed complete homogeneous h_k in one alphabet: every composition of
-    k, which is the fundamental element of the one-part composition."""
-    return _colored_F_terms(ColoredComposition((k,), (0,), 1)) if k else {b"": 1}
-
-
-def _normalize_components(components) -> tuple[SkewShape, ...]:
-    return tuple(as_skew(c) for c in components)
-
-
 @lru_cache(maxsize=None)
 def _colored_schur_terms(components: tuple[SkewShape, ...]) -> dict[bytes, int]:
-    """Packed product of per-alphabet Schur elements, component j in
-    alphabet j."""
+    """Packed colored (skew) Schur element: the product of the Schur
+    elements of the row blocks of each component, component j in alphabet
+    j."""
     r = len(components)
-    return _product((_schur_terms(comp, j, r) for j, comp in enumerate(components)), r)
-
-
-@lru_cache(maxsize=None)
-def _colored_ribbon_terms(ce: ColoredComposition) -> dict[bytes, int]:
-    """Packed colored ribbon element: the product over rainbow blocks of the
-    ribbon Schur element of the block in the block's alphabet."""
     return _product(
         (
-            _schur_terms(zigzag_of(comp).shape, color, ce.r)
-            for comp, color in rainbow_decomposition(ce).blocks
+            _embed(_ssyt_terms(block), j, r)
+            for j, comp in enumerate(components)
+            for block in _row_blocks(comp)
         ),
-        ce.r,
+        r,
     )
+
+
+def _colored_ribbon_terms(ce: ColoredComposition) -> dict[bytes, int]:
+    """Packed colored ribbon element: the colored skew Schur element of the
+    r-partite shape of ``ce``."""
+    return _colored_schur_terms(colored_composition_shape(ce))
 
 
 @lru_cache(maxsize=None)
 def _colored_h_terms(bll: RPartitePartition) -> dict[bytes, int]:
     """Packed product of complete homogeneous elements, component j in
-    alphabet j."""
+    alphabet j; h_k in alphabet j is the colored fundamental element of the
+    one-part composition k^j."""
     r = len(bll)
-    return _product((_embed(_h_terms(k), j, r) for j, part in enumerate(bll) for k in part), r)
+    hs = (ColoredComposition((k,), (j,), r) for j, part in enumerate(bll) for k in part)
+    return _product(map(_colored_F_terms, hs), r)
+
+
+def _schur_in_alphabet(shape: SkewShape, alphabet: int, widths) -> MultiAlphabetPolynomial:
+    """The Schur polynomial of ``shape`` in alphabet ``alphabet``: the
+    colored Schur polynomial whose other components are empty."""
+    widths = tuple(widths)
+    _check_alphabet(alphabet, widths)
+    components = tuple(shape if j == alphabet else EMPTY_SHAPE for j in range(len(widths)))
+    return _place(_colored_schur_terms(components), widths)
 
 
 def schur_poly(shape, alphabet: int, widths) -> MultiAlphabetPolynomial:
     """Schur polynomial of a (possibly skew) shape in one alphabet: the
     generating function of its semistandard fillings with bounded entries."""
-    widths = tuple(widths)
-    return _place(_schur_terms(as_skew(shape), alphabet, len(widths)), widths)
+    return _schur_in_alphabet(as_skew(shape), alphabet, widths)
 
 
 def h_poly(k: int, alphabet: int, widths) -> MultiAlphabetPolynomial:
@@ -350,24 +350,28 @@ def h_poly(k: int, alphabet: int, widths) -> MultiAlphabetPolynomial:
     widths = tuple(widths)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _place(_embed(_h_terms(k), alphabet, len(widths)), widths)
+    _check_alphabet(alphabet, widths)
+    if not k:
+        return _place({b"": 1}, widths)
+    return _place(_colored_F_terms(ColoredComposition((k,), (alphabet,), len(widths))), widths)
 
 
 def e_poly(k: int, alphabet: int, widths) -> MultiAlphabetPolynomial:
-    """Elementary: all squarefree degree-k monomials."""
-    widths = tuple(widths)
+    """Elementary: all squarefree degree-k monomials, the Schur polynomial
+    of the column 1^k."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _place(_embed({bytes((1,) * k): 1}, alphabet, len(widths)), widths)
+    return _schur_in_alphabet(straight_shape((1,) * k), alphabet, widths)
 
 
 def fundamental_F(a: Composition, alphabet: int, widths) -> MultiAlphabetPolynomial:
     """Fundamental quasisymmetric polynomial: weakly increasing index chains
     with strict rises exactly after the proper partial sums of ``a``.  It is
-    the one-color ``colored_F``, placed in alphabet ``alphabet``."""
+    the ``colored_F`` whose parts all have color ``alphabet``."""
     widths = tuple(widths)
-    ce = ColoredComposition(a.parts, (0,) * len(a.parts), 1)
-    return _place(_embed(_colored_F_terms(ce), alphabet, len(widths)), widths)
+    _check_alphabet(alphabet, widths)
+    ce = ColoredComposition(a.parts, (alphabet,) * len(a.parts), len(widths))
+    return _place(_colored_F_terms(ce), widths)
 
 
 def colored_F(ce: ColoredComposition, widths) -> MultiAlphabetPolynomial:
@@ -387,7 +391,7 @@ def colored_schur(components, widths) -> MultiAlphabetPolynomial:
     """Product of per-alphabet (skew) Schur polynomials, component j in
     alphabet j."""
     widths = tuple(widths)
-    components = _normalize_components(components)
+    components = tuple(map(as_skew, components))
     if len(components) != len(widths):
         raise DimensionMismatchError(
             f"{len(components)} components vs {len(widths)} alphabets"
@@ -396,8 +400,8 @@ def colored_schur(components, widths) -> MultiAlphabetPolynomial:
 
 
 def colored_ribbon(ce: ColoredComposition, widths) -> MultiAlphabetPolynomial:
-    """Colored ribbon Schur element: the product over rainbow blocks of the
-    ribbon Schur polynomial of the block in the block's alphabet."""
+    """Colored ribbon Schur element: the colored skew Schur polynomial of the
+    r-partite shape of ``ce`` (``colored_composition_shape``)."""
     widths = tuple(widths)
     _check_widths(ce.r, widths)
     return _place(_colored_ribbon_terms(ce), widths)
@@ -528,7 +532,7 @@ def ribbon_schur_by_peeling(ce: ColoredComposition) -> Expansion:
     coeffs = _peel(
         _colored_ribbon_terms(ce),
         (ce.n,) * ce.r,
-        lambda bll: _colored_schur_terms(_normalize_components(bll)),
+        lambda bll: _colored_schur_terms(tuple(map(as_skew, bll))),
     )
     return Expansion("schur", ce.n, ce.r, coeffs)
 

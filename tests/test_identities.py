@@ -1,5 +1,6 @@
 """Report plumbing and reduced-range runs of every identity suite."""
 
+import inspect
 import json
 
 import pytest
@@ -24,7 +25,7 @@ from coloredsym import (
     run_identity,
     zigzag_of,
 )
-from coloredsym import SkewShape, bijections, colored_composition_shape, identities
+from coloredsym import SkewShape, bijections, colored_composition_shape, identities, symfun
 from coloredsym.symfun import _colored_F_terms, _colored_h_terms
 from coloredsym.identities import (
     verify_colored_ribbon_h,
@@ -54,6 +55,15 @@ def test_reduced_range_passes(name):
     assert report.cases_checked == report.expected_cases
     assert report.cases_checked > 0
     assert sum(report.breakdown.values()) == report.cases_checked
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_REGISTRY))
+def test_registry_default_range_is_the_verifier_default(name):
+    call, (default_n, default_r) = IDENTITY_REGISTRY[name]
+    (verifier,) = call.__code__.co_names
+    params = inspect.signature(getattr(identities, verifier)).parameters.values()
+    defaults = tuple(p.default for p in params)
+    assert defaults == ((default_n,) if default_r is None else (default_n, default_r))
 
 
 def test_unknown_identity():
@@ -172,19 +182,33 @@ def test_planted_h_expansion_fault_fails_ribbon_h(monkeypatch):
     assert report.failure_count == 1
 
 
-def _shape_with_shifted_direct_sums(ce):
-    """The one-pass r-partite shape with every run after the first of its
-    color started one column right of its component's top row."""
+def _planted_shape(ce, start):
+    """The one-pass r-partite shape of ``ce`` with the first column of each
+    part after the first of its color given by ``start(top, continues)``:
+    ``top`` ends its component's top row, and ``continues`` says whether
+    the part continues a color run (the correct start is then top - 1)."""
     outer = [[] for _ in range(ce.r)]
     inner = [[] for _ in range(ce.r)]
     previous = None
     for p, c in zip(ce.parts, ce.colors):
         rows = outer[c]
-        start = rows[-1] - 1 if c == previous else rows[-1] + 1 if rows else 0
-        inner[c].append(start)
-        rows.append(start + p)
+        first = start(rows[-1], c == previous) if rows else 0
+        inner[c].append(first)
+        rows.append(first + p)
         previous = c
     return tuple(SkewShape(o[::-1], i[::-1]) for o, i in zip(outer, inner))
+
+
+def _shape_with_shifted_direct_sums(ce):
+    """Every run after the first of its color started one column right of
+    its component's top row."""
+    return _planted_shape(ce, lambda top, continues: top - 1 if continues else top + 1)
+
+
+def _shape_with_broken_ribbons(ce):
+    """Every part that continues a color run started at the end of the row
+    below, so the ribbon splits into a direct sum."""
+    return _planted_shape(ce, lambda top, continues: top)
 
 
 def test_planted_direct_sum_shift_fails_class_tableau(monkeypatch):
@@ -199,6 +223,26 @@ def test_planted_direct_sum_shift_fails_class_tableau(monkeypatch):
     assert not report.passed
     assert report.failure_count > 0
     assert {(w["n"], w["r"]) for w in report.failures} == {(3, 2)}
+
+
+@pytest.mark.parametrize("name", ["colored-ribbon-schur", "colored-ribbon-h"])
+def test_planted_broken_ribbon_fails_ribbon_suites(monkeypatch, name):
+    # both suites build the ribbon element from symfun's shape; the shape
+    # changes exactly for the compositions with a color run of two parts
+    ce = ColoredComposition((1, 1), (0, 0), 1)
+    assert _shape_with_broken_ribbons(ce) != colored_composition_shape(ce)
+    monkeypatch.setattr(symfun, "colored_composition_shape", _shape_with_broken_ribbons)
+    broken = [
+        ce.to_json()
+        for n in range(1, 4)
+        for r in (1, 2)
+        for ce in enumerate_colored_compositions(n, r)
+        if any(a == b for a, b in zip(ce.colors, ce.colors[1:]))
+    ]
+    report = run_identity(name, 3, 2)
+    assert not report.passed
+    assert report.failure_count == len(broken)
+    assert all(w["composition"] in broken for w in report.failures)
 
 
 # Planted faults in the two class suites, which read every class from

@@ -104,6 +104,20 @@ class TestRingOperations:
         with pytest.raises(DimensionMismatchError):
             h_poly(1, 0, (2,)) + h_poly(1, 0, (3,))
 
+    @pytest.mark.parametrize("widths", [(2,), (2, 2)])
+    @pytest.mark.parametrize("make", [
+        lambda j, ws: schur_poly((2,), j, ws),
+        lambda j, ws: h_poly(2, j, ws),
+        lambda j, ws: h_poly(0, j, ws),
+        lambda j, ws: e_poly(2, j, ws),
+        lambda j, ws: fundamental_F(Composition((1, 1)), j, ws),
+    ], ids=["schur", "h", "h0", "e", "F"])
+    def test_alphabet_out_of_range(self, make, widths):
+        for j in (len(widths), -1):
+            with pytest.raises(DimensionMismatchError):
+                make(j, widths)
+        assert make(len(widths) - 1, widths) != zero(widths)
+
     def test_coefficient_lookup(self):
         p = schur_poly((2, 1), 0, (2,))
         assert p.coefficient([(2, 1)]) == 1
