@@ -133,11 +133,13 @@ class _Builder:
     color range (``max_r`` None) is the r = 1 slice, and its breakdown keys
     name only the size."""
 
-    def __init__(self, identity, max_n, max_r, expected, note="", unit="n"):
+    def __init__(self, identity, max_n, max_r, expected=None, note="", unit="n"):
         self.identity = identity
         self.max_n = max_n
         self.max_r = max_r
-        self.expected = expected
+        self.expected = (
+            _colored_comp_cases(max_n, max_r or 1) if expected is None else expected
+        )
         self.note = note
         self.unit = unit
         self.cases = 0
@@ -146,13 +148,23 @@ class _Builder:
         self.breakdown: dict[str, int] = {}
         self.t0 = time.perf_counter()
 
-    def colors(self) -> range:
-        return range(1, (self.max_r or 1) + 1)
+    def cells(self):
+        """(n, r, the colored compositions of n with r colors) over the
+        range, r = 1 only when there is no color range."""
+        for n in range(1, self.max_n + 1):
+            for r in range(1, (self.max_r or 1) + 1):
+                yield n, r, enumerate_colored_compositions(n, r)
 
     def case(self, n: int, r: int = 1) -> None:
         key = f"{self.unit}={n}" if self.max_r is None else f"{self.unit}={n},r={r}"
         self.cases += 1
         self.breakdown[key] = self.breakdown.get(key, 0) + 1
+
+    def check(self, n: int, r: int, witness: dict | None) -> None:
+        """Count one case of (n, r); a witness, tagged with n and r, fails it."""
+        self.case(n, r)
+        if witness is not None:
+            self.fail({**witness, "n": n, "r": r})
 
     def fail(self, witness: dict) -> None:
         self.failure_count += 1
@@ -200,7 +212,7 @@ def verify_reading_word_bijection(max_n: int = 6) -> VerificationReport:
     inverses; consequently descent sets are equidistributed over the inverse
     class and the fillings.  The words are certified to be the classes by
     counting, as in ``verify_colored_class_tableau``."""
-    b = _Builder("reading-word", max_n, None, _colored_comp_cases(max_n, 1))
+    b = _Builder("reading-word", max_n, None)
     for n in range(1, max_n + 1):
         comps = enumerate_compositions(n)
         total = 0
@@ -269,27 +281,23 @@ def verify_skew_schur_f_expansion(max_n: int = 6) -> VerificationReport:
 def verify_colored_zigzag_count(max_n: int = 7, max_r: int = 4) -> VerificationReport:
     """Colored compositions inject onto colored zigzag shapes, whose number
     is r(r+1)^(n-1)."""
-    b = _Builder(
-        "zigzag-count", max_n, max_r, _colored_comp_cases(max_n, max_r)
-    )
-    for n in range(1, max_n + 1):
-        for r in range(1, max_r + 1):
-            ces = enumerate_colored_compositions(n, r)
-            keys = set()
-            for ce in ces:
-                b.case(n, r)
-                keys.add(colored_zigzag_of(ce).diagram_key())
-            target = r * (r + 1) ** (n - 1)
-            if not (len(keys) == len(ces) == target):
-                b.fail(
-                    {
-                        "n": n,
-                        "r": r,
-                        "distinct_shapes": len(keys),
-                        "colored_compositions": len(ces),
-                        "formula": target,
-                    }
-                )
+    b = _Builder("zigzag-count", max_n, max_r)
+    for n, r, ces in b.cells():
+        keys = set()
+        for ce in ces:
+            b.case(n, r)
+            keys.add(colored_zigzag_of(ce).diagram_key())
+        target = r * (r + 1) ** (n - 1)
+        if not (len(keys) == len(ces) == target):
+            b.fail(
+                {
+                    "n": n,
+                    "r": r,
+                    "distinct_shapes": len(keys),
+                    "colored_compositions": len(ces),
+                    "formula": target,
+                }
+            )
     return b.report()
 
 
@@ -301,40 +309,31 @@ def verify_colored_class_tableau(max_n: int = 5, max_r: int = 3) -> Verification
     certified by counting: ``descent_class_size`` distinct members, each in
     the class and mapped back to its filling, and the class sizes of each
     (n, r) sum to the group order."""
-    b = _Builder(
-        "class-tableau", max_n, max_r, _colored_comp_cases(max_n, max_r)
-    )
-    for n in range(1, max_n + 1):
-        for r in range(1, max_r + 1):
-            ces = enumerate_colored_compositions(n, r)
-            total = 0
-            for ce in ces:
-                b.case(n, r)
-                shape = rpartite_shape_of(colored_zigzag_of(ce), r)
-                keys, ok = [], True
-                for bq in enumerate_rpartite_syt(shape):
-                    a = _read_rows(bq, ce)
-                    keys.append((a.word, a.colors))
-                    ok = (
-                        ok
-                        and colored_descent_composition(a) == ce
-                        and colored_class_to_tableau(a) == bq
-                        and rpartite_descent_set(bq)
-                        == colored_descent_set(conj_inverse(a))
-                    )
-                class_size = len(set(keys))
-                total += class_size
-                if not (ok and class_size == len(keys) == descent_class_size(ce)):
-                    b.fail(
-                        {
-                            "n": n,
-                            "r": r,
-                            "composition": ce.to_json(),
-                            "class_size": class_size,
-                            "filling_count": len(keys),
-                        }
-                    )
-            _check_partition(b, {"n": n, "r": r}, ces, total, factorial(n) * r**n)
+    b = _Builder("class-tableau", max_n, max_r)
+    for n, r, ces in b.cells():
+        total = 0
+        for ce in ces:
+            shape = rpartite_shape_of(colored_zigzag_of(ce), r)
+            keys, ok = [], True
+            for bq in enumerate_rpartite_syt(shape):
+                a = _read_rows(bq, ce)
+                keys.append((a.word, a.colors))
+                ok = (
+                    ok
+                    and colored_descent_composition(a) == ce
+                    and colored_class_to_tableau(a) == bq
+                    and rpartite_descent_set(bq)
+                    == colored_descent_set(conj_inverse(a))
+                )
+            class_size = len(set(keys))
+            total += class_size
+            passed = ok and class_size == len(keys) == descent_class_size(ce)
+            b.check(n, r, None if passed else {
+                "composition": ce.to_json(),
+                "class_size": class_size,
+                "filling_count": len(keys),
+            })
+        _check_partition(b, {"n": n, "r": r}, ces, total, factorial(n) * r**n)
     return b.report()
 
 
@@ -380,15 +379,11 @@ def _ribbon_schur_case(ce: ColoredComposition, counter: Counter) -> dict | None:
 
 
 def _ribbon_schur_sweep(identity, max_n, max_r) -> VerificationReport:
-    b = _Builder(identity, max_n, max_r, _colored_comp_cases(max_n, max_r or 1))
-    for n in range(1, max_n + 1):
-        for r in b.colors():
-            counters = _conj_inverse_f_counters(n, r)
-            for ce in enumerate_colored_compositions(n, r):
-                b.case(n, r)
-                witness = _ribbon_schur_case(ce, counters.get(ce, Counter()))
-                if witness is not None:
-                    b.fail({**witness, "n": n, "r": r})
+    b = _Builder(identity, max_n, max_r)
+    for n, r, ces in b.cells():
+        counters = _conj_inverse_f_counters(n, r)
+        for ce in ces:
+            b.check(n, r, _ribbon_schur_case(ce, counters.get(ce, Counter())))
     return b.report()
 
 
@@ -423,20 +418,10 @@ def _ribbon_h_case(ce: ColoredComposition) -> dict | None:
 
 
 def _ribbon_h_sweep(identity, max_n, max_r) -> VerificationReport:
-    b = _Builder(
-        identity,
-        max_n,
-        max_r,
-        _colored_comp_cases(max_n, max_r or 1),
-        note=SYMFUN_LEVEL_NOTE,
-    )
-    for n in range(1, max_n + 1):
-        for r in b.colors():
-            for ce in enumerate_colored_compositions(n, r):
-                b.case(n, r)
-                witness = _ribbon_h_case(ce)
-                if witness is not None:
-                    b.fail({**witness, "n": n, "r": r})
+    b = _Builder(identity, max_n, max_r, note=SYMFUN_LEVEL_NOTE)
+    for n, r, ces in b.cells():
+        for ce in ces:
+            b.check(n, r, _ribbon_h_case(ce))
     return b.report()
 
 

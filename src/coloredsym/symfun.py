@@ -9,11 +9,12 @@ on packed monomials: its coordinates in the colored monomial
 quasisymmetric basis.
 
 Two private constructors build every element as packed coordinates (term
-maps).  ``_colored_F_terms`` gives colored F, F, and h_k in alphabet j as
-the colored F of the one-part composition k^j.  ``_colored_schur_terms``
-multiplies the Schur elements of the row blocks of each component, in its
-alphabet: Schur, e_k (the column 1^k), colored Schur, and the colored
-ribbon, the colored skew Schur element of its r-partite shape.
+maps).  ``_colored_F_terms`` gives colored F and F.  ``_colored_schur_terms``
+multiplies the Schur elements of the nonempty components, each in its
+alphabet, and gives every symmetric element: Schur, h_k (the row (k)), e_k
+(the column 1^k), colored Schur, colored h (component j the direct sum of
+the rows of part j) and the colored ribbon, the colored skew Schur element
+of its r-partite shape.
 
 A key of a degree-d element is r rows of d bytes, alphabet-major; column
 t holds the exponent vector of index t + 1.  Coefficients are exact
@@ -45,6 +46,7 @@ from .shapes import (
     SkewShape,
     as_skew,
     colored_composition_shape,
+    direct_sum,
     enumerate_rpartite_syt,
     is_partition,
     rpartite_descent_composition,
@@ -223,9 +225,8 @@ def _embed(terms: dict[bytes, int], alphabet: int, r: int) -> dict[bytes, int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def _ssyt_terms(shape: SkewShape) -> dict[bytes, int]:
-    """Semistandard fillings of a row block with entries exactly 1..k, as
+    """Semistandard fillings of a skew shape with entries exactly 1..k, as
     one-alphabet packed terms: the cells holding i form a nonempty
     horizontal strip, so each filling is a chain of strips from the inner
     shape to the outer one, keyed by the strip sizes."""
@@ -257,22 +258,6 @@ def _ssyt_terms(shape: SkewShape) -> dict[bytes, int]:
     return {bytes(sizes) + bytes(m - len(sizes)): c for sizes, c in grow(shape.inner).items()}
 
 
-def _row_blocks(shape: SkewShape) -> list[SkewShape]:
-    """Split at rows sharing no column; factors multiply independently.  An
-    empty shape has no blocks."""
-    ends = [i + 1 for i in range(shape.nrows - 1) if shape.inner[i] >= shape.outer[i + 1]]
-    ends.append(shape.nrows)
-    return [_translate_rows(shape, lo, hi) for lo, hi in zip([0] + ends, ends) if lo < hi]
-
-
-def _translate_rows(shape: SkewShape, lo: int, hi: int) -> SkewShape:
-    shift = min(shape.inner[lo:hi])
-    return SkewShape(
-        tuple(x - shift for x in shape.outer[lo:hi]),
-        tuple(x - shift for x in shape.inner[lo:hi]),
-    )
-
-
 @lru_cache(maxsize=None)
 def _colored_F_terms(ce: ColoredComposition) -> dict[bytes, int]:
     """Packed colored fundamental element (see ``colored_F``).  A packed
@@ -301,15 +286,10 @@ def _colored_F_terms(ce: ColoredComposition) -> dict[bytes, int]:
 @lru_cache(maxsize=None)
 def _colored_schur_terms(components: tuple[SkewShape, ...]) -> dict[bytes, int]:
     """Packed colored (skew) Schur element: the product of the Schur
-    elements of the row blocks of each component, component j in alphabet
-    j."""
+    elements of the nonempty components, component j in alphabet j."""
     r = len(components)
     return _product(
-        (
-            _embed(_ssyt_terms(block), j, r)
-            for j, comp in enumerate(components)
-            for block in _row_blocks(comp)
-        ),
+        (_embed(_ssyt_terms(comp), j, r) for j, comp in enumerate(components) if comp.ncells),
         r,
     )
 
@@ -320,14 +300,13 @@ def _colored_ribbon_terms(ce: ColoredComposition) -> dict[bytes, int]:
     return _colored_schur_terms(colored_composition_shape(ce))
 
 
-@lru_cache(maxsize=None)
 def _colored_h_terms(bll: RPartitePartition) -> dict[bytes, int]:
     """Packed product of complete homogeneous elements, component j in
-    alphabet j; h_k in alphabet j is the colored fundamental element of the
-    one-part composition k^j."""
-    r = len(bll)
-    hs = (ColoredComposition((k,), (j,), r) for j, part in enumerate(bll) for k in part)
-    return _product(map(_colored_F_terms, hs), r)
+    alphabet j: the colored skew Schur element whose component j is the
+    direct sum of the rows of part j."""
+    return _colored_schur_terms(tuple(
+        reduce(direct_sum, (SkewShape((k,), ()) for k in part), EMPTY_SHAPE) for part in bll
+    ))
 
 
 def _schur_in_alphabet(shape: SkewShape, alphabet: int, widths) -> MultiAlphabetPolynomial:
@@ -346,14 +325,11 @@ def schur_poly(shape, alphabet: int, widths) -> MultiAlphabetPolynomial:
 
 
 def h_poly(k: int, alphabet: int, widths) -> MultiAlphabetPolynomial:
-    """Complete homogeneous: all weakly increasing degree-k monomials."""
-    widths = tuple(widths)
+    """Complete homogeneous: all weakly increasing degree-k monomials, the
+    Schur polynomial of the row (k), which is empty at k = 0."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    _check_alphabet(alphabet, widths)
-    if not k:
-        return _place({b"": 1}, widths)
-    return _place(_colored_F_terms(ColoredComposition((k,), (alphabet,), len(widths))), widths)
+    return _schur_in_alphabet(SkewShape((k,), ()), alphabet, widths)
 
 
 def e_poly(k: int, alphabet: int, widths) -> MultiAlphabetPolynomial:

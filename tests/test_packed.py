@@ -19,12 +19,14 @@ from coloredsym import (
     colored_schur,
     enumerate_colored_compositions,
     enumerate_rpartite_partitions,
+    enumerate_skew_shapes,
     expand_in_colored_schur,
     h_index_of_colored_comp,
     ribbon_schur_by_peeling,
 )
 from coloredsym._poly_py import mul_terms
-from coloredsym.symfun import _place
+from coloredsym.shapes import as_skew, colored_composition_shape
+from coloredsym.symfun import _colored_h_terms, _colored_schur_terms, _place
 from test_kernels import packed_maps
 
 CELLS = [(n, r) for n in range(1, 6) for r in (1, 2, 3)] + [(6, 1), (7, 1)]
@@ -58,6 +60,31 @@ def test_uneven_widths_match_truncated_reference(n, r):
             assert colored_h(bll, widths).terms == ref.colored_h(bll, widths)
         for bll in enumerate_rpartite_partitions(n, r):
             assert colored_schur(bll, widths).terms == ref.colored_schur(bll, widths)
+
+
+def test_colored_schur_terms_match_row_block_product():
+    # every r-partite shape of a colored composition and every straight
+    # r-partite shape with n <= 5, r <= 3, and every skew shape of <= 6 cells
+    tuples = set()
+    for n, r in product(range(1, 6), (1, 2, 3)):
+        tuples.update(map(colored_composition_shape, enumerate_colored_compositions(n, r)))
+        tuples.update(tuple(map(as_skew, bll)) for bll in enumerate_rpartite_partitions(n, r))
+    for m in range(1, 7):
+        tuples.update((shape,) for shape in enumerate_skew_shapes(m))
+    assert len(tuples) == 1130
+    for components in tuples:
+        assert _colored_schur_terms(components) == ref.row_block_schur_terms(components)
+
+
+def test_colored_h_terms_match_quasi_shuffle_product():
+    indices = [
+        bll
+        for n, r in product(range(7), (1, 2, 3))
+        for bll in enumerate_rpartite_partitions(n, r)
+    ]
+    assert len(indices) == 584
+    for bll in indices:
+        assert _colored_h_terms(bll) == ref.quasi_shuffle_h_terms(bll)
 
 
 @given(st.data(), st.integers(1, 3))

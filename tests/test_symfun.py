@@ -202,9 +202,11 @@ class TestHE:
 
 class TestFundamental:
     def test_extremes(self):
-        for n in range(1, 5):
-            assert fundamental_F(Composition((n,)), 0, (4,)) == h_poly(n, 0, (4,))
-            assert fundamental_F(Composition((1,) * n), 0, (4,)) == e_poly(n, 0, (4,))
+        # h_k = F_(k) and e_k = F_(1^k), in each alphabet at mixed widths
+        for widths in ((4,), (0, 3), (2, 5), (5, 1, 4)):
+            for j, n in product(range(len(widths)), range(1, 6)):
+                assert fundamental_F(Composition((n,)), j, widths) == h_poly(n, j, widths)
+                assert fundamental_F(Composition((1,) * n), j, widths) == e_poly(n, j, widths)
 
     def test_schur_21_as_f_sum(self):
         widths = (3,)

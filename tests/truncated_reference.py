@@ -1,12 +1,15 @@
 """The truncated constructors that the packed ones replaced, kept as the
 reference: every monomial at the given widths is enumerated directly, and
-products multiply exponent vectors variable by variable."""
+products multiply exponent vectors variable by variable.  Two packed routes
+that the colored skew Schur constructor replaced are kept here too: the
+row-block product and h as a product of one-part colored F elements."""
 
 from itertools import combinations_with_replacement
 
 from coloredsym import ColoredComposition, zigzag_of
 from coloredsym.compositions import rainbow_decomposition
-from coloredsym.shapes import as_skew
+from coloredsym.shapes import SkewShape, as_skew
+from coloredsym.symfun import _colored_F_terms, _embed, _product, _ssyt_terms
 
 
 def _offsets(widths):
@@ -131,3 +134,42 @@ def colored_schur(bll, widths):
 
 def one_color(parts):
     return ColoredComposition(tuple(parts), (0,) * len(parts), 1)
+
+
+def _row_blocks(shape):
+    """Split at rows sharing no column, each block shifted left to the
+    origin; an empty shape has no blocks."""
+    ends = [i + 1 for i in range(shape.nrows - 1) if shape.inner[i] >= shape.outer[i + 1]]
+    ends.append(shape.nrows)
+    blocks = []
+    for lo, hi in zip([0] + ends, ends):
+        if lo < hi:
+            shift = min(shape.inner[lo:hi])
+            blocks.append(SkewShape(
+                tuple(x - shift for x in shape.outer[lo:hi]),
+                tuple(x - shift for x in shape.inner[lo:hi]),
+            ))
+    return blocks
+
+
+def row_block_schur_terms(components):
+    """Packed colored skew Schur element as the product of the Schur
+    elements of the row blocks of each component, component j in alphabet
+    j."""
+    r = len(components)
+    return _product(
+        (
+            _embed(_ssyt_terms(block), j, r)
+            for j, comp in enumerate(components)
+            for block in _row_blocks(comp)
+        ),
+        r,
+    )
+
+
+def quasi_shuffle_h_terms(bll):
+    """Packed colored h as the quasi-shuffle product of its factors, h_k in
+    alphabet j being the colored F of the one-part composition k^j."""
+    r = len(bll)
+    hs = (ColoredComposition((k,), (j,), r) for j, part in enumerate(bll) for k in part)
+    return _product(map(_colored_F_terms, hs), r)
