@@ -18,6 +18,11 @@
   z_i of P by classical row bumping while Q records i in the matching new
   cell; the recording tableau keeps the color vector of the word and the
   insertion tableau keeps the color vector of its conjugate-inverse.
+
+The row reading, the class/tableau map and the insertion correspondence
+each have a raw form, ``_raw_*``, on (word, colors) pairs and on fillings
+given as one tuple of row tuples per component; the public functions wrap
+them and build validated objects.
 """
 
 from __future__ import annotations
@@ -31,16 +36,16 @@ from .errors import DimensionMismatchError, ResourceLimitError, ShapeError
 from .permutations import (
     ColoredPermutation,
     Permutation,
-    colored_descent_composition,
-    conj_inverse,
+    _raw_colored_descent_composition,
+    _raw_conj_inverse,
     descent_composition,
 )
 from .shapes import (
     RPartiteTableau,
     SkewShape,
     StandardTableau,
+    _raw_fillings,
     colored_composition_shape,
-    enumerate_rpartite_syt,
     zigzag_of,
 )
 
@@ -54,7 +59,12 @@ def reading_word(q: StandardTableau) -> Permutation:
         raise ShapeError("reading words are defined for zigzag shapes only")
     if q.entries() != tuple(range(1, q.ncells + 1)):
         raise ShapeError("reading words need entries exactly 1..n")
-    return Permutation(tuple(chain.from_iterable(reversed(q.rows))))
+    return Permutation(_raw_reading_word(q.rows))
+
+
+def _raw_reading_word(rows) -> tuple[int, ...]:
+    """``reading_word`` of a ribbon filling given as its row tuples."""
+    return tuple(chain.from_iterable(reversed(rows)))
 
 
 def reading_word_inverse(p: Permutation, a: Composition) -> StandardTableau:
@@ -79,19 +89,24 @@ def colored_class_to_tableau(a: ColoredPermutation) -> RPartiteTableau:
     Each part of the colored descent composition is one increasing
     constant-color run of the window word and fills one row; the runs of
     one color stack bottom to top in window order."""
-    ce = colored_descent_composition(a)
-    rows_bottom_up: list[list[tuple[int, ...]]] = [[] for _ in range(a.r)]
-    pos = 0
-    for part, color in zip(ce.parts, ce.colors):
-        rows_bottom_up[color].append(a.word[pos : pos + part])
-        pos += part
-    shapes = colored_composition_shape(ce)
+    (parts, colors), filling = _raw_class_to_tableau(a.word, a.colors, a.r)
+    shapes = colored_composition_shape(ColoredComposition(parts, colors, a.r))
     return RPartiteTableau(
-        tuple(
-            StandardTableau(shape, tuple(reversed(rows)))
-            for shape, rows in zip(shapes, rows_bottom_up)
-        )
+        tuple(StandardTableau(shape, rows) for shape, rows in zip(shapes, filling))
     )
+
+
+def _raw_class_to_tableau(word, colors, r: int):
+    """``colored_class_to_tableau`` on a raw (word, colors) pair: the
+    (parts, colors) of its colored descent composition, which fixes the
+    shape, and the filling as one tuple of row tuples per component."""
+    parts, part_colors = _raw_colored_descent_composition(word, colors)
+    rows_bottom_up: list[list[tuple[int, ...]]] = [[] for _ in range(r)]
+    pos = 0
+    for part, color in zip(parts, part_colors):
+        rows_bottom_up[color].append(word[pos : pos + part])
+        pos += part
+    return (parts, part_colors), tuple(tuple(reversed(rows)) for rows in rows_bottom_up)
 
 
 def colored_tableau_to_class(
@@ -105,18 +120,23 @@ def colored_tableau_to_class(
         raise DimensionMismatchError(f"tableau has r={bq.r}, composition r={ce.r}")
     if bq.shape() != colored_composition_shape(ce):
         raise ShapeError("tableau shape does not match the colored composition")
-    return _read_rows(bq, ce)
+    word, colors = _raw_read_rows(
+        tuple(q.rows for q in bq.components), ce.parts, ce.colors
+    )
+    return ColoredPermutation(Permutation(word), colors, ce.r)
 
 
-def _read_rows(bq: RPartiteTableau, ce: ColoredComposition) -> ColoredPermutation:
-    """The word of a filling of the shape of ``ce``, read part by part."""
-    unread = [list(q.rows) for q in bq.components]
+def _raw_read_rows(filling, parts, colors) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (word, colors) of a filling of the shape of the colored
+    composition (parts, colors), given as one tuple of row tuples per
+    component and read part by part."""
+    unread = [list(rows) for rows in filling]
     word: list[int] = []
-    colors: list[int] = []
-    for part, color in zip(ce.parts, ce.colors):
+    word_colors: list[int] = []
+    for part, color in zip(parts, colors):
         word.extend(unread[color].pop())
-        colors.extend([color] * part)
-    return ColoredPermutation(Permutation(tuple(word)), tuple(colors), ce.r)
+        word_colors.extend([color] * part)
+    return tuple(word), tuple(word_colors)
 
 
 def _ribbon_filling_count(parts: tuple[int, ...]) -> int:
@@ -149,6 +169,20 @@ def descent_class(ce: ColoredComposition) -> list[ColoredPermutation]:
     """All colored permutations whose colored descent composition is ``ce``,
     sorted by (word, colors): the words read from the standard fillings of
     the r-partite shape of ``ce`` (see ``colored_tableau_to_class``)."""
+    return _sorted_members(_raw_descent_class(ce), ce.r)
+
+
+def conj_inverse_descent_class(ce: ColoredComposition) -> list[ColoredPermutation]:
+    """All ``a`` with ``co(conj_inverse(a)) == ce``; since conjugate-inverse
+    is an involution this is the image of ``descent_class(ce)`` under it."""
+    return _sorted_members(
+        (_raw_conj_inverse(*member) for member in _raw_descent_class(ce)), ce.r
+    )
+
+
+def _raw_descent_class(ce: ColoredComposition):
+    """The (word, colors) of each member of the descent class of ``ce``,
+    once its size is checked against ``MAX_CLASS_SIZE``."""
     size = descent_class_size(ce)
     if size > MAX_CLASS_SIZE:
         raise ResourceLimitError(
@@ -156,17 +190,12 @@ def descent_class(ce: ColoredComposition) -> list[ColoredPermutation]:
             f"over the bound {MAX_CLASS_SIZE}"
         )
     shape = colored_composition_shape(ce)
-    members = [_read_rows(bq, ce) for bq in enumerate_rpartite_syt(shape)]
-    members.sort(key=lambda a: (a.word, a.colors))
-    return members
+    return [_raw_read_rows(filling, ce.parts, ce.colors) for filling in _raw_fillings(shape)]
 
 
-def conj_inverse_descent_class(ce: ColoredComposition) -> list[ColoredPermutation]:
-    """All ``a`` with ``co(conj_inverse(a)) == ce``; since conjugate-inverse
-    is an involution this is the image of ``descent_class(ce)`` under it."""
-    members = [conj_inverse(a) for a in descent_class(ce)]
-    members.sort(key=lambda a: (a.word, a.colors))
-    return members
+def _sorted_members(members, r: int) -> list[ColoredPermutation]:
+    """Colored permutations of the raw (word, colors) pairs, sorted."""
+    return [ColoredPermutation(Permutation(word), colors, r) for word, colors in sorted(members)]
 
 
 def _row_insert(rows: list[list[int]], x: int) -> tuple[int, int]:
@@ -185,23 +214,33 @@ def colored_rsk(
     a: ColoredPermutation,
 ) -> tuple[RPartiteTableau, RPartiteTableau]:
     """Insertion correspondence; returns (P, Q) of equal r-partite shape."""
-    p_rows: list[list[list[int]]] = [[] for _ in range(a.r)]
-    q_rows: list[list[list[int]]] = [[] for _ in range(a.r)]
-    for i, (v, c) in enumerate(zip(a.word, a.colors), start=1):
-        r, _ = _row_insert(p_rows[c], v)
-        if r == len(q_rows[c]):
-            q_rows[c].append([])
-        q_rows[c][r].append(i)
 
-    def build(rows: list[list[int]]) -> StandardTableau:
-        return StandardTableau(
-            SkewShape(tuple(len(row) for row in rows), ()),
-            tuple(tuple(row) for row in rows),
+    def build(filling) -> RPartiteTableau:
+        return RPartiteTableau(
+            tuple(
+                StandardTableau(SkewShape(tuple(map(len, rows)), ()), rows)
+                for rows in filling
+            )
         )
 
-    p = RPartiteTableau(tuple(build(rows) for rows in p_rows))
-    q = RPartiteTableau(tuple(build(rows) for rows in q_rows))
-    return p, q
+    p, q = _raw_rsk(a.word, a.colors, a.r)
+    return build(p), build(q)
+
+
+def _raw_rsk(word, colors, r: int):
+    """``colored_rsk`` on a raw (word, colors) pair: P and Q, each as one
+    tuple of row tuples per component."""
+    p_rows: list[list[list[int]]] = [[] for _ in range(r)]
+    q_rows: list[list[list[int]]] = [[] for _ in range(r)]
+    for i, (v, c) in enumerate(zip(word, colors), start=1):
+        row, _ = _row_insert(p_rows[c], v)
+        if row == len(q_rows[c]):
+            q_rows[c].append([])
+        q_rows[c][row].append(i)
+    return (
+        tuple(tuple(map(tuple, rows)) for rows in p_rows),
+        tuple(tuple(map(tuple, rows)) for rows in q_rows),
+    )
 
 
 def colored_rsk_inverse(
@@ -210,14 +249,23 @@ def colored_rsk_inverse(
     """Inverse of ``colored_rsk``; requires equal shapes."""
     if p.shape() != q.shape():
         raise ShapeError("insertion and recording tableaux must share a shape")
-    r = p.r
-    n = p.n
-    work = [[list(row) for row in comp.rows] for comp in p.components]
+    word, colors = _raw_rsk_inverse(
+        tuple(comp.rows for comp in p.components),
+        tuple(comp.rows for comp in q.components),
+    )
+    return ColoredPermutation(Permutation(word), colors, p.r)
+
+
+def _raw_rsk_inverse(p, q) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``colored_rsk_inverse`` on P and Q of equal shape, each given as one
+    tuple of row tuples per component."""
+    work = [[list(row) for row in rows] for rows in p]
     place: dict[int, tuple[int, int, int]] = {}
-    for c, comp in enumerate(q.components):
-        for rr, row in enumerate(comp.rows):
+    for c, rows in enumerate(q):
+        for rr, row in enumerate(rows):
             for k, x in enumerate(row):
                 place[x] = (c, rr, k)
+    n = len(place)
     word = [0] * n
     colors = [0] * n
     for i in range(n, 0, -1):
@@ -233,4 +281,4 @@ def colored_rsk_inverse(
             x, rows[up][j] = rows[up][j], x
         word[i - 1] = x
         colors[i - 1] = c
-    return ColoredPermutation(Permutation(tuple(word)), tuple(colors), r)
+    return tuple(word), tuple(colors)

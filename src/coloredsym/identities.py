@@ -7,7 +7,11 @@ set, so silently skipped cases are impossible.  Failure witnesses carry the
 offending input and both sides of the identity (capped at 10 per report).
 The class suites read each descent class from fillings and certify it by
 counting; only ``rsk`` and the conjugate-inverse counts of the ribbon Schur
-suites enumerate the group, as their statements are about all of it.
+suites enumerate the group, as their statements are about all of it.  The
+sweeps run on raw tuples from the private ``_raw_*`` cores of ``shapes``,
+``permutations`` and ``bijections``, which the public enumerators and
+bijections wrap and validate; objects are built only to key the polynomial
+memos and for witnesses.
 
 Every suite runs in-process.  The two colored ribbon verifiers share one
 memoized ribbon element per r-partite shape, so a double pass (as in
@@ -25,12 +29,12 @@ from math import factorial
 
 from ._poly_py import add_terms
 from .bijections import (
-    _read_rows,
-    colored_class_to_tableau,
-    colored_rsk,
-    colored_rsk_inverse,
+    _raw_class_to_tableau,
+    _raw_read_rows,
+    _raw_reading_word,
+    _raw_rsk,
+    _raw_rsk_inverse,
     descent_class_size,
-    reading_word,
 )
 from .compositions import (
     ColoredComposition,
@@ -38,24 +42,24 @@ from .compositions import (
     enumerate_compositions,
 )
 from .permutations import (
-    colored_descent_composition,
-    colored_descent_set,
-    conj_inverse,
-    descent_composition,
-    descent_set,
-    enumerate_colored_permutations,
+    ColoredPermutation,
+    Permutation,
+    _raw_colored_descent_composition,
+    _raw_colored_descent_set,
+    _raw_conj_inverse,
+    _raw_group,
+    _raw_inverse,
 )
 from .shapes import (
+    _raw_fillings,
+    _raw_rpartite_descent_composition,
+    _raw_rpartite_descent_set,
+    colored_composition_shape,
     colored_zigzag_of,
     enumerate_rpartite_partitions,
-    enumerate_rpartite_syt,
     enumerate_skew_shapes,
-    enumerate_syt,
     hook_length_count,
-    rpartite_descent_set,
     rpartite_shape_of,
-    tableau_descent_composition,
-    tableau_descent_set,
     zigzag_of,
 )
 from .symfun import (
@@ -211,21 +215,25 @@ def verify_reading_word_bijection(max_n: int = 6) -> VerificationReport:
     ribbon's composition, matching descents of fillings with descents of
     inverses; consequently descent sets are equidistributed over the inverse
     class and the fillings.  The words are certified to be the classes by
-    counting, as in ``verify_colored_class_tableau``."""
+    counting, as in ``verify_colored_class_tableau``.  Fillings and words
+    are compared as raw tuples, descents as the r = 1 colored ones."""
     b = _Builder("reading-word", max_n, None)
     for n in range(1, max_n + 1):
         comps = enumerate_compositions(n)
+        zeros = (0,) * n
         total = 0
         for a in comps:
             b.case(n)
             words, ok = [], True
-            for q in enumerate_syt(zigzag_of(a).shape):
-                w = reading_word(q)
-                words.append(w.word)
+            for filling in _raw_fillings((zigzag_of(a).shape,)):
+                (rows,) = filling
+                word = _raw_reading_word(rows)
+                words.append(word)
                 ok = (
                     ok
-                    and descent_composition(w) == a
-                    and tableau_descent_set(q) == descent_set(w.inverse())
+                    and _raw_colored_descent_composition(word, zeros)[0] == a.parts
+                    and _raw_rpartite_descent_set(filling)
+                    == _raw_colored_descent_set(_raw_inverse(word), zeros)
                 )
             class_size = len(set(words))
             total += class_size
@@ -253,7 +261,9 @@ def _check_partition(b: _Builder, where: dict, keys: list, total: int, order: in
 def verify_skew_schur_f_expansion(max_n: int = 6) -> VerificationReport:
     """A skew Schur function equals the sum of fundamental quasisymmetric
     functions over the descent compositions of its standard fillings, for
-    every skew shape of at most ``max_n`` cells."""
+    every skew shape of at most ``max_n`` cells.  Each distinct descent
+    composition, read from the raw rows, adds its F once with its
+    multiplicity."""
     shape_lists = {m: enumerate_skew_shapes(m) for m in range(1, max_n + 1)}
     expected = sum(len(v) for v in shape_lists.values())
     b = _Builder("skew-schur-f", max_n, None, expected, unit="cells")
@@ -261,12 +271,12 @@ def verify_skew_schur_f_expansion(max_n: int = 6) -> VerificationReport:
         for shape in shapes:
             b.case(m)
             lhs = _colored_schur_terms((shape,))
+            counts = Counter(
+                map(_raw_rpartite_descent_composition, _raw_fillings((shape,)))
+            )
             acc: dict[bytes, int] = {}
-            for q in enumerate_syt(shape):
-                parts = tableau_descent_composition(q).parts
-                add_terms(
-                    acc, _colored_F_terms(ColoredComposition(parts, (0,) * len(parts), 1))
-                )
+            for (parts, colors), mult in counts.items():
+                add_terms(acc, _colored_F_terms(ColoredComposition(parts, colors, 1)), mult)
             if lhs != acc:
                 b.fail(
                     {
@@ -308,22 +318,26 @@ def verify_colored_class_tableau(max_n: int = 5, max_r: int = 3) -> Verification
     read from the fillings of the direct sum of its colored zigzag and
     certified by counting: ``descent_class_size`` distinct members, each in
     the class and mapped back to its filling, and the class sizes of each
-    (n, r) sum to the group order."""
+    (n, r) sum to the group order.  Fillings and members are compared as
+    raw tuples.  The forward bijection maps a member to the shape of its
+    colored descent composition, checked to be ``ce``, so its image shape
+    is compared with the oracle once per class."""
     b = _Builder("class-tableau", max_n, max_r)
     for n, r, ces in b.cells():
         total = 0
         for ce in ces:
             shape = rpartite_shape_of(colored_zigzag_of(ce), r)
-            keys, ok = [], True
-            for bq in enumerate_rpartite_syt(shape):
-                a = _read_rows(bq, ce)
-                keys.append((a.word, a.colors))
+            target = (ce.parts, ce.colors)
+            keys, ok = [], colored_composition_shape(ce) == shape
+            for filling in _raw_fillings(shape):
+                member = _raw_read_rows(filling, *target)
+                keys.append(member)
                 ok = (
                     ok
-                    and colored_descent_composition(a) == ce
-                    and colored_class_to_tableau(a) == bq
-                    and rpartite_descent_set(bq)
-                    == colored_descent_set(conj_inverse(a))
+                    and _raw_colored_descent_composition(*member) == target
+                    and _raw_class_to_tableau(*member, r) == (target, filling)
+                    and _raw_rpartite_descent_set(filling)
+                    == _raw_colored_descent_set(*_raw_conj_inverse(*member))
                 )
             class_size = len(set(keys))
             total += class_size
@@ -341,12 +355,21 @@ def _conj_inverse_f_counters(
     n: int, r: int
 ) -> dict[ColoredComposition, Counter]:
     """For each colored composition, the multiset of colored descent
-    compositions over its conjugate-inverse descent class."""
-    counters: dict[ColoredComposition, Counter] = {}
-    for w in enumerate_colored_permutations(n, r):
-        key = colored_descent_composition(conj_inverse(w))
-        counters.setdefault(key, Counter())[colored_descent_composition(w)] += 1
-    return counters
+    compositions over its conjugate-inverse descent class.  The group pass
+    runs on raw (word, colors) pairs and raw compositions; one
+    ``ColoredComposition`` is built per distinct composition."""
+    raw: dict[tuple, dict[tuple, int]] = {}
+    for word, colors in _raw_group(n, r):
+        counter = raw.setdefault(
+            _raw_colored_descent_composition(*_raw_conj_inverse(word, colors)), {}
+        )
+        member = _raw_colored_descent_composition(word, colors)
+        counter[member] = counter.get(member, 0) + 1
+    comp = {key: ColoredComposition(*key, r) for key in set(raw).union(*raw.values())}
+    return {
+        comp[key]: Counter({comp[k]: m for k, m in counter.items()})
+        for key, counter in raw.items()
+    }
 
 
 def _ribbon_schur_case(ce: ColoredComposition, counter: Counter) -> dict | None:
@@ -456,18 +479,20 @@ def verify_colored_rsk(max_n: int = 4, max_r: int = 3) -> VerificationReport:
     for n in range(1, max_n + 1):
         for r in range(1, max_r + 1):
             seen = set()
-            for w in enumerate_colored_permutations(n, r):
+            for w in _raw_group(n, r):
                 b.case(n, r)
-                p, q = colored_rsk(w)
+                p, q = _raw_rsk(*w, r)
                 ok = (
-                    p.shape() == q.shape()
-                    and rpartite_descent_set(q) == colored_descent_set(w)
-                    and rpartite_descent_set(p)
-                    == colored_descent_set(conj_inverse(w))
-                    and colored_rsk_inverse(p, q) == w
+                    [list(map(len, rows)) for rows in p]
+                    == [list(map(len, rows)) for rows in q]
+                    and _raw_rpartite_descent_set(q) == _raw_colored_descent_set(*w)
+                    and _raw_rpartite_descent_set(p)
+                    == _raw_colored_descent_set(*_raw_conj_inverse(*w))
+                    and _raw_rsk_inverse(p, q) == w
                 )
                 if not ok:
-                    b.fail({"n": n, "r": r, "word": w.to_json()})
+                    word = ColoredPermutation(Permutation(w[0]), w[1], r)
+                    b.fail({"n": n, "r": r, "word": word.to_json()})
                     continue
                 seen.add((p, q))
             order = factorial(n) * r**n

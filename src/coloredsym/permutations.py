@@ -53,10 +53,7 @@ class Permutation:
         return self.word[i - 1]
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, v in enumerate(self.word, start=1):
-            inv[v - 1] = i
-        return Permutation(tuple(inv))
+        return Permutation(_raw_inverse(self.word))
 
 
 @dataclass(frozen=True)
@@ -133,9 +130,21 @@ def conjugate(a: ColoredPermutation) -> ColoredPermutation:
 
 def conj_inverse(a: ColoredPermutation) -> ColoredPermutation:
     """Conjugate-inverse ``(pi^-1, pi^-1(z))``; an involution on the group."""
-    inv = a.perm.inverse()
-    colors = tuple(a.colors[v - 1] for v in inv.word)
-    return ColoredPermutation(inv, colors, a.r)
+    word, colors = _raw_conj_inverse(a.word, a.colors)
+    return ColoredPermutation(Permutation(word), colors, a.r)
+
+
+def _raw_inverse(word: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(word)
+    for i, v in enumerate(word, start=1):
+        inv[v - 1] = i
+    return tuple(inv)
+
+
+def _raw_conj_inverse(word, colors) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``conj_inverse`` on a raw (word, colors) pair."""
+    inv = _raw_inverse(word)
+    return inv, tuple([colors[v - 1] for v in inv])
 
 
 def descent_set(p: Permutation) -> frozenset[int]:
@@ -161,21 +170,32 @@ def descent_composition(p: Permutation) -> Composition:
 def colored_descent_set(a: ColoredPermutation) -> ColoredSet:
     """Ending positions of maximal increasing runs of constant color,
     each carrying the color of its run; n is always included."""
-    w, z = a.word, a.colors
+    return ColoredSet(a.n, a.r, _raw_colored_descent_set(a.word, a.colors))
+
+
+def _raw_colored_descent_set(w, z) -> tuple[tuple[int, int], ...]:
+    """The pairs of ``colored_descent_set`` of a raw (word, colors) pair."""
+    n = len(w)
     pairs = [
         (i, z[i - 1])
-        for i in range(1, a.n)
+        for i in range(1, n)
         if z[i - 1] != z[i] or w[i - 1] > w[i]
     ]
-    pairs.append((a.n, z[a.n - 1]))
-    return ColoredSet(a.n, a.r, tuple(pairs))
+    pairs.append((n, z[n - 1]))
+    return tuple(pairs)
 
 
 def colored_descent_composition(a: ColoredPermutation) -> ColoredComposition:
     """Run lengths of maximal increasing constant-color runs with colors."""
-    w, z = a.word, a.colors
+    parts, colors = _raw_colored_descent_composition(a.word, a.colors)
+    return ColoredComposition(parts, colors, a.r)
+
+
+def _raw_colored_descent_composition(w, z) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(parts, colors) of ``colored_descent_composition`` of a raw (word,
+    colors) pair."""
     parts, colors, run = [], [], 1
-    for i in range(1, a.n):
+    for i in range(1, len(w)):
         if z[i - 1] != z[i] or w[i - 1] > w[i]:
             parts.append(run)
             colors.append(z[i - 1])
@@ -184,7 +204,7 @@ def colored_descent_composition(a: ColoredPermutation) -> ColoredComposition:
             run += 1
     parts.append(run)
     colors.append(z[-1])
-    return ColoredComposition(tuple(parts), tuple(colors), a.r)
+    return tuple(parts), tuple(colors)
 
 
 def steingrimsson_descent_set(a: ColoredPermutation) -> frozenset[int]:
@@ -208,10 +228,17 @@ def enumerate_permutations(n: int):
 
 def enumerate_colored_permutations(n: int, r: int):
     """All n! * r^n colored permutations, lexicographic by (word, colors)."""
+    for word, colors in _raw_group(n, r):
+        yield ColoredPermutation(Permutation(word), colors, r)
+
+
+def _raw_group(n: int, r: int):
+    """The (word, colors) pairs of ``enumerate_colored_permutations``, in
+    its order."""
+    colorings = list(product(range(r), repeat=n))
     for word in _permutations(range(1, n + 1)):
-        p = Permutation(word)
-        for colors in product(range(r), repeat=n):
-            yield ColoredPermutation(p, colors, r)
+        for colors in colorings:
+            yield word, colors
 
 
 def parse_colored_permutation(text: str, r: int | None = None) -> ColoredPermutation:

@@ -438,40 +438,41 @@ def rpartite_color_vector(bq: RPartiteTableau) -> tuple[int, ...]:
 def rpartite_descent_set(bq: RPartiteTableau) -> ColoredSet:
     """Entries i whose successor changes component, or descends within the
     same component; n is always included with its component's color."""
-    n = bq.n
-    colors = rpartite_color_vector(bq)
-    row_of = {}
-    for q in bq.components:
-        for r, row in enumerate(q.rows):
+    return ColoredSet(
+        bq.n, bq.r, _raw_rpartite_descent_set(tuple(q.rows for q in bq.components))
+    )
+
+
+def _raw_rpartite_descent_set(filling) -> tuple[tuple[int, int], ...]:
+    """The pairs of ``rpartite_descent_set`` of a filling given as one tuple
+    of row tuples per component."""
+    n = sum(map(len, chain.from_iterable(filling)))
+    color = [0] * n
+    row_of = [0] * n
+    for j, rows in enumerate(filling):
+        for k, row in enumerate(rows):
             for x in row:
-                row_of[x] = r
+                color[x - 1] = j
+                row_of[x - 1] = k
     pairs = [
-        (i, colors[i - 1])
+        (i, color[i - 1])
         for i in range(1, n)
-        if colors[i - 1] != colors[i] or row_of[i + 1] > row_of[i]
+        if color[i - 1] != color[i] or row_of[i] > row_of[i - 1]
     ]
-    pairs.append((n, colors[n - 1]))
-    return ColoredSet(n, bq.r, tuple(pairs))
+    pairs.append((n, color[n - 1]))
+    return tuple(pairs)
+
+
+def _raw_rpartite_descent_composition(filling) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(parts, colors) of ``rpartite_descent_composition`` of a filling given
+    as one tuple of row tuples per component."""
+    pairs = _raw_rpartite_descent_set(filling)
+    ends = [i for i, _ in pairs]
+    return tuple(map(sub, ends, [0, *ends])), tuple(c for _, c in pairs)
 
 
 def rpartite_descent_composition(bq: RPartiteTableau) -> ColoredComposition:
     return colored_set_to_colored_comp(rpartite_descent_set(bq))
-
-
-def _addable_rows(shape: SkewShape, rows: list[list[int]]) -> list[int]:
-    """Rows whose next free cell, after the partial ``rows``, has its left
-    and upper neighbours settled."""
-    out = []
-    for r in range(shape.nrows):
-        filled = len(rows[r])
-        if filled >= shape.row_length(r):
-            continue
-        col = shape.inner[r] + filled
-        if r > 0 and shape.inner[r - 1] <= col < shape.outer[r - 1]:
-            if col - shape.inner[r - 1] >= len(rows[r - 1]):
-                continue  # cell above exists but is still empty
-        out.append(r)
-    return out
 
 
 def enumerate_rpartite_syt(shapes):
@@ -482,41 +483,62 @@ def enumerate_rpartite_syt(shapes):
     caller decides how many to consume.
     """
     shapes = tuple(as_skew(s) for s in shapes)
-    n = sum(s.ncells for s in shapes)
-    rows: list[list[list[int]]] = [[[] for _ in range(s.nrows)] for s in shapes]
+    for filling in _raw_fillings(shapes):
+        yield RPartiteTableau(
+            tuple(StandardTableau(s, rows) for s, rows in zip(shapes, filling))
+        )
+
+
+def _raw_fillings(shapes: tuple[SkewShape, ...]):
+    """The fillings of ``enumerate_rpartite_syt(shapes)``, in its order,
+    each as one tuple of row tuples per component, top row first."""
+    # one entry per row of every component, components in order: its first
+    # column, its length, and the flat index, first and end column of the
+    # row above (0, 0 for a top row, so no column lies under it)
+    spec: list[tuple[int, int, int, int, int]] = []
+    bounds: list[tuple[int, int]] = []
+    for s in shapes:
+        top = len(spec)
+        above = (top, 0, 0)
+        for g, (o, i) in enumerate(zip(s.outer, s.inner), start=top):
+            spec.append((i, o - i, *above))
+            above = (g, i, o)
+        bounds.append((top, len(spec)))
+    n = sum(length for _, length, _, _, _ in spec)
+    rows: list[list[int]] = [[] for _ in spec]
 
     def addable():
-        return iter([
-            (k, r) for k, s in enumerate(shapes) for r in _addable_rows(s, rows[k])
-        ])
+        out = []
+        for g, (first, length, above, a_first, a_end) in enumerate(spec):
+            filled = len(rows[g])
+            if filled == length:
+                continue
+            col = first + filled
+            if a_first <= col < a_end and col - a_first >= len(rows[above]):
+                continue  # the cell above exists but is still empty
+            out.append(g)
+        return iter(out)
 
-    def filling() -> RPartiteTableau:
-        return RPartiteTableau(
-            tuple(
-                StandardTableau(s, tuple(tuple(row) for row in rows[k]))
-                for k, s in enumerate(shapes)
-            )
-        )
+    def filling():
+        return tuple(tuple(map(tuple, rows[lo:hi])) for lo, hi in bounds)
 
     if n == 0:
         yield filling()
         return
     # depth-first with an explicit stack, so the depth n is not bounded by
-    # the recursion limit: stack[i - 1] holds the cells left to try for
-    # entry i, and placed[i - 1] the cell entry i sits in now
+    # the recursion limit: stack[i - 1] holds the rows left to try for
+    # entry i, and placed[i - 1] the row entry i sits in now
     stack = [addable()]
-    placed: list[tuple[int, int]] = []
+    placed: list[int] = []
     while stack:
         if len(placed) == len(stack):
-            k, r = placed.pop()
-            rows[k][r].pop()
-        cell = next(stack[-1], None)
-        if cell is None:
+            rows[placed.pop()].pop()
+        g = next(stack[-1], None)
+        if g is None:
             stack.pop()
             continue
-        k, r = cell
-        rows[k][r].append(len(stack))
-        placed.append(cell)
+        rows[g].append(len(stack))
+        placed.append(g)
         if len(stack) == n:
             yield filling()
         else:

@@ -44,12 +44,12 @@ from .shapes import (
     EMPTY_SHAPE,
     RPartitePartition,
     SkewShape,
+    _raw_fillings,
+    _raw_rpartite_descent_composition,
     as_skew,
     colored_composition_shape,
     direct_sum,
-    enumerate_rpartite_syt,
     is_partition,
-    rpartite_descent_composition,
     straight_shape,
 )
 
@@ -605,12 +605,13 @@ def ribbon_f_expansion(ce: ColoredComposition) -> dict[ColoredComposition, int]:
     """Multiplicities of the colored fundamental elements in the colored
     ribbon element: the distribution of the colored descent composition over
     standard fillings of the attached r-partite skew shape."""
-    shape = colored_composition_shape(ce)
-    counter: Counter[ColoredComposition] = Counter(
-        rpartite_descent_composition(bq)
-        for bq in enumerate_rpartite_syt(shape)
+    counter = Counter(
+        map(_raw_rpartite_descent_composition, _raw_fillings(colored_composition_shape(ce)))
     )
-    return dict(counter)
+    return {
+        ColoredComposition(parts, colors, ce.r): count
+        for (parts, colors), count in counter.items()
+    }
 
 
 def is_symmetric_per_alphabet(p: MultiAlphabetPolynomial) -> bool:

@@ -37,6 +37,7 @@ from coloredsym import (
     zigzag_of,
 )
 from coloredsym.errors import ShapeError
+from coloredsym.bijections import _raw_rsk, _raw_rsk_inverse
 from coloredsym.shapes import EMPTY_SHAPE, straight_shape
 
 import group_reference as ref
@@ -244,6 +245,18 @@ class TestColoredRsk:
         _, q2 = colored_rsk(w2)
         with pytest.raises(ShapeError):
             colored_rsk_inverse(p1, q2)
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 5) for r in (1, 2, 3)])
+    def test_raw_insertion_matches_public(self, n, r):
+        for w in enumerate_colored_permutations(n, r):
+            p, q = colored_rsk(w)
+            rows = (
+                tuple(c.rows for c in p.components),
+                tuple(c.rows for c in q.components),
+            )
+            assert _raw_rsk(w.word, w.colors, r) == rows
+            assert _raw_rsk_inverse(*rows) == (w.word, w.colors)
+            assert colored_rsk_inverse(p, q) == w
 
     @given(st.integers(1, 6), st.integers(1, 4), st.randoms(use_true_random=False))
     def test_random_round_trip(self, n, r, rng):

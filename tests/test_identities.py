@@ -2,36 +2,45 @@
 
 import inspect
 import json
+from itertools import accumulate
 
 import pytest
 
 from coloredsym import (
     IDENTITY_REGISTRY,
     ColoredComposition,
-    ColoredPermutation,
     Composition,
     Expansion,
-    Permutation,
     VerificationReport,
     colored_zigzag_of,
     descent_class_size,
     enumerate_colored_compositions,
     enumerate_compositions,
-    enumerate_rpartite_syt,
+    enumerate_skew_shapes,
     enumerate_syt,
-    reading_word,
     ribbon_h_expansion,
     rpartite_shape_of,
     run_identity,
+    tableau_descent_set,
     zigzag_of,
 )
-from coloredsym import SkewShape, bijections, colored_composition_shape, identities, symfun
+from coloredsym import (
+    SkewShape,
+    bijections,
+    colored_composition_shape,
+    identities,
+    shapes,
+    symfun,
+)
+from coloredsym.permutations import _raw_inverse
 from coloredsym.symfun import _colored_F_terms, _colored_h_terms
 from coloredsym.identities import (
     verify_colored_ribbon_h,
     verify_colored_ribbon_schur,
     verify_colored_rsk,
 )
+
+import group_reference as ref
 
 REDUCED = {
     "reading-word": (4, None),
@@ -212,13 +221,15 @@ def _shape_with_broken_ribbons(ce):
 
 
 def test_planted_direct_sum_shift_fails_class_tableau(monkeypatch):
-    # the bijection builds the planted shape in both directions, so only the
-    # suite's shape oracle, the direct sum of the colored zigzags, sees it
+    # the one-pass shape is planted where the bijection builds it and where
+    # the suite reads the bijection's image shape, once per class, so only
+    # the suite's shape oracle, the direct sum of the colored zigzags, sees it
     ce = ColoredComposition((1, 1, 1), (0, 1, 0), 2)
     assert _shape_with_shifted_direct_sums(ce) != colored_composition_shape(ce)
-    monkeypatch.setattr(
-        bijections, "colored_composition_shape", _shape_with_shifted_direct_sums
-    )
+    for module in (bijections, identities):
+        monkeypatch.setattr(
+            module, "colored_composition_shape", _shape_with_shifted_direct_sums
+        )
     report = run_identity("class-tableau", 3, 2)
     assert not report.passed
     assert report.failure_count > 0
@@ -294,24 +305,25 @@ def _replaced_at(fn, at, old, new):
     return planted
 
 
-def _swap_last_two(a):
-    """``a`` with its last two letters, values and colors, exchanged: a
-    member of another class."""
-    word, colors = a.word, a.colors
-    swapped = Permutation(word[:-2] + word[:-3:-1])
-    return ColoredPermutation(swapped, colors[:-2] + colors[:-3:-1], a.r)
+def _swap_last_two(word, colors):
+    """(word, colors) with the last two letters, values and colors,
+    exchanged: a member of another class."""
+    return word[:-2] + word[:-3:-1], colors[:-2] + colors[:-3:-1]
 
 
 @pytest.mark.parametrize("fault", FAULTS)
 def test_planted_fault_fails_class_tableau_at_its_cell(monkeypatch, fault):
     if fault == "wrong-member":
-        monkeypatch.setattr(identities, "_read_rows", _first_changed(
-            bijections._read_rows, lambda bq, ce: ce == PLANTED_CE, _swap_last_two
+        monkeypatch.setattr(identities, "_raw_read_rows", _first_changed(
+            bijections._raw_read_rows,
+            lambda filling, parts, colors: (parts, colors)
+            == (PLANTED_CE.parts, PLANTED_CE.colors),
+            lambda member: _swap_last_two(*member),
         ))
     elif fault in CHANGE_FILLINGS:
         target = rpartite_shape_of(colored_zigzag_of(PLANTED_CE), 2)
-        monkeypatch.setattr(identities, "enumerate_rpartite_syt", _fillings_changed(
-            enumerate_rpartite_syt, target, CHANGE_FILLINGS[fault]
+        monkeypatch.setattr(identities, "_raw_fillings", _fillings_changed(
+            shapes._raw_fillings, target, CHANGE_FILLINGS[fault]
         ))
     else:
         other = ColoredComposition((1, 2), (0, 1), 2)
@@ -330,14 +342,15 @@ def test_planted_fault_fails_class_tableau_at_its_cell(monkeypatch, fault):
 def test_planted_fault_fails_reading_word_at_its_size(monkeypatch, fault):
     target = zigzag_of(PLANTED_COMP).shape
     if fault == "wrong-member":
-        monkeypatch.setattr(identities, "reading_word", _first_changed(
-            reading_word,
-            lambda q: q.shape == target,
-            lambda p: _swap_last_two(ColoredPermutation(p, (0,) * p.n, 1)).perm,
+        # the zigzag's rows, top first, are the parts in reverse
+        monkeypatch.setattr(identities, "_raw_reading_word", _first_changed(
+            bijections._raw_reading_word,
+            lambda rows: tuple(map(len, rows)) == PLANTED_COMP.parts[::-1],
+            lambda word: _swap_last_two(word, (0,) * len(word))[0],
         ))
     elif fault in CHANGE_FILLINGS:
-        monkeypatch.setattr(identities, "enumerate_syt", _fillings_changed(
-            enumerate_syt, target, CHANGE_FILLINGS[fault]
+        monkeypatch.setattr(identities, "_raw_fillings", _fillings_changed(
+            shapes._raw_fillings, (target,), CHANGE_FILLINGS[fault]
         ))
     else:
         other = Composition((1, 2))
@@ -365,3 +378,46 @@ def test_planted_class_size_fault_fails_class_tableau_at_its_cell(monkeypatch):
     assert not report.passed
     assert report.failure_count == 1
     assert report.failures[0]["composition"] == PLANTED_CE.to_json()
+
+
+def test_planted_missed_descent_fails_skew_schur_f_where_it_occurs(monkeypatch):
+    # the raw descent reading drops the descent at 2; fundamentals are
+    # linearly independent, so exactly the shapes with a filling that has
+    # that descent fail
+    def missed(filling):
+        parts, colors = shapes._raw_rpartite_descent_composition(filling)
+        if 2 in accumulate(parts[:-1]):
+            k = list(accumulate(parts)).index(2)
+            parts = parts[:k] + (parts[k] + parts[k + 1],) + parts[k + 2 :]
+            colors = colors[:k] + colors[k + 1 :]
+        return parts, colors
+
+    monkeypatch.setattr(identities, "_raw_rpartite_descent_composition", missed)
+    with_descent = [
+        shape.to_json()
+        for m in range(1, 5)
+        for shape in enumerate_skew_shapes(m)
+        if any(2 in tableau_descent_set(q) for q in enumerate_syt(shape))
+    ]
+    report = run_identity("skew-schur-f", 4)
+    assert not report.passed
+    assert report.failure_count == len(with_descent)
+    assert all(w["shape"] in with_descent for w in report.failures)
+    assert {w["cells"] for w in report.failures} == {3, 4}
+
+
+def test_planted_unpermuted_conj_inverse_colors_fail_colored_cells_only(monkeypatch):
+    # a conjugate-inverse that keeps the colors in place is right at r = 1
+    monkeypatch.setattr(
+        identities, "_raw_conj_inverse", lambda word, colors: (_raw_inverse(word), colors)
+    )
+    report = run_identity("colored-ribbon-schur", 4, 2)
+    assert not report.passed
+    assert report.failure_count > 0
+    assert {w["r"] for w in report.failures} == {2}
+    assert run_identity("ribbon-schur", 5).passed
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 6) for r in (1, 2, 3)])
+def test_raw_group_counters_match_object_path(n, r):
+    assert identities._conj_inverse_f_counters(n, r) == ref.conj_inverse_f_counters(n, r)

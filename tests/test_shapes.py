@@ -34,7 +34,7 @@ from coloredsym import (
     zigzag_of,
 )
 from coloredsym.errors import ShapeError
-from coloredsym.shapes import EMPTY_SHAPE, straight_shape
+from coloredsym.shapes import EMPTY_SHAPE, _raw_fillings, as_skew, straight_shape
 
 RUNNING = ColoredComposition((2, 2, 1, 1, 3, 1), (0, 1, 1, 3, 1, 2), 4)
 
@@ -313,6 +313,61 @@ class TestSytEnumeration:
         n = 3 * sys.getrecursionlimit()
         (bq,) = enumerate_rpartite_syt(((), (n,), ()))
         assert bq.components[1].rows == (tuple(range(1, n + 1)),)
+
+    def test_raw_fillings_match_object_path_and_reference(self):
+        for shapes in cross_check_shapes():
+            raw = list(_raw_fillings(shapes))
+            assert raw == [
+                tuple(q.rows for q in bq.components)
+                for bq in enumerate_rpartite_syt(shapes)
+            ], shapes
+            assert raw == list(reference_fillings(shapes)), shapes
+
+
+def cross_check_shapes():
+    """Every straight r-partite shape and every colored-composition shape
+    with n <= 5, r <= 3, and every skew shape of at most 6 cells."""
+    for n in range(1, 6):
+        for r in (1, 2, 3):
+            for bll in enumerate_rpartite_partitions(n, r):
+                yield tuple(map(as_skew, bll))
+            for ce in enumerate_colored_compositions(n, r):
+                yield colored_composition_shape(ce)
+    for m in range(1, 7):
+        for shape in enumerate_skew_shapes(m):
+            yield (shape,)
+
+
+def reference_fillings(shapes):
+    """The filling search that the raw generator replaced, kept as the
+    reference: entry x goes, in component then row order, into each row
+    whose next cell has its left and upper neighbours filled."""
+    n = sum(s.ncells for s in shapes)
+    rows = [[[] for _ in range(s.nrows)] for s in shapes]
+
+    def addable(k, s, r):
+        filled = len(rows[k][r])
+        if filled >= s.row_length(r):
+            return False
+        col = s.inner[r] + filled
+        return not (
+            r > 0
+            and s.inner[r - 1] <= col < s.outer[r - 1]
+            and col - s.inner[r - 1] >= len(rows[k][r - 1])
+        )
+
+    def place(x):
+        if x > n:
+            yield tuple(tuple(map(tuple, comp)) for comp in rows)
+            return
+        for k, s in enumerate(shapes):
+            for r in range(s.nrows):
+                if addable(k, s, r):
+                    rows[k][r].append(x)
+                    yield from place(x + 1)
+                    rows[k][r].pop()
+
+    yield from place(1)
 
 
 class TestTableauDescents:
