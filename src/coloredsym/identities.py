@@ -11,7 +11,8 @@ suites enumerate the group, as their statements are about all of it.  The
 sweeps run on raw tuples from the private ``_raw_*`` cores of ``shapes``,
 ``permutations`` and ``bijections``, which the public enumerators and
 bijections wrap and validate; objects are built only to key the polynomial
-memos and for witnesses.
+memos and for witnesses.  Every raw filling a sweep reads is checked
+standard with the checks the public tableau constructors make.
 
 Every suite runs in-process.  The two colored ribbon verifiers share one
 memoized ribbon element per r-partite shape, so a double pass (as in
@@ -52,6 +53,7 @@ from .permutations import (
 )
 from .shapes import (
     _raw_fillings,
+    _raw_standard_test,
     _raw_rpartite_descent_composition,
     _raw_rpartite_descent_set,
     colored_composition_shape,
@@ -59,6 +61,7 @@ from .shapes import (
     enumerate_rpartite_partitions,
     enumerate_skew_shapes,
     hook_length_count,
+    is_partition,
     rpartite_shape_of,
     zigzag_of,
 )
@@ -216,7 +219,8 @@ def verify_reading_word_bijection(max_n: int = 6) -> VerificationReport:
     inverses; consequently descent sets are equidistributed over the inverse
     class and the fillings.  The words are certified to be the classes by
     counting, as in ``verify_colored_class_tableau``.  Fillings and words
-    are compared as raw tuples, descents as the r = 1 colored ones."""
+    are compared as raw tuples, descents as the r = 1 colored ones, and
+    each filling is checked standard."""
     b = _Builder("reading-word", max_n, None)
     for n in range(1, max_n + 1):
         comps = enumerate_compositions(n)
@@ -224,13 +228,16 @@ def verify_reading_word_bijection(max_n: int = 6) -> VerificationReport:
         total = 0
         for a in comps:
             b.case(n)
+            shape = zigzag_of(a).shape
+            standard = _raw_standard_test([(shape.outer, shape.inner)])
             words, ok = [], True
-            for filling in _raw_fillings((zigzag_of(a).shape,)):
+            for filling in _raw_fillings((shape,)):
                 (rows,) = filling
                 word = _raw_reading_word(rows)
                 words.append(word)
                 ok = (
                     ok
+                    and standard(filling)
                     and _raw_colored_descent_composition(word, zeros)[0] == a.parts
                     and _raw_rpartite_descent_set(filling)
                     == _raw_colored_descent_set(_raw_inverse(word), zeros)
@@ -263,7 +270,8 @@ def verify_skew_schur_f_expansion(max_n: int = 6) -> VerificationReport:
     functions over the descent compositions of its standard fillings, for
     every skew shape of at most ``max_n`` cells.  Each distinct descent
     composition, read from the raw rows, adds its F once with its
-    multiplicity."""
+    multiplicity.  Only the fillings that pass the standard test are
+    counted, so a nonstandard one leaves its F out and fails the case."""
     shape_lists = {m: enumerate_skew_shapes(m) for m in range(1, max_n + 1)}
     expected = sum(len(v) for v in shape_lists.values())
     b = _Builder("skew-schur-f", max_n, None, expected, unit="cells")
@@ -271,8 +279,12 @@ def verify_skew_schur_f_expansion(max_n: int = 6) -> VerificationReport:
         for shape in shapes:
             b.case(m)
             lhs = _colored_schur_terms((shape,))
+            standard = _raw_standard_test([(shape.outer, shape.inner)])
             counts = Counter(
-                map(_raw_rpartite_descent_composition, _raw_fillings((shape,)))
+                map(
+                    _raw_rpartite_descent_composition,
+                    filter(standard, _raw_fillings((shape,))),
+                )
             )
             acc: dict[bytes, int] = {}
             for (parts, colors), mult in counts.items():
@@ -319,21 +331,24 @@ def verify_colored_class_tableau(max_n: int = 5, max_r: int = 3) -> Verification
     certified by counting: ``descent_class_size`` distinct members, each in
     the class and mapped back to its filling, and the class sizes of each
     (n, r) sum to the group order.  Fillings and members are compared as
-    raw tuples.  The forward bijection maps a member to the shape of its
-    colored descent composition, checked to be ``ce``, so its image shape
-    is compared with the oracle once per class."""
+    raw tuples, and each filling is checked standard.  The forward
+    bijection maps a member to the shape of its colored descent
+    composition, checked to be ``ce``, so its image shape is compared with
+    the oracle once per class."""
     b = _Builder("class-tableau", max_n, max_r)
     for n, r, ces in b.cells():
         total = 0
         for ce in ces:
             shape = rpartite_shape_of(colored_zigzag_of(ce), r)
             target = (ce.parts, ce.colors)
+            standard = _raw_standard_test([(s.outer, s.inner) for s in shape])
             keys, ok = [], colored_composition_shape(ce) == shape
             for filling in _raw_fillings(shape):
                 member = _raw_read_rows(filling, *target)
                 keys.append(member)
                 ok = (
                     ok
+                    and standard(filling)
                     and _raw_colored_descent_composition(*member) == target
                     and _raw_class_to_tableau(*member, r) == (target, filling)
                     and _raw_rpartite_descent_set(filling)
@@ -465,7 +480,9 @@ def verify_colored_rsk(max_n: int = 4, max_r: int = 3) -> VerificationReport:
     """The insertion correspondence is a bijection onto equal-shape pairs of
     r-partite standard fillings, the recording side carries the colored
     descent set of the word and the insertion side that of its
-    conjugate-inverse; shape counting squares to the group order."""
+    conjugate-inverse; shape counting squares to the group order.  Both
+    sides are checked standard on the straight shapes of the insertion
+    side's row lengths, so they share one shape, before the round trip."""
     b = _Builder(
         "rsk",
         max_n,
@@ -478,13 +495,17 @@ def verify_colored_rsk(max_n: int = 4, max_r: int = 3) -> VerificationReport:
     )
     for n in range(1, max_n + 1):
         for r in range(1, max_r + 1):
-            seen = set()
+            seen, standard_on = set(), {}
             for w in _raw_group(n, r):
                 b.case(n, r)
                 p, q = _raw_rsk(*w, r)
+                shape = tuple(tuple(map(len, rows)) for rows in p)
+                standard = standard_on.get(shape)
+                if standard is None:
+                    standard = standard_on[shape] = _straight_standard_test(shape)
                 ok = (
-                    [list(map(len, rows)) for rows in p]
-                    == [list(map(len, rows)) for rows in q]
+                    standard(p)
+                    and standard(q)
                     and _raw_rpartite_descent_set(q) == _raw_colored_descent_set(*w)
                     and _raw_rpartite_descent_set(p)
                     == _raw_colored_descent_set(*_raw_conj_inverse(*w))
@@ -513,6 +534,15 @@ def verify_colored_rsk(max_n: int = 4, max_r: int = 3) -> VerificationReport:
                     }
                 )
     return b.report()
+
+
+def _straight_standard_test(shape: tuple[tuple[int, ...], ...]):
+    """``_raw_standard_test`` on the straight shapes with the row lengths
+    of ``shape``, one tuple per component; no filling passes when some
+    component's lengths are not a partition."""
+    if not all(map(is_partition, shape)):
+        return lambda filling: False
+    return _raw_standard_test([(outer, (0,) * len(outer)) for outer in shape])
 
 
 def _multinomial(n: int, sizes: tuple[int, ...]) -> int:

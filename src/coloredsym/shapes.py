@@ -16,13 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, product
 from math import factorial
-from operator import ge, ne, sub
+from operator import ge, lt, ne, sub
 
 from .compositions import (
     ColoredComposition,
     ColoredSet,
     Composition,
-    colored_set_to_colored_comp,
     enumerate_compositions,
 )
 from .errors import ShapeError
@@ -370,6 +369,46 @@ class StandardTableau:
         return [list(row) for row in self.rows]
 
 
+def _raw_standard_test(bounds):
+    """The test the sweeps apply to raw fillings on the shapes whose
+    (outer, inner) row bounds are ``bounds``: whether a filling, given as
+    one tuple of row tuples per component, is one that ``RPartiteTableau``
+    of ``StandardTableau`` components accepts.  The row lengths must match
+    the shapes, the entries must be exactly 1..n, and every pair of cells
+    adjacent along a row or down a column must increase; those pairs are
+    listed once, as positions in the flat reading of the rows."""
+    nrows = tuple(len(outer) for outer, _ in bounds)
+    lengths, left, right = [], [], []
+    for outer, inner in bounds:
+        above = None
+        for o, i in zip(outer, inner):
+            start = sum(lengths)
+            left += range(start, start + o - i - 1)
+            right += range(start + 1, start + o - i)
+            if above is not None:
+                a_start, a_inner, a_outer = above
+                for c in range(max(i, a_inner), min(o, a_outer)):
+                    left.append(a_start + c - a_inner)
+                    right.append(start + c - i)
+            above = (start, i, o)
+            lengths.append(o - i)
+    lengths = tuple(lengths)
+    entries = list(range(1, sum(lengths) + 1))
+
+    def test(filling) -> bool:
+        if tuple(map(len, filling)) != nrows:
+            return False
+        rows = tuple(chain.from_iterable(filling))
+        if tuple(map(len, rows)) != lengths:
+            return False
+        flat = tuple(chain.from_iterable(rows))
+        return sorted(flat) == entries and all(
+            map(lt, map(flat.__getitem__, left), map(flat.__getitem__, right))
+        )
+
+    return test
+
+
 def tableau_descent_set(q: StandardTableau) -> frozenset[int]:
     """Entries i such that i+1 sits in a strictly lower row than i."""
     n = q.ncells
@@ -472,7 +511,10 @@ def _raw_rpartite_descent_composition(filling) -> tuple[tuple[int, ...], tuple[i
 
 
 def rpartite_descent_composition(bq: RPartiteTableau) -> ColoredComposition:
-    return colored_set_to_colored_comp(rpartite_descent_set(bq))
+    parts, colors = _raw_rpartite_descent_composition(
+        tuple(q.rows for q in bq.components)
+    )
+    return ColoredComposition(parts, colors, bq.r)
 
 
 def enumerate_rpartite_syt(shapes):

@@ -261,12 +261,39 @@ def test_planted_broken_ribbon_fails_ribbon_suites(monkeypatch, name):
 # and no other.  Each planted class has the size of another class of its
 # cell, (1^0, 2^1) and (1, 2), so a composition duplicated in its place
 # leaves the size sum at the group order.
-FAULTS = ["wrong-member", "duplicated-filling", "dropped-filling", "duplicated-composition"]
+FAULTS = [
+    "wrong-member",
+    "duplicated-filling",
+    "dropped-filling",
+    "nonstandard-filling",
+    "duplicated-composition",
+]
 PLANTED_CE = ColoredComposition((2, 1), (0, 1), 2)
 PLANTED_COMP = Composition((2, 1))
+
+
+def _first_long_row_reversed(filling):
+    """A filling, one tuple of row tuples per component, with its first row
+    of two or more entries reversed: the entries keep their rows, so the
+    descent set is unchanged, but the row decreases."""
+    done, out = False, []
+    for rows in filling:
+        new_rows = []
+        for row in rows:
+            if not done and len(row) >= 2:
+                row, done = row[::-1], True
+            new_rows.append(row)
+        out.append(tuple(new_rows))
+    assert done
+    return tuple(out)
+
+
 CHANGE_FILLINGS = {
     "duplicated-filling": lambda fillings: fillings + fillings[:1],
     "dropped-filling": lambda fillings: fillings[1:],
+    "nonstandard-filling": lambda fillings: [
+        _first_long_row_reversed(fillings[0]), *fillings[1:]
+    ],
 }
 
 
@@ -416,6 +443,98 @@ def test_planted_unpermuted_conj_inverse_colors_fail_colored_cells_only(monkeypa
     assert report.failure_count > 0
     assert {w["r"] for w in report.failures} == {2}
     assert run_identity("ribbon-schur", 5).passed
+
+
+def test_planted_nonstandard_filling_fails_skew_schur_f_at_its_shape(monkeypatch):
+    # a reversed row keeps every entry in its row, so its descent
+    # composition is unchanged: only the standard test of the raw fillings
+    # sees the fault, and the F it keeps out of the sum fails the shape
+    target = SkewShape((3, 2), (1,))
+    monkeypatch.setattr(identities, "_raw_fillings", _fillings_changed(
+        shapes._raw_fillings, (target,), CHANGE_FILLINGS["nonstandard-filling"]
+    ))
+    report = run_identity("skew-schur-f", 5)
+    assert not report.passed
+    assert report.failure_count == 1
+    assert report.failures[0]["shape"] == target.to_json()
+
+
+def _rows_reversed(p):
+    return tuple(tuple(row[::-1] for row in rows) for rows in p)
+
+
+def _plant_reversed_insertion_rows(monkeypatch):
+    """Make the raw insertion return P with every row reversed, and its
+    inverse undo that first: shapes, descent sets and the round trip all
+    hold, and P is not standard wherever it has a row of two entries."""
+
+    def rsk(word, colors, r):
+        p, q = bijections._raw_rsk(word, colors, r)
+        return _rows_reversed(p), q
+
+    monkeypatch.setattr(identities, "_raw_rsk", rsk)
+    monkeypatch.setattr(
+        identities,
+        "_raw_rsk_inverse",
+        lambda p, q: bijections._raw_rsk_inverse(_rows_reversed(p), q),
+    )
+
+
+def test_planted_nonstandard_insertion_fails_rsk(monkeypatch):
+    _plant_reversed_insertion_rows(monkeypatch)
+    report = run_identity("rsk", 3, 2)
+    assert not report.passed
+    long_rows = {
+        (n, r): sum(
+            any(
+                len(row) >= 2
+                for rows in bijections._raw_rsk(*w, r)[0]
+                for row in rows
+            )
+            for w in identities._raw_group(n, r)
+        )
+        for n in range(1, 4)
+        for r in (1, 2)
+    }
+    # one witness per element with a row of two, and one distinct-pair
+    # count per cell that lost them
+    assert report.failure_count == sum(long_rows.values()) + sum(
+        1 for k in long_rows.values() if k
+    )
+    assert {w["n"] for w in report.failures} == {2, 3}
+
+
+def test_planted_nonstandard_insertion_passes_without_standardness(monkeypatch):
+    # the fault above is seen by the standardness check alone
+    _plant_reversed_insertion_rows(monkeypatch)
+    monkeypatch.setattr(identities, "_raw_standard_test", lambda bounds: lambda filling: True)
+    assert run_identity("rsk", 3, 2).passed
+
+
+def test_planted_swapped_column_fails_rsk(monkeypatch):
+    # the two top entries of the first column of P exchanged, and exchanged
+    # back before the inverse
+    def swapped(p):
+        out = []
+        for rows in p:
+            if len(rows) >= 2:
+                rows = ((rows[1][0], *rows[0][1:]), (rows[0][0], *rows[1][1:]), *rows[2:])
+            out.append(rows)
+        return tuple(out)
+
+    def rsk(word, colors, r):
+        p, q = bijections._raw_rsk(word, colors, r)
+        return swapped(p), q
+
+    monkeypatch.setattr(identities, "_raw_rsk", rsk)
+    monkeypatch.setattr(
+        identities,
+        "_raw_rsk_inverse",
+        lambda p, q: bijections._raw_rsk_inverse(swapped(p), q),
+    )
+    report = run_identity("rsk", 3, 2)
+    assert not report.passed
+    assert {w["n"] for w in report.failures} == {2, 3}
 
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 6) for r in (1, 2, 3)])

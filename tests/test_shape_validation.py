@@ -1,7 +1,9 @@
 """The one-pass shape and colored-set constructors against the multi-pass
 validation they replaced, kept here as the reference: on exhaustive grids
 each input is accepted with the same stored fields or refused with the same
-exception type and message."""
+exception type and message.  The sweeps' test of raw fillings,
+``shapes._raw_standard_test``, must accept exactly the fillings the tableau
+constructors accept."""
 
 from itertools import chain, combinations, product
 
@@ -19,6 +21,7 @@ from coloredsym import (
     zigzag_of,
 )
 from coloredsym.errors import ShapeError
+from coloredsym.shapes import _raw_standard_test
 
 
 def reference_skew(outer, inner):
@@ -107,6 +110,10 @@ def built_tableau(shape, rows):
     return StandardTableau(shape, rows).rows
 
 
+def built_rpartite(shape, rows):
+    return RPartiteTableau((StandardTableau(shape, rows),))
+
+
 def test_skew_shape_matches_reference_on_every_small_pair():
     # every outer/inner pair of length <= 4 with entries in -1..4; the loop
     # is inlined, as it runs 1555^2 times
@@ -179,6 +186,7 @@ def test_standard_tableau_matches_reference_on_small_fillings():
     for shape in small_skew_shapes(4):
         lengths = [shape.row_length(r) for r in range(shape.nrows)]
         splits = [lengths, lengths[::-1], lengths[:-1], lengths + [0]]
+        standard = _raw_standard_test([(shape.outer, shape.inner)])
         for word in product(range(1, 5), repeat=shape.ncells):
             for split in splits:
                 ends = [0, *(sum(split[: k + 1]) for k in range(len(split)))]
@@ -186,6 +194,9 @@ def test_standard_tableau_matches_reference_on_small_fillings():
                 want = outcome(reference_tableau, shape, rows)
                 assert outcome(built_tableau, shape, rows) == want, (shape, rows)
                 kinds.add(kind(want))
+                # the sweeps' raw test accepts what the constructors accept
+                accepted = outcome(built_rpartite, shape, rows)[0] == "ok"
+                assert standard((rows,)) == accepted, (shape, rows)
     assert kinds == {
         "ok",
         "rows do not match the shape",
@@ -206,6 +217,8 @@ def test_rpartite_tableau_entries_match_reference():
             assert got[0] == "ok", (q1, q2)
         else:
             assert got == ("ShapeError", "entries must be exactly 1..n across components")
+        standard = _raw_standard_test([(q.shape.outer, q.shape.inner) for q in (q1, q2)])
+        assert standard((q1.rows, q2.rows)) == (got[0] == "ok"), (q1, q2)
 
 
 def test_colored_set_matches_reference_on_every_small_input():
