@@ -259,19 +259,17 @@ def enumerate_compositions(n: int) -> list[Composition]:
     """All 2^(n-1) compositions of n in lexicographic part order."""
     if n < 1:
         raise ValueError("n must be positive")
-    out: list[Composition] = []
+    return [Composition(parts) for parts in _raw_compositions(n)]
 
-    def rec(remaining: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(Composition(tuple(prefix)))
-            return
-        for p in range(1, remaining + 1):
-            prefix.append(p)
-            rec(remaining - p, prefix)
-            prefix.pop()
 
-    rec(n, [])
-    return out
+def _raw_compositions(n: int):
+    """The part tuples of ``enumerate_compositions(n)``, in its order."""
+    if n == 0:
+        yield ()
+        return
+    for p in range(1, n + 1):
+        for rest in _raw_compositions(n - p):
+            yield (p, *rest)
 
 
 def enumerate_colored_compositions(n: int, r: int) -> list[ColoredComposition]:
@@ -279,13 +277,22 @@ def enumerate_colored_compositions(n: int, r: int) -> list[ColoredComposition]:
     by (extended color vector, part sequence)."""
     if r < 1:
         raise ValueError("r must be positive")
+    if n < 1:
+        raise ValueError("n must be positive")
     items = [
-        ColoredComposition(comp.parts, colors, r)
-        for comp in enumerate_compositions(n)
-        for colors in product(range(r), repeat=len(comp.parts))
+        ColoredComposition(parts, colors, r)
+        for parts, colors in _raw_colored_compositions(n, r)
     ]
     items.sort(key=lambda ce: (ce.extended_colors(), ce.parts))
     return items
+
+
+def _raw_colored_compositions(n: int, r: int):
+    """The (parts, colors) pairs of ``enumerate_colored_compositions(n, r)``,
+    lazily and in no promised order: every coloring of every composition."""
+    for parts in _raw_compositions(n):
+        for colors in product(range(r), repeat=len(parts)):
+            yield parts, colors
 
 
 def composition_coarsenings(a: Composition) -> list[Composition]:

@@ -8,11 +8,13 @@ offending input and both sides of the identity (capped at 10 per report).
 The class suites read each descent class from fillings and certify it by
 counting; only ``rsk`` and the conjugate-inverse counts of the ribbon Schur
 suites enumerate the group, as their statements are about all of it.  The
-sweeps run on raw tuples from the private ``_raw_*`` cores of ``shapes``,
-``permutations`` and ``bijections``, which the public enumerators and
-bijections wrap and validate; objects are built only to key the polynomial
-memos and for witnesses.  Every raw filling a sweep reads is checked
-standard with the checks the public tableau constructors make.
+sweeps run on raw tuples from the private ``_raw_*`` cores of
+``compositions``, ``shapes``, ``permutations`` and ``bijections``, which the
+public enumerators and bijections wrap and validate; objects are built only
+to key the polynomial memos and for witnesses.  Every raw filling a sweep
+reads is checked standard with the checks the public tableau constructors
+make, and every raw colored zigzag with the checks of the zigzag
+constructors.
 
 Every suite runs in-process.  The two colored ribbon verifiers share one
 memoized ribbon element per r-partite shape, so a double pass (as in
@@ -26,6 +28,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, product
 from math import factorial
 
 from ._poly_py import add_terms
@@ -39,6 +42,8 @@ from .bijections import (
 )
 from .compositions import (
     ColoredComposition,
+    _raw_colored_compositions,
+    _raw_compositions,
     enumerate_colored_compositions,
     enumerate_compositions,
 )
@@ -52,10 +57,12 @@ from .permutations import (
     _raw_inverse,
 )
 from .shapes import (
+    _raw_colored_zigzag,
     _raw_fillings,
     _raw_standard_test,
     _raw_rpartite_descent_composition,
     _raw_rpartite_descent_set,
+    _raw_zigzag_test,
     colored_composition_shape,
     colored_zigzag_of,
     enumerate_rpartite_partitions,
@@ -70,9 +77,9 @@ from .symfun import (
     _colored_h_terms,
     _colored_ribbon_terms,
     _colored_schur_terms,
+    _peel_ribbon,
     ribbon_h_expansion,
     ribbon_schur_by_counting,
-    ribbon_schur_by_peeling,
 )
 
 MAX_WITNESSES = 10
@@ -301,26 +308,87 @@ def verify_skew_schur_f_expansion(max_n: int = 6) -> VerificationReport:
 
 
 def verify_colored_zigzag_count(max_n: int = 7, max_r: int = 4) -> VerificationReport:
-    """Colored compositions inject onto colored zigzag shapes, whose number
-    is r(r+1)^(n-1)."""
+    """Colored compositions biject onto colored zigzag shapes, whose number
+    is r(r+1)^(n-1).  Each (n, r) cell streams the raw colored compositions
+    and keys each by its raw colored zigzag, which must pass
+    ``_raw_zigzag_test``: a shape the constructors accept whose rows read
+    back, block by block, as the composition.  The keys must be distinct,
+    as many as the compositions and the formula, and equal to the set of
+    colored zigzag shapes generated from the definition.  Keys are not
+    kept, so a cell holds one set of shapes: each key is ticked off a copy
+    of the generated set, only keys outside the set are stored, and the
+    distinct keys are the generated ones met plus those."""
     b = _Builder("zigzag-count", max_n, max_r)
-    for n, r, ces in b.cells():
-        keys = set()
-        for ce in ces:
-            b.case(n, r)
-            keys.add(colored_zigzag_of(ce).diagram_key())
-        target = r * (r + 1) ** (n - 1)
-        if not (len(keys) == len(ces) == target):
-            b.fail(
-                {
-                    "n": n,
-                    "r": r,
-                    "distinct_shapes": len(keys),
-                    "colored_compositions": len(ces),
-                    "formula": target,
-                }
-            )
+    zigzags = {m: _zigzags(m) for m in range(1, max_n + 1)}
+    for n in range(1, max_n + 1):
+        for r in range(1, max_r + 1):
+            generated = _generated_colored_zigzags(n, r, zigzags)
+            unseen, strays = set(generated), set()
+            count = rejected = 0
+            for parts, colors in _raw_colored_compositions(n, r):
+                b.case(n, r)
+                key = _raw_colored_zigzag(parts, colors)
+                rejected += not _raw_zigzag_test(key, parts, colors)
+                count += 1
+                if key in unseen:
+                    unseen.remove(key)
+                elif key not in generated:
+                    strays.add(key)
+            distinct = len(generated) - len(unseen) + len(strays)
+            target = r * (r + 1) ** (n - 1)
+            if not (rejected == 0 and distinct == count == target):
+                b.fail(
+                    {
+                        "n": n,
+                        "r": r,
+                        "distinct_shapes": distinct,
+                        "colored_compositions": count,
+                        "formula": target,
+                        "rejected_shapes": rejected,
+                    }
+                )
+            if not (len(generated) == target and not unseen and not strays):
+                b.fail(
+                    {
+                        "n": n,
+                        "r": r,
+                        "generated_shapes": len(generated),
+                        "distinct_shapes": distinct,
+                    }
+                )
     return b.report()
+
+
+def _zigzags(m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(outer, inner) of every zigzag of m cells: the connected skew
+    shapes with no 2x2 square, each shifted so that its bottom row starts
+    at column 0, as ``zigzag_of`` places it."""
+    out = []
+    for shape in enumerate_skew_shapes(m):
+        if shape.is_connected() and not shape.contains_2x2():
+            shift = shape.inner[-1]
+            out.append((
+                tuple(o - shift for o in shape.outer),
+                tuple(i - shift for i in shape.inner),
+            ))
+    return out
+
+
+def _generated_colored_zigzags(n: int, r: int, zigzags: dict) -> set:
+    """The diagram keys of the colored zigzag shapes of n cells with colors
+    in 0..r-1, from the definition: a sequence of zigzags, ``zigzags[m]``
+    those of m cells, one color each and adjacent colors distinct.  Each
+    coloring is a first color and steps of 1..r-1 modulo r."""
+    out = set()
+    for sizes in _raw_compositions(n):
+        colorings = [
+            tuple(accumulate(steps, lambda a, b: (a + b) % r, initial=first))
+            for first in range(r)
+            for steps in product(range(1, r), repeat=len(sizes) - 1)
+        ]
+        for blocks in product(*(zigzags[m] for m in sizes)):
+            out.update((blocks, colors) for colors in colorings)
+    return out
 
 
 def verify_colored_class_tableau(max_n: int = 5, max_r: int = 3) -> VerificationReport:
@@ -398,7 +466,7 @@ def _ribbon_schur_case(ce: ColoredComposition, counter: Counter) -> dict | None:
             "reason": "generating function differs from ribbon element",
             "diff": _term_diff(ribbon, acc),
         }
-    expansion = ribbon_schur_by_peeling(ce)
+    expansion = _peel_ribbon(ce, ribbon)
     if any(c <= 0 for c in expansion.coeffs.values()):
         return {
             "composition": ce.to_json(),

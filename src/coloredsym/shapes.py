@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, product
 from math import factorial
-from operator import ge, lt, ne, sub
+from operator import eq, ge, lt, ne, sub
 
 from .compositions import (
     ColoredComposition,
@@ -216,14 +216,20 @@ def zigzag_of(a: Composition) -> ZigzagShape:
     Consecutive rows overlap in exactly one column: each row starts at the
     column where the row below ends.
     """
+    return ZigzagShape(SkewShape(*_raw_zigzag(a.parts)), a)
+
+
+def _raw_zigzag(parts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(outer, inner) of ``zigzag_of``, top row first, built bottom to top
+    from column 0."""
     outer: list[int] = []
     inner: list[int] = []
     start = 0
-    for p in a.parts:
+    for p in parts:
         inner.append(start)
         outer.append(start + p)
         start += p - 1
-    return ZigzagShape(SkewShape(outer[::-1], inner[::-1]), a)  # top row first
+    return tuple(outer[::-1]), tuple(inner[::-1])
 
 
 @dataclass(frozen=True)
@@ -254,16 +260,59 @@ class ColoredZigzagShape:
 def colored_zigzag_of(ce: ColoredComposition) -> ColoredZigzagShape:
     """One zigzag per rainbow block (maximal run of one color), colored by
     the block color."""
-    parts, colors = ce.parts, ce.colors
+    blocks, block_colors = _raw_colored_zigzag(ce.parts, ce.colors)
     zigzags: list[ZigzagShape] = []
-    block_colors: list[int] = []
+    begin = 0
+    for outer, inner in blocks:
+        end = begin + len(outer)
+        source = Composition(ce.parts[begin:end])
+        zigzags.append(ZigzagShape(SkewShape(outer, inner), source))
+        begin = end
+    return ColoredZigzagShape(tuple(zigzags), block_colors)
+
+
+def _raw_colored_zigzag(parts, colors):
+    """The ``diagram_key()`` of ``colored_zigzag_of`` of the colored
+    composition (parts, colors): the (outer, inner) of the zigzag of each
+    rainbow block, and the block colors."""
+    blocks = []
+    block_colors = []
     begin, m = 0, len(parts)
     for end in range(1, m + 1):
         if end == m or colors[end] != colors[begin]:
-            zigzags.append(zigzag_of(Composition(parts[begin:end])))
+            blocks.append(_raw_zigzag(parts[begin:end]))
             block_colors.append(colors[begin])
             begin = end
-    return ColoredZigzagShape(tuple(zigzags), tuple(block_colors))
+    return tuple(blocks), tuple(block_colors)
+
+
+def _raw_zigzag_test(key, parts, colors) -> bool:
+    """Whether ``key``, a diagram key (one (outer, inner) per block, and
+    the block colors), is one that ``ColoredZigzagShape`` of ``ZigzagShape``
+    of ``SkewShape`` blocks accepts and stores as given, and whose left
+    inverse is the colored composition (parts, colors): each block's rows
+    read bottom to top, with the block's color.
+
+    Each row above another starts one column left of the end of the row
+    below (the two share exactly one column).  As the parts and colors
+    read back are those of a colored composition, every row is nonempty,
+    so no row is a trailing empty one, and the colors lie in 0..r-1; once
+    the bottom row starts at a column >= 0, outer and inner weakly
+    decrease and inner fits inside outer."""
+    blocks, block_colors = key
+    if len(blocks) != len(block_colors) or any(map(eq, block_colors, block_colors[1:])):
+        return False
+    read_parts: list[int] = []
+    read_colors: list[int] = []
+    for (outer, inner), c in zip(blocks, block_colors):
+        k = len(outer)
+        if not k or len(inner) != k or inner[-1] < 0:
+            return False
+        if tuple(map(sub, outer[1:], inner)) != (1,) * (k - 1):
+            return False
+        read_parts += map(sub, outer[::-1], inner[::-1])
+        read_colors += (c,) * k
+    return tuple(read_parts) == parts and tuple(read_colors) == colors
 
 
 def colored_zigzag_to_comp(czz: ColoredZigzagShape, r: int) -> ColoredComposition:

@@ -505,8 +505,14 @@ def ribbon_schur_by_peeling(ce: ColoredComposition) -> Expansion:
     """Schur expansion of the colored ribbon element, peeled from its packed
     coordinates.  Colored Schur elements are packed the same way, so no
     choice of widths is involved."""
+    return _peel_ribbon(ce, _colored_ribbon_terms(ce))
+
+
+def _peel_ribbon(ce: ColoredComposition, terms: dict[bytes, int]) -> Expansion:
+    """``ribbon_schur_by_peeling(ce)`` from the ribbon's terms, for a
+    caller that holds them already."""
     coeffs = _peel(
-        _colored_ribbon_terms(ce),
+        terms,
         (ce.n,) * ce.r,
         lambda bll: _colored_schur_terms(tuple(map(as_skew, bll))),
     )

@@ -1,5 +1,7 @@
 """Compositions, colored compositions and their subset encodings."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +24,7 @@ from coloredsym import (
     rainbow_decomposition,
     refines,
 )
+from coloredsym.compositions import _raw_colored_compositions, _raw_compositions
 from coloredsym.errors import DimensionMismatchError, ParseError
 
 RUNNING = parse_colored_composition("2^0,2^1,1^1,1^3,3^1,1^2", 4)
@@ -196,6 +199,33 @@ class TestEnumeration:
         assert once == again
         keys = [(extend_color_vector(ce), ce.parts) for ce in once]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_raw_enumerators_match_the_public_ones(self, n):
+        # the raw parts are the compositions in lexicographic order, one
+        # per subset of the n - 1 gaps; the raw colored pairs come in no
+        # promised order and, sorted, are the public list
+        cuts = [
+            (0, *gaps, n)
+            for k in range(n)
+            for gaps in combinations(range(1, n), k)
+        ]
+        want = sorted(tuple(b - a for a, b in zip(c, c[1:])) for c in cuts)
+        assert list(_raw_compositions(n)) == want
+        assert [a.parts for a in enumerate_compositions(n)] == want
+        for r in (1, 2, 3):
+            raw = list(_raw_colored_compositions(n, r))
+            ordered = sorted(
+                raw,
+                key=lambda pair: (
+                    extend_color_vector(ColoredComposition(*pair, r)),
+                    pair[0],
+                ),
+            )
+            assert len(set(raw)) == len(raw)
+            assert ordered == [
+                (ce.parts, ce.colors) for ce in enumerate_colored_compositions(n, r)
+            ]
 
 
 class TestCoarsenings:

@@ -537,6 +537,104 @@ def test_planted_swapped_column_fails_rsk(monkeypatch):
     assert {w["n"] for w in report.failures} == {2, 3}
 
 
+# Planted faults in zigzag-count.  The first three change the raw key of
+# one colored composition, the first time it is met, so at its r = 2 cell
+# only: each key fails the zigzag test, and lies outside the generated set.
+# The fourth drops one shape from the set generated at one cell.
+ZIGZAG_FAULTS = {
+    # the top row of the last block one cell longer: reads back as (2, 2)
+    "wrong-left-inverse": (
+        ColoredComposition((2, 1), (0, 1), 2),
+        ((((2,), (0,)), ((2,), (0,))), (0, 1)),
+    ),
+    # the run (2, 1) of color 1 as two blocks of color 1
+    "merged-color-run": (
+        ColoredComposition((2, 1), (1, 1), 2),
+        ((((2,), (0,)), ((1,), (0,))), (1, 1)),
+    ),
+    # the rows of the run (2, 2) of color 1 share two columns
+    "non-ribbon-block": (
+        ColoredComposition((2, 2), (1, 1), 2),
+        ((((2, 2), (0, 0)),), (1,)),
+    ),
+}
+
+
+def _plant_zigzag_fault(monkeypatch, fault):
+    """Plant ``fault``; returns its (n, r) cell."""
+    if fault == "missing-generated-shape":
+        generate = identities._generated_colored_zigzags
+
+        def dropped(n, r, zigzags):
+            out = generate(n, r, zigzags)
+            return set(sorted(out)[1:]) if (n, r) == (3, 2) else out
+
+        monkeypatch.setattr(identities, "_generated_colored_zigzags", dropped)
+        return 3, 2
+    ce, key = ZIGZAG_FAULTS[fault]
+    assert shapes._raw_colored_zigzag(ce.parts, ce.colors) != key
+    monkeypatch.setattr(identities, "_raw_colored_zigzag", _first_changed(
+        shapes._raw_colored_zigzag,
+        lambda parts, colors: (parts, colors) == (ce.parts, ce.colors),
+        lambda _: key,
+    ))
+    return ce.n, ce.r
+
+
+def _zigzag_witnesses(report):
+    """(n, r, kind) of each witness: the key checks or the onto check."""
+    return sorted(
+        (w["n"], w["r"], "onto" if "generated_shapes" in w else "keys")
+        for w in report.failures
+    )
+
+
+@pytest.mark.parametrize("fault", [*ZIGZAG_FAULTS, "missing-generated-shape"])
+def test_planted_fault_fails_zigzag_count_at_its_cell(monkeypatch, fault):
+    n, r = _plant_zigzag_fault(monkeypatch, fault)
+    report = run_identity("zigzag-count", 4, 3)
+    assert not report.passed
+    assert report.cases_checked == report.expected_cases
+    if fault == "missing-generated-shape":
+        assert _zigzag_witnesses(report) == [(n, r, "onto")]
+        assert report.failures[0]["generated_shapes"] == 17
+        assert report.failures[0]["distinct_shapes"] == 18
+    else:
+        # the key fails the zigzag test, and is not a generated shape
+        assert _zigzag_witnesses(report) == [(n, r, "keys"), (n, r, "onto")]
+        keys = next(w for w in report.failures if "rejected_shapes" in w)
+        assert keys["rejected_shapes"] == 1
+        assert keys["distinct_shapes"] == keys["colored_compositions"] == keys["formula"]
+    assert report.failure_count == len(report.failures)
+
+
+@pytest.mark.parametrize("fault", [*ZIGZAG_FAULTS, "missing-generated-shape"])
+def test_planted_zigzag_fault_passes_the_key_count(monkeypatch, fault):
+    # with the zigzag test accepting every key, the key count (distinct
+    # keys, compositions and formula agree) passes each fault, so only the
+    # zigzag test and the onto check see it
+    n, r = _plant_zigzag_fault(monkeypatch, fault)
+    monkeypatch.setattr(identities, "_raw_zigzag_test", lambda *args: True)
+    report = run_identity("zigzag-count", 4, 3)
+    assert _zigzag_witnesses(report) == [(n, r, "onto")]
+    assert report.failure_count == 1
+
+
+def test_ribbon_schur_builds_each_ribbon_once(monkeypatch):
+    # the peel reads the ribbon terms the case already holds
+    calls, terms = [], symfun._colored_ribbon_terms
+
+    def counted(ce):
+        calls.append(ce)
+        return terms(ce)
+
+    monkeypatch.setattr(identities, "_colored_ribbon_terms", counted)
+    monkeypatch.setattr(symfun, "_colored_ribbon_terms", counted)
+    report = run_identity("colored-ribbon-schur", 3, 2)
+    assert report.passed
+    assert len(calls) == report.cases_checked == 33
+
+
 @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 6) for r in (1, 2, 3)])
 def test_raw_group_counters_match_object_path(n, r):
     assert identities._conj_inverse_f_counters(n, r) == ref.conj_inverse_f_counters(n, r)

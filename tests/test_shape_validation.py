@@ -10,18 +10,21 @@ from itertools import chain, combinations, product
 from coloredsym import (
     AugmentedSubset,
     ColoredSet,
+    ColoredZigzagShape,
     Composition,
     RPartiteTableau,
     SkewShape,
     StandardTableau,
     ZigzagShape,
+    colored_zigzag_to_comp,
+    enumerate_colored_compositions,
     enumerate_compositions,
     enumerate_skew_shapes,
     partitions,
     zigzag_of,
 )
 from coloredsym.errors import ShapeError
-from coloredsym.shapes import _raw_standard_test
+from coloredsym.shapes import _raw_colored_zigzag, _raw_standard_test, _raw_zigzag_test
 
 
 def reference_skew(outer, inner):
@@ -243,3 +246,117 @@ def test_colored_set_matches_reference_on_every_small_input():
         *(f"colors must lie in 0..{r - 1}" for r in range(3)),
         "invalid literal for int() with base 10",
     }
+
+
+def reference_zigzag_key(key, ce):
+    """Whether the constructors accept the diagram key ``key`` for the
+    colored composition ``ce``: each block a ``SkewShape`` stored as given
+    and a ``ZigzagShape`` whose source is the next run of ce's parts, the
+    blocks a ``ColoredZigzagShape``, which reads back as ce."""
+    blocks, block_colors = key
+    try:
+        zigzags, begin = [], 0
+        for outer, inner in blocks:
+            shape = SkewShape(outer, inner)
+            if (shape.outer, shape.inner) != (outer, inner):
+                return False
+            end = begin + len(outer)
+            zigzags.append(ZigzagShape(shape, Composition(ce.parts[begin:end])))
+            begin = end
+        czz = ColoredZigzagShape(tuple(zigzags), block_colors)
+        return colored_zigzag_to_comp(czz, ce.r) == ce
+    except ValueError:  # ShapeError, or a part or color the composition refuses
+        return False
+
+
+def zigzag_rows(parts):
+    """(outer, inner) of the zigzag of ``parts``."""
+    shape = zigzag_of(Composition(parts)).shape
+    return shape.outer, shape.inner
+
+
+def perturbed_zigzag_keys(key, r):
+    """Every one-cell change of the key (a row end or start moved by one, a
+    one-cell row added above or below a block, a row dropped), a trailing
+    empty row, a short inner, a block shifted by one column, every block
+    color moved by one, a color dropped or added at the end, and the color
+    runs merged and split: two adjacent blocks as one zigzag in either
+    color, and each block cut in two, in its own color and in every
+    other."""
+    blocks, colors = key
+
+    def put(j, block):
+        return blocks[:j] + (block,) + blocks[j + 1 :]
+
+    def moved(seq, k, d):
+        return seq[:k] + (seq[k] + d,) + seq[k + 1 :]
+
+    for j, (outer, inner) in enumerate(blocks):
+        variants = []
+        for k in range(len(outer)):
+            for d in (-1, 1):
+                variants += [(moved(outer, k, d), inner), (outer, moved(inner, k, d))]
+        for c in range(outer[0] - 2, outer[0] + 1):
+            variants.append(((c + 1, *outer), (c, *inner)))
+        for c in range(inner[-1] - 1, inner[-1] + 2):
+            variants.append(((*outer, c + 1), (*inner, c)))
+        variants += [
+            ((*outer, inner[-1]), (*inner, inner[-1])),
+            (outer[1:], inner[1:]),
+            (outer[:-1], inner[:-1]),
+            (outer, inner[:-1]),
+            *(
+                (tuple(o + d for o in outer), tuple(i + d for i in inner))
+                for d in (-1, 1)
+            ),
+        ]
+        for block in variants:
+            yield put(j, block), colors
+        parts = tuple(o - i for o, i in zip(outer[::-1], inner[::-1]))
+        for cut in range(1, len(parts)):
+            halves = (zigzag_rows(parts[:cut]), zigzag_rows(parts[cut:]))
+            for c in range(-1, r + 1):
+                yield (
+                    blocks[:j] + halves + blocks[j + 1 :],
+                    colors[: j + 1] + (c,) + colors[j + 1 :],
+                )
+    for j in range(len(colors)):
+        for d in (-1, 1):
+            yield blocks, moved(colors, j, d)
+    yield blocks, colors[:-1]
+    for c in range(r):
+        yield blocks, colors + (c,)
+    for j in range(len(blocks) - 1):
+        rows = [
+            tuple(o - i for o, i in zip(outer[::-1], inner[::-1]))
+            for outer, inner in blocks[j : j + 2]
+        ]
+        merged = zigzag_rows(rows[0] + rows[1])
+        for c in colors[j : j + 2]:
+            yield (
+                blocks[:j] + (merged,) + blocks[j + 2 :],
+                colors[:j] + (c,) + colors[j + 2 :],
+            )
+    yield (), ()
+    yield blocks + (((), ()),), colors + (r - 1,)
+
+
+def test_raw_zigzag_test_matches_constructors_on_perturbed_keys():
+    # every colored composition with n <= 4, r <= 3: its key is accepted,
+    # and each perturbation of it is accepted exactly when the
+    # constructors accept it as given and it reads back as the composition
+    accepted = rejected = 0
+    for n in range(1, 5):
+        for r in (1, 2, 3):
+            for ce in enumerate_colored_compositions(n, r):
+                key = _raw_colored_zigzag(ce.parts, ce.colors)
+                assert reference_zigzag_key(key, ce)
+                assert _raw_zigzag_test(key, ce.parts, ce.colors)
+                for changed in perturbed_zigzag_keys(key, r):
+                    want = reference_zigzag_key(changed, ce)
+                    got = _raw_zigzag_test(changed, ce.parts, ce.colors)
+                    assert got == want, (ce, changed)
+                    accepted += want
+                    rejected += not want
+    # shifted blocks are accepted; everything else is rejected
+    assert accepted > 0 and rejected > 10 * accepted

@@ -9,6 +9,7 @@ import pytest
 
 from coloredsym import (
     ColoredComposition,
+    ColoredZigzagShape,
     Composition,
     SkewShape,
     StandardTableau,
@@ -34,9 +35,35 @@ from coloredsym import (
     zigzag_of,
 )
 from coloredsym.errors import ShapeError
-from coloredsym.shapes import EMPTY_SHAPE, _raw_fillings, as_skew, straight_shape
+from coloredsym.shapes import (
+    EMPTY_SHAPE,
+    _raw_colored_zigzag,
+    _raw_fillings,
+    as_skew,
+    straight_shape,
+)
 
 RUNNING = ColoredComposition((2, 2, 1, 1, 3, 1), (0, 1, 1, 3, 1, 2), 4)
+
+
+def reference_colored_zigzag(ce):
+    """The object route ``colored_zigzag_of`` took before it wrapped its raw
+    core: one validated ``ZigzagShape`` per rainbow block, each placed row by
+    row from column 0, bottom to top."""
+    zigzags, block_colors = [], []
+    begin, m = 0, len(ce.parts)
+    for end in range(1, m + 1):
+        if end == m or ce.colors[end] != ce.colors[begin]:
+            a = Composition(ce.parts[begin:end])
+            outer, inner, start = [], [], 0
+            for p in a.parts:
+                inner.append(start)
+                outer.append(start + p)
+                start += p - 1
+            zigzags.append(ZigzagShape(SkewShape(outer[::-1], inner[::-1]), a))
+            block_colors.append(ce.colors[begin])
+            begin = end
+    return ColoredZigzagShape(tuple(zigzags), tuple(block_colors))
 
 
 def build_rpartite(rows_per_component):
@@ -219,6 +246,14 @@ class TestColoredZigzag:
             for r in (1, 2, 3):
                 for ce in enumerate_colored_compositions(n, r):
                     assert colored_zigzag_to_comp(colored_zigzag_of(ce), r) == ce
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_raw_key_matches_object_route(self, n):
+        for r in (1, 2, 3):
+            for ce in enumerate_colored_compositions(n, r):
+                want = reference_colored_zigzag(ce)
+                assert _raw_colored_zigzag(ce.parts, ce.colors) == want.diagram_key(), ce
+                assert colored_zigzag_of(ce) == want, ce
 
     def test_count_small(self):
         keys = {
