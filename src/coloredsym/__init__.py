@@ -67,7 +67,6 @@ from .shapes import (
     rpartite_descent_composition,
     rpartite_descent_set,
     rpartite_shape_of,
-    tableau_descent_composition,
     tableau_descent_set,
     zigzag_of,
 )
@@ -100,7 +99,6 @@ from .symfun import (
     ribbon_h_expansion,
     ribbon_schur_by_counting,
     ribbon_schur_by_peeling,
-    schur_coeff_by_tableau_count,
     schur_poly,
 )
 from .identities import (

@@ -59,12 +59,7 @@ def reading_word(q: StandardTableau) -> Permutation:
         raise ShapeError("reading words are defined for zigzag shapes only")
     if q.entries() != tuple(range(1, q.ncells + 1)):
         raise ShapeError("reading words need entries exactly 1..n")
-    return Permutation(_raw_reading_word(q.rows))
-
-
-def _raw_reading_word(rows) -> tuple[int, ...]:
-    """``reading_word`` of a ribbon filling given as its row tuples."""
-    return tuple(chain.from_iterable(reversed(rows)))
+    return Permutation(tuple(chain.from_iterable(reversed(q.rows))))
 
 
 def reading_word_inverse(p: Permutation, a: Composition) -> StandardTableau:

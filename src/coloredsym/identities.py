@@ -19,8 +19,10 @@ constructors.
 Every suite runs in-process.  The two colored ribbon verifiers share one
 memoized ribbon element per r-partite shape, so a double pass (as in
 ``verify --identity all``) certifies mutual consistency of the
-Schur-positivity identity and the alternating h-expansion.  The classical
-ribbon suites are their r = 1 slices, run through the same sweeps.
+Schur-positivity identity and the alternating h-expansion.  Three
+classical suites are r = 1 slices of colored ones, run through the same
+sweeps: ``reading-word`` of ``class-tableau``, ``ribbon-schur`` of
+``colored-ribbon-schur`` and ``ribbon-h`` of ``colored-ribbon-h``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from ._poly_py import add_terms
 from .bijections import (
     _raw_class_to_tableau,
     _raw_read_rows,
-    _raw_reading_word,
     _raw_rsk,
     _raw_rsk_inverse,
     descent_class_size,
@@ -45,7 +46,6 @@ from .compositions import (
     _raw_colored_compositions,
     _raw_compositions,
     enumerate_colored_compositions,
-    enumerate_compositions,
 )
 from .permutations import (
     ColoredPermutation,
@@ -54,7 +54,6 @@ from .permutations import (
     _raw_colored_descent_set,
     _raw_conj_inverse,
     _raw_group,
-    _raw_inverse,
 )
 from .shapes import (
     _raw_colored_zigzag,
@@ -70,7 +69,6 @@ from .shapes import (
     hook_length_count,
     is_partition,
     rpartite_shape_of,
-    zigzag_of,
 )
 from .symfun import (
     _colored_F_terms,
@@ -156,10 +154,9 @@ class _Builder:
         )
         self.note = note
         self.unit = unit
-        self.cases = 0
+        self.counts: Counter = Counter()
         self.failure_count = 0
         self.failures: list[dict] = []
-        self.breakdown: dict[str, int] = {}
         self.t0 = time.perf_counter()
 
     def cells(self):
@@ -170,9 +167,8 @@ class _Builder:
                 yield n, r, enumerate_colored_compositions(n, r)
 
     def case(self, n: int, r: int = 1) -> None:
-        key = f"{self.unit}={n}" if self.max_r is None else f"{self.unit}={n},r={r}"
-        self.cases += 1
-        self.breakdown[key] = self.breakdown.get(key, 0) + 1
+        """Count one case of (n, r); ``report`` names the cells."""
+        self.counts[n, r] += 1
 
     def check(self, n: int, r: int, witness: dict | None) -> None:
         """Count one case of (n, r); a witness, tagged with n and r, fails it."""
@@ -190,12 +186,15 @@ class _Builder:
             identity=self.identity,
             max_n=self.max_n,
             max_r=self.max_r,
-            cases_checked=self.cases,
+            cases_checked=sum(self.counts.values()),
             expected_cases=self.expected,
             failure_count=self.failure_count,
             failures=self.failures,
             wall_time=time.perf_counter() - self.t0,
-            breakdown=self.breakdown,
+            breakdown={
+                f"{self.unit}={n}" if self.max_r is None else f"{self.unit}={n},r={r}": count
+                for (n, r), count in self.counts.items()
+            },
             note=self.note,
         )
 
@@ -218,58 +217,6 @@ def _colored_comp_cases(max_n: int, max_r: int) -> int:
         for n in range(1, max_n + 1)
         for r in range(1, max_r + 1)
     )
-
-
-def verify_reading_word_bijection(max_n: int = 6) -> VerificationReport:
-    """Reading words biject ribbon fillings with the descent class of the
-    ribbon's composition, matching descents of fillings with descents of
-    inverses; consequently descent sets are equidistributed over the inverse
-    class and the fillings.  The words are certified to be the classes by
-    counting, as in ``verify_colored_class_tableau``.  Fillings and words
-    are compared as raw tuples, descents as the r = 1 colored ones, and
-    each filling is checked standard."""
-    b = _Builder("reading-word", max_n, None)
-    for n in range(1, max_n + 1):
-        comps = enumerate_compositions(n)
-        zeros = (0,) * n
-        total = 0
-        for a in comps:
-            b.case(n)
-            shape = zigzag_of(a).shape
-            standard = _raw_standard_test([(shape.outer, shape.inner)])
-            words, ok = [], True
-            for filling in _raw_fillings((shape,)):
-                (rows,) = filling
-                word = _raw_reading_word(rows)
-                words.append(word)
-                ok = (
-                    ok
-                    and standard(filling)
-                    and _raw_colored_descent_composition(word, zeros)[0] == a.parts
-                    and _raw_rpartite_descent_set(filling)
-                    == _raw_colored_descent_set(_raw_inverse(word), zeros)
-                )
-            class_size = len(set(words))
-            total += class_size
-            if not (ok and class_size == len(words)):
-                b.fail(
-                    {
-                        "n": n,
-                        "composition": list(a.parts),
-                        "tableau_count": len(words),
-                        "class_size": class_size,
-                    }
-                )
-        _check_partition(b, {"n": n}, comps, total, factorial(n))
-    return b.report()
-
-
-def _check_partition(b: _Builder, where: dict, keys: list, total: int, order: int) -> None:
-    """Descent classes partition the group, so distinct sets that lie in the
-    classes of distinct keys and sum to the group order are those classes."""
-    if len(set(keys)) != len(keys) or total != order:
-        b.fail({**where, "class_size_sum": total, "group_order": order,
-                "distinct_compositions": len(set(keys))})
 
 
 def verify_skew_schur_f_expansion(max_n: int = 6) -> VerificationReport:
@@ -391,19 +338,8 @@ def _generated_colored_zigzags(n: int, r: int, zigzags: dict) -> set:
     return out
 
 
-def verify_colored_class_tableau(max_n: int = 5, max_r: int = 3) -> VerificationReport:
-    """Each colored descent class bijects with the standard fillings of its
-    r-partite skew shape, transporting the colored descent set of the
-    conjugate-inverse; hence both sDes distributions agree.  Each class is
-    read from the fillings of the direct sum of its colored zigzag and
-    certified by counting: ``descent_class_size`` distinct members, each in
-    the class and mapped back to its filling, and the class sizes of each
-    (n, r) sum to the group order.  Fillings and members are compared as
-    raw tuples, and each filling is checked standard.  The forward
-    bijection maps a member to the shape of its colored descent
-    composition, checked to be ``ce``, so its image shape is compared with
-    the oracle once per class."""
-    b = _Builder("class-tableau", max_n, max_r)
+def _class_tableau_sweep(identity, max_n, max_r) -> VerificationReport:
+    b = _Builder(identity, max_n, max_r)
     for n, r, ces in b.cells():
         total = 0
         for ce in ces:
@@ -417,7 +353,6 @@ def verify_colored_class_tableau(max_n: int = 5, max_r: int = 3) -> Verification
                 ok = (
                     ok
                     and standard(filling)
-                    and _raw_colored_descent_composition(*member) == target
                     and _raw_class_to_tableau(*member, r) == (target, filling)
                     and _raw_rpartite_descent_set(filling)
                     == _raw_colored_descent_set(*_raw_conj_inverse(*member))
@@ -430,8 +365,39 @@ def verify_colored_class_tableau(max_n: int = 5, max_r: int = 3) -> Verification
                 "class_size": class_size,
                 "filling_count": len(keys),
             })
-        _check_partition(b, {"n": n, "r": r}, ces, total, factorial(n) * r**n)
+        # descent classes partition the group, so distinct sets in the
+        # classes of distinct compositions that sum to the group order are
+        # those classes
+        order = factorial(n) * r**n
+        if len(set(ces)) != len(ces) or total != order:
+            b.fail({"n": n, "r": r, "class_size_sum": total, "group_order": order,
+                    "distinct_compositions": len(set(ces))})
     return b.report()
+
+
+def verify_colored_class_tableau(max_n: int = 5, max_r: int = 3) -> VerificationReport:
+    """Each colored descent class bijects with the standard fillings of its
+    r-partite skew shape, transporting the colored descent set of the
+    conjugate-inverse; hence both sDes distributions agree.  Each class is
+    read from the fillings of the direct sum of its colored zigzag and
+    certified by counting: ``descent_class_size`` distinct members, each
+    mapped back to its filling and so to the class, and the class sizes of
+    each (n, r) sum to the group order.  Fillings and members are compared
+    as raw tuples, and each filling is checked standard.  The forward
+    bijection maps a member to the shape of its colored descent
+    composition, checked to be ``ce``, so its image shape is compared with
+    the oracle once per class."""
+    return _class_tableau_sweep("class-tableau", max_n, max_r)
+
+
+def verify_reading_word_bijection(max_n: int = 6) -> VerificationReport:
+    """The r = 1 slice of ``verify_colored_class_tableau``: reading words
+    biject ribbon fillings with the descent class of the ribbon's
+    composition, matching descents of fillings with descents of inverses;
+    consequently descent sets are equidistributed over the inverse class
+    and the fillings.  At r = 1 the row reading is the reading word and the
+    r-partite shape is the ribbon."""
+    return _class_tableau_sweep("reading-word", max_n, None)
 
 
 def _conj_inverse_f_counters(

@@ -467,16 +467,6 @@ def tableau_descent_set(q: StandardTableau) -> frozenset[int]:
     return frozenset(i for i in range(1, n) if row_of[i + 1] > row_of[i])
 
 
-def tableau_descent_composition(q: StandardTableau) -> Composition:
-    n = q.ncells
-    des = sorted(tableau_descent_set(q))
-    prev, parts = 0, []
-    for d in des + [n]:
-        parts.append(d - prev)
-        prev = d
-    return Composition(tuple(parts))
-
-
 @dataclass(frozen=True)
 class RPartiteTableau:
     """r-tuple of standard fillings whose entries partition [n].

@@ -38,7 +38,7 @@ from itertools import combinations, product
 
 from ._poly_py import add_terms, mul_terms
 from .compositions import ColoredComposition, Composition, coarsenings
-from .errors import DimensionMismatchError, NotInSchurSpanError, ShapeError
+from .errors import DimensionMismatchError, NotInSchurSpanError
 from .permutations import colored_descent_composition
 from .shapes import (
     EMPTY_SHAPE,
@@ -49,7 +49,6 @@ from .shapes import (
     as_skew,
     colored_composition_shape,
     direct_sum,
-    is_partition,
     straight_shape,
 )
 
@@ -517,20 +516,6 @@ def _peel_ribbon(ce: ColoredComposition, terms: dict[bytes, int]) -> Expansion:
         lambda bll: _colored_schur_terms(tuple(map(as_skew, bll))),
     )
     return Expansion("schur", ce.n, ce.r, coeffs)
-
-
-def schur_coeff_by_tableau_count(
-    ce: ColoredComposition, bll: RPartitePartition
-) -> int:
-    """Number of standard fillings of the r-partite shape ``bll`` whose
-    colored descent composition equals ``ce``: its coefficient in
-    ``ribbon_schur_by_counting(ce)``."""
-    bll = tuple(tuple(part) for part in bll)
-    if len(bll) != ce.r:
-        raise DimensionMismatchError(f"{len(bll)} components vs r={ce.r}")
-    if any(not is_partition(part) for part in bll):
-        raise ShapeError(f"not an r-tuple of partitions: {bll!r}")
-    return ribbon_schur_by_counting(ce).coeffs.get(bll, 0)
 
 
 def ribbon_schur_by_counting(ce: ColoredComposition) -> Expansion:

@@ -15,7 +15,6 @@ from coloredsym import (
     colored_zigzag_of,
     descent_class_size,
     enumerate_colored_compositions,
-    enumerate_compositions,
     enumerate_skew_shapes,
     enumerate_syt,
     ribbon_h_expansion,
@@ -269,7 +268,7 @@ FAULTS = [
     "duplicated-composition",
 ]
 PLANTED_CE = ColoredComposition((2, 1), (0, 1), 2)
-PLANTED_COMP = Composition((2, 1))
+PLANTED_COMP = ColoredComposition((2, 1), (0, 0), 1)
 
 
 def _first_long_row_reversed(filling):
@@ -367,25 +366,27 @@ def test_planted_fault_fails_class_tableau_at_its_cell(monkeypatch, fault):
 
 @pytest.mark.parametrize("fault", FAULTS)
 def test_planted_fault_fails_reading_word_at_its_size(monkeypatch, fault):
-    target = zigzag_of(PLANTED_COMP).shape
+    # reading-word is the r = 1 slice of class-tableau: the same faults at
+    # the same points, planted at the class of (2, 1) with one color
     if fault == "wrong-member":
-        # the zigzag's rows, top first, are the parts in reverse
-        monkeypatch.setattr(identities, "_raw_reading_word", _first_changed(
-            bijections._raw_reading_word,
-            lambda rows: tuple(map(len, rows)) == PLANTED_COMP.parts[::-1],
-            lambda word: _swap_last_two(word, (0,) * len(word))[0],
+        monkeypatch.setattr(identities, "_raw_read_rows", _first_changed(
+            bijections._raw_read_rows,
+            lambda filling, parts, colors: (parts, colors)
+            == (PLANTED_COMP.parts, PLANTED_COMP.colors),
+            lambda member: _swap_last_two(*member),
         ))
     elif fault in CHANGE_FILLINGS:
+        # the r-partite shape at r = 1 is the ribbon of the composition
+        target = (zigzag_of(Composition(PLANTED_COMP.parts)).shape,)
+        assert rpartite_shape_of(colored_zigzag_of(PLANTED_COMP), 1) == target
         monkeypatch.setattr(identities, "_raw_fillings", _fillings_changed(
-            shapes._raw_fillings, (target,), CHANGE_FILLINGS[fault]
+            shapes._raw_fillings, target, CHANGE_FILLINGS[fault]
         ))
     else:
-        other = Composition((1, 2))
-        assert len(list(enumerate_syt(zigzag_of(other).shape))) == len(
-            list(enumerate_syt(target))
-        )
-        monkeypatch.setattr(identities, "enumerate_compositions", _replaced_at(
-            enumerate_compositions, (3,), PLANTED_COMP, other
+        other = ColoredComposition((1, 2), (0, 0), 1)
+        assert descent_class_size(other) == descent_class_size(PLANTED_COMP)
+        monkeypatch.setattr(identities, "enumerate_colored_compositions", _replaced_at(
+            enumerate_colored_compositions, (3, 1), PLANTED_COMP, other
         ))
     report = run_identity("reading-word", 5)
     assert not report.passed
@@ -394,17 +395,19 @@ def test_planted_fault_fails_reading_word_at_its_size(monkeypatch, fault):
         assert report.failure_count == 1
 
 
-def test_planted_class_size_fault_fails_class_tableau_at_its_cell(monkeypatch):
+@pytest.mark.parametrize("name", ["class-tableau", "reading-word"])
+def test_planted_class_size_fault_fails_class_tableau_at_its_cell(monkeypatch, name):
     # the filling count of each class must equal its counted size
+    planted = PLANTED_CE if name == "class-tableau" else PLANTED_COMP
     monkeypatch.setattr(
         identities,
         "descent_class_size",
-        lambda ce: descent_class_size(ce) + (ce == PLANTED_CE),
+        lambda ce: descent_class_size(ce) + (ce == planted),
     )
-    report = run_identity("class-tableau", 4, 2)
+    report = run_identity(name, *REDUCED[name])
     assert not report.passed
     assert report.failure_count == 1
-    assert report.failures[0]["composition"] == PLANTED_CE.to_json()
+    assert report.failures[0]["composition"] == planted.to_json()
 
 
 def test_planted_missed_descent_fails_skew_schur_f_where_it_occurs(monkeypatch):

@@ -32,7 +32,6 @@ from coloredsym import (
     ribbon_h_expansion,
     ribbon_schur_by_counting,
     rpartite_descent_composition,
-    schur_coeff_by_tableau_count,
     schur_poly,
     steingrimsson_descent_set,
     colored_descent_composition,
@@ -512,31 +511,21 @@ def per_shape_counting_reference(ce):
 
 class TestTableauCounting:
     def test_classical_22(self):
-        ce = RUNNING_CLASSICAL
-        assert schur_coeff_by_tableau_count(ce, ((2, 2),)) == 1
-        assert schur_coeff_by_tableau_count(ce, ((3, 1),)) == 1
-        assert schur_coeff_by_tableau_count(ce, ((4,),)) == 0
-
-    def test_size_mismatch_is_zero(self):
-        assert schur_coeff_by_tableau_count(RUNNING_CLASSICAL, ((3, 3),)) == 0
-
-    def test_running_example_multiplicity_free(self):
-        for lam1 in ((3, 2, 1), (4, 1, 1), (4, 2), (5, 1)):
-            bll = ((2,), lam1, (1,), (1,))
-            assert schur_coeff_by_tableau_count(RUNNING, bll) == 1
-        assert schur_coeff_by_tableau_count(RUNNING, ((2,), (3, 3), (1,), (1,))) == 0
+        exp = ribbon_schur_by_counting(RUNNING_CLASSICAL)
+        assert exp.coeffs == {((2, 2),): 1, ((3, 1),): 1}
 
     def test_counts_match_enumeration(self):
         # pruned counting agrees with filtering a full enumeration
         for n in range(1, 5):
             for ce in enumerate_colored_compositions(n, 2):
+                coeffs = ribbon_schur_by_counting(ce).coeffs
                 for bll in enumerate_rpartite_partitions(n, 2):
                     brute = sum(
                         1
                         for bq in enumerate_rpartite_syt(bll)
                         if rpartite_descent_composition(bq) == ce
                     )
-                    assert schur_coeff_by_tableau_count(ce, bll) == brute
+                    assert coeffs.get(bll, 0) == brute
 
     @pytest.mark.parametrize(
         "n,r", [(n, r) for n in range(1, 6) for r in (1, 2, 3)] + [(6, 1), (7, 1)]
@@ -552,7 +541,6 @@ class TestTableauCounting:
         column = ColoredComposition((1,) * n, (0,) * n, 1)
         assert ribbon_schur_by_counting(row).coeffs == {((n,),): 1}
         assert ribbon_schur_by_counting(column).coeffs == {((1,) * n,): 1}
-        assert schur_coeff_by_tableau_count(row, ((n,),)) == 1
 
     def test_counting_expansion_running_example(self):
         exp = ribbon_schur_by_counting(RUNNING)
