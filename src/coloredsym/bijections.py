@@ -44,6 +44,7 @@ from .shapes import (
     RPartiteTableau,
     SkewShape,
     StandardTableau,
+    _raw_colored_composition_shape,
     _raw_fillings,
     colored_composition_shape,
     zigzag_of,
@@ -184,8 +185,8 @@ def _raw_descent_class(ce: ColoredComposition):
             f"the descent class has {size} members for n={ce.n}, r={ce.r}, "
             f"over the bound {MAX_CLASS_SIZE}"
         )
-    shape = colored_composition_shape(ce)
-    return [_raw_read_rows(filling, ce.parts, ce.colors) for filling in _raw_fillings(shape)]
+    bounds = _raw_colored_composition_shape(ce.parts, ce.colors, ce.r)
+    return [_raw_read_rows(filling, ce.parts, ce.colors) for filling in _raw_fillings(bounds)]
 
 
 def _sorted_members(members, r: int) -> list[ColoredPermutation]:

@@ -140,18 +140,9 @@ class ColoredSet:
     def __post_init__(self):
         pairs = tuple((int(e), int(c)) for e, c in self.pairs)
         object.__setattr__(self, "pairs", pairs)
-        n, r = self.n, self.r
-        if n < 1:
-            raise ValueError("n must be positive")
-        if not pairs or pairs[-1][0] != n:
-            raise ValueError(f"augmented subset must contain n={n}: {self.elements()!r}")
-        previous, colors_fit = 0, r >= 1
-        for e, c in pairs:  # an element out of order is reported before a color
-            if e <= previous:
-                raise ValueError(f"elements must be strictly increasing in [n]: {self.elements()!r}")
-            previous, colors_fit = e, colors_fit and 0 <= c < r
-        if not colors_fit:
-            raise ValueError(f"colors must lie in 0..{r - 1}: {pairs!r}")
+        AugmentedSubset(self.n, self.elements())
+        if self.r < 1 or any(not 0 <= c < self.r for _, c in pairs):
+            raise ValueError(f"colors must lie in 0..{self.r - 1}: {pairs!r}")
 
     def elements(self) -> tuple[int, ...]:
         return tuple(e for e, _ in self.pairs)
@@ -297,36 +288,26 @@ def _raw_colored_compositions(n: int, r: int):
 
 def composition_coarsenings(a: Composition) -> list[Composition]:
     """All compositions below ``a`` in reverse refinement (adjacent merges),
-    including ``a`` itself."""
-    k = len(a.parts)
-    out = []
-    for mask in range(1 << (k - 1)):
-        parts, acc = [], a.parts[0]
-        for i in range(1, k):
-            if mask >> (i - 1) & 1:
-                parts.append(acc)
-                acc = a.parts[i]
-            else:
-                acc += a.parts[i]
-        parts.append(acc)
-        out.append(Composition(tuple(parts)))
-    return out
+    including ``a`` itself: the r = 1 slice of ``coarsenings``."""
+    one_color = ColoredComposition(a.parts, (0,) * len(a.parts), 1)
+    return [Composition(beta.parts) for beta in coarsenings(one_color)]
 
 
 def coarsenings(ce: ColoredComposition) -> list[ColoredComposition]:
-    """All colored compositions below ``ce`` in reverse refinement.
-
-    Merges happen independently inside each rainbow block, so the result is
-    the product of the per-block classical coarsenings.
-    """
-    blocks = rainbow_decomposition(ce).blocks
-    per_block = [composition_coarsenings(comp) for comp, _ in blocks]
+    """All colored compositions below ``ce`` in reverse refinement: each
+    boundary between adjacent parts of equal color is merged or kept, and
+    each choice is built in one pass over the parts."""
+    optional = [i for i in range(1, len(ce.parts)) if ce.colors[i - 1] == ce.colors[i]]
     out = []
-    for choice in product(*per_block):
-        parts, colors = [], []
-        for comp, (_, color) in zip(choice, blocks):
-            parts.extend(comp.parts)
-            colors.extend([color] * len(comp.parts))
+    for merges in product((False, True), repeat=len(optional)):
+        merged = {i for i, merge in zip(optional, merges) if merge}
+        parts, colors = [ce.parts[0]], [ce.colors[0]]
+        for i in range(1, len(ce.parts)):
+            if i in merged:
+                parts[-1] += ce.parts[i]
+            else:
+                parts.append(ce.parts[i])
+                colors.append(ce.colors[i])
         out.append(ColoredComposition(tuple(parts), tuple(colors), ce.r))
     return out
 

@@ -10,11 +10,13 @@ counting; only ``rsk`` and the conjugate-inverse counts of the ribbon Schur
 suites enumerate the group, as their statements are about all of it.  The
 sweeps run on raw tuples from the private ``_raw_*`` cores of
 ``compositions``, ``shapes``, ``permutations`` and ``bijections``, which the
-public enumerators and bijections wrap and validate; objects are built only
-to key the polynomial memos and for witnesses.  Every raw filling a sweep
-reads is checked standard with the checks the public tableau constructors
-make, and every raw colored zigzag with the checks of the zigzag
-constructors.
+public enumerators and bijections wrap and validate.  The shape memo is
+keyed by (outer, inner) row bounds; objects are built only as the colored
+composition memo keys, as the skew shapes ``skew-schur-f`` enumerates, as
+the paper-route shape oracle of the class sweep, and for witnesses.  Every
+raw filling a sweep reads is checked standard with the checks the public
+tableau constructors make, and every raw colored zigzag with the checks of
+the zigzag constructors.
 
 Every suite runs in-process.  The two colored ribbon verifiers share one
 memoized ribbon element per r-partite shape, so a double pass (as in
@@ -56,13 +58,13 @@ from .permutations import (
     _raw_group,
 )
 from .shapes import (
+    _raw_colored_composition_shape,
     _raw_colored_zigzag,
     _raw_fillings,
     _raw_standard_test,
     _raw_rpartite_descent_composition,
     _raw_rpartite_descent_set,
     _raw_zigzag_test,
-    colored_composition_shape,
     colored_zigzag_of,
     enumerate_rpartite_partitions,
     enumerate_skew_shapes,
@@ -106,8 +108,8 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.failure_count == 0 and self.cases_checked == self.expected_cases
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "identity": self.identity,
             "max_n": self.max_n,
             "max_r": self.max_r,
@@ -119,9 +121,6 @@ class VerificationReport:
             "passed": self.passed,
             "note": self.note,
         }
-        if include_timing:
-            out["wall_time_s"] = round(self.wall_time, 3)
-        return out
 
     def table(self) -> str:
         lines = [
@@ -232,13 +231,11 @@ def verify_skew_schur_f_expansion(max_n: int = 6) -> VerificationReport:
     for m, shapes in shape_lists.items():
         for shape in shapes:
             b.case(m)
-            lhs = _colored_schur_terms((shape,))
-            standard = _raw_standard_test([(shape.outer, shape.inner)])
+            bounds = ((shape.outer, shape.inner),)
+            lhs = _colored_schur_terms(bounds)
+            standard = _raw_standard_test(bounds)
             counts = Counter(
-                map(
-                    _raw_rpartite_descent_composition,
-                    filter(standard, _raw_fillings((shape,))),
-                )
+                map(_raw_rpartite_descent_composition, filter(standard, _raw_fillings(bounds)))
             )
             acc: dict[bytes, int] = {}
             for (parts, colors), mult in counts.items():
@@ -343,11 +340,13 @@ def _class_tableau_sweep(identity, max_n, max_r) -> VerificationReport:
     for n, r, ces in b.cells():
         total = 0
         for ce in ces:
-            shape = rpartite_shape_of(colored_zigzag_of(ce), r)
+            bounds = tuple(
+                (s.outer, s.inner) for s in rpartite_shape_of(colored_zigzag_of(ce), r)
+            )
             target = (ce.parts, ce.colors)
-            standard = _raw_standard_test([(s.outer, s.inner) for s in shape])
-            keys, ok = [], colored_composition_shape(ce) == shape
-            for filling in _raw_fillings(shape):
+            standard = _raw_standard_test(bounds)
+            keys, ok = [], _raw_colored_composition_shape(*target, r) == bounds
+            for filling in _raw_fillings(bounds):
                 member = _raw_read_rows(filling, *target)
                 keys.append(member)
                 ok = (

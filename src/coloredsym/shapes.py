@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, product
 from math import factorial
-from operator import eq, ge, lt, ne, sub
+from operator import eq, ge, gt, lt, ne, sub
 
 from .compositions import (
     ColoredComposition,
@@ -88,32 +88,16 @@ class SkewShape:
     def __post_init__(self):
         outer = tuple(map(int, self.outer))
         inner = tuple(map(int, self.inner))
-        k = len(outer)
-        if len(inner) > k:
-            if any(inner[k:]):
-                raise ShapeError(f"inner exceeds outer: {inner!r} vs {outer!r}")
-            inner = inner[:k]
-        elif len(inner) < k:
-            inner += (0,) * (k - len(inner))
-        while k and outer[k - 1] == inner[k - 1]:
-            k -= 1
-        if k < len(outer):
-            outer, inner = outer[:k], inner[:k]
-        # one pass; a negative row is reported first, so it raises at once
-        decreasing = fits = True
-        if k:
-            o_above, i_above = outer[0], inner[0]
-            for o, i in zip(outer, inner):
-                if o < 0 or i < 0:
-                    raise ShapeError("row lengths must be nonnegative")
-                if o > o_above or i > i_above:
-                    decreasing = False
-                if i > o:
-                    fits = False
-                o_above, i_above = o, i
-        if not decreasing:
+        if any(inner[len(outer) :]):
+            raise ShapeError(f"inner exceeds outer: {inner!r} vs {outer!r}")
+        inner = inner[: len(outer)] + (0,) * (len(outer) - len(inner))
+        while outer and outer[-1] == inner[-1]:
+            outer, inner = outer[:-1], inner[:-1]
+        if min(outer + inner, default=0) < 0:
+            raise ShapeError("row lengths must be nonnegative")
+        if any(map(lt, outer, outer[1:])) or any(map(lt, inner, inner[1:])):
             raise ShapeError(f"outer and inner must weakly decrease: {outer!r}/{inner!r}")
-        if not fits:
+        if any(map(gt, inner, outer)):
             raise ShapeError(f"inner must fit inside outer: {outer!r}/{inner!r}")
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
@@ -137,10 +121,7 @@ class SkewShape:
         ]
 
     def row_profile_bottom_to_top(self) -> tuple[int, ...]:
-        return tuple(self.row_length(r) for r in reversed(range(self.nrows)))
-
-    def is_straight(self) -> bool:
-        return all(x == 0 for x in self.inner)
+        return tuple(map(sub, self.outer[::-1], self.inner[::-1]))
 
     def _overlaps(self) -> list[int]:
         """Columns shared by each row and the row below it."""
@@ -188,21 +169,9 @@ class ZigzagShape:
     source: Composition
 
     def __post_init__(self):
-        # once the profile matches, every row is nonempty, so "connected and
-        # 2x2-free" says each row starts one column left of the end of the
-        # row below it: the two rows share exactly one column
-        outer, inner = self.shape.outer, self.shape.inner
-        if len(outer) != len(self.source.parts):
+        if self.shape.row_profile_bottom_to_top() != self.source.parts:
             raise ShapeError("row profile does not match the source composition")
-        ribbon = True
-        start = None
-        for o, i, part in zip(reversed(outer), reversed(inner), self.source.parts):
-            if o - i != part:
-                raise ShapeError("row profile does not match the source composition")
-            if start is not None and i != start:
-                ribbon = False
-            start = o - 1
-        if not ribbon:
+        if not self.shape.is_connected() or self.shape.contains_2x2():
             raise ShapeError("a zigzag diagram must be connected and 2x2-free")
 
     @property
@@ -355,16 +324,26 @@ def rpartite_shape_of(czz: ColoredZigzagShape, r: int) -> tuple[SkewShape, ...]:
 
 def colored_composition_shape(ce: ColoredComposition) -> tuple[SkewShape, ...]:
     """``rpartite_shape_of(colored_zigzag_of(ce), ce.r)`` in one pass over
-    the parts, with no zigzag built.
+    the parts, with no zigzag built (see ``_raw_colored_composition_shape``)."""
+    return tuple(
+        SkewShape(outer, inner)
+        for outer, inner in _raw_colored_composition_shape(ce.parts, ce.colors, ce.r)
+    )
+
+
+def _raw_colored_composition_shape(parts, colors, r: int):
+    """The (outer, inner) row bounds of each component of
+    ``colored_composition_shape`` of the colored composition (parts,
+    colors) with r colors, in the form ``SkewShape`` stores.
 
     Each component grows bottom to top, one row per part of its color.  A
     part in the same color run as the part before it starts one column left
     of the end of the row below (the ribbon); a part that starts a run
     starts at the end of its component's top row (the direct sum)."""
-    outer: list[list[int]] = [[] for _ in range(ce.r)]  # rows bottom to top
-    inner: list[list[int]] = [[] for _ in range(ce.r)]
+    outer: list[list[int]] = [[] for _ in range(r)]  # rows bottom to top
+    inner: list[list[int]] = [[] for _ in range(r)]
     previous = None
-    for p, c in zip(ce.parts, ce.colors):
+    for p, c in zip(parts, colors):
         rows = outer[c]
         if c == previous:
             start = rows[-1] - 1
@@ -375,7 +354,7 @@ def colored_composition_shape(ce: ColoredComposition) -> tuple[SkewShape, ...]:
         inner[c].append(start)
         rows.append(start + p)
         previous = c
-    return tuple(SkewShape(o[::-1], i[::-1]) for o, i in zip(outer, inner))
+    return tuple((tuple(o[::-1]), tuple(i[::-1])) for o, i in zip(outer, inner))
 
 
 @dataclass(frozen=True)
@@ -495,11 +474,6 @@ class RPartiteTableau:
     def shape(self) -> tuple[SkewShape, ...]:
         return tuple(q.shape for q in self.components)
 
-    def straight_shape(self) -> RPartitePartition:
-        if any(not q.shape.is_straight() for q in self.components):
-            raise ShapeError("components are not straight shapes")
-        return tuple(q.shape.outer for q in self.components)
-
     def to_json(self) -> list:
         return [q.to_json() for q in self.components]
 
@@ -564,27 +538,28 @@ def enumerate_rpartite_syt(shapes):
     caller decides how many to consume.
     """
     shapes = tuple(as_skew(s) for s in shapes)
-    for filling in _raw_fillings(shapes):
+    for filling in _raw_fillings(tuple((s.outer, s.inner) for s in shapes)):
         yield RPartiteTableau(
             tuple(StandardTableau(s, rows) for s, rows in zip(shapes, filling))
         )
 
 
-def _raw_fillings(shapes: tuple[SkewShape, ...]):
-    """The fillings of ``enumerate_rpartite_syt(shapes)``, in its order,
-    each as one tuple of row tuples per component, top row first."""
+def _raw_fillings(bounds):
+    """The fillings of ``enumerate_rpartite_syt`` of the shapes whose
+    (outer, inner) row bounds are ``bounds``, in its order, each as one
+    tuple of row tuples per component, top row first."""
     # one entry per row of every component, components in order: its first
     # column, its length, and the flat index, first and end column of the
     # row above (0, 0 for a top row, so no column lies under it)
     spec: list[tuple[int, int, int, int, int]] = []
-    bounds: list[tuple[int, int]] = []
-    for s in shapes:
+    blocks: list[tuple[int, int]] = []
+    for outer, inner in bounds:
         top = len(spec)
         above = (top, 0, 0)
-        for g, (o, i) in enumerate(zip(s.outer, s.inner), start=top):
+        for g, (o, i) in enumerate(zip(outer, inner), start=top):
             spec.append((i, o - i, *above))
             above = (g, i, o)
-        bounds.append((top, len(spec)))
+        blocks.append((top, len(spec)))
     n = sum(length for _, length, _, _, _ in spec)
     rows: list[list[int]] = [[] for _ in spec]
 
@@ -601,7 +576,7 @@ def _raw_fillings(shapes: tuple[SkewShape, ...]):
         return iter(out)
 
     def filling():
-        return tuple(tuple(map(tuple, rows[lo:hi])) for lo, hi in bounds)
+        return tuple(tuple(map(tuple, rows[lo:hi])) for lo, hi in blocks)
 
     if n == 0:
         yield filling()

@@ -34,21 +34,19 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from ._poly_py import add_terms, mul_terms
 from .compositions import ColoredComposition, Composition, coarsenings
 from .errors import DimensionMismatchError, NotInSchurSpanError
 from .permutations import colored_descent_composition
 from .shapes import (
-    EMPTY_SHAPE,
     RPartitePartition,
     SkewShape,
+    _raw_colored_composition_shape,
     _raw_fillings,
     _raw_rpartite_descent_composition,
     as_skew,
-    colored_composition_shape,
-    direct_sum,
     straight_shape,
 )
 
@@ -224,12 +222,12 @@ def _embed(terms: dict[bytes, int], alphabet: int, r: int) -> dict[bytes, int]:
     return out
 
 
-def _ssyt_terms(shape: SkewShape) -> dict[bytes, int]:
-    """Semistandard fillings of a skew shape with entries exactly 1..k, as
-    one-alphabet packed terms: the cells holding i form a nonempty
-    horizontal strip, so each filling is a chain of strips from the inner
-    shape to the outer one, keyed by the strip sizes."""
-    outer = shape.outer
+def _ssyt_terms(outer: tuple[int, ...], inner: tuple[int, ...]) -> dict[bytes, int]:
+    """Semistandard fillings of the skew shape outer/inner (inner padded to
+    the length of outer) with entries exactly 1..k, as one-alphabet packed
+    terms: the cells holding i form a nonempty horizontal strip, so each
+    filling is a chain of strips from the inner shape to the outer one,
+    keyed by the strip sizes."""
     chains: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 
     def grow(inner: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -253,8 +251,8 @@ def _ssyt_terms(shape: SkewShape) -> dict[bytes, int]:
             chains[inner] = got
         return got
 
-    m = shape.ncells
-    return {bytes(sizes) + bytes(m - len(sizes)): c for sizes, c in grow(shape.inner).items()}
+    m = sum(outer) - sum(inner)
+    return {bytes(sizes) + bytes(m - len(sizes)): c for sizes, c in grow(inner).items()}
 
 
 @lru_cache(maxsize=None)
@@ -283,12 +281,14 @@ def _colored_F_terms(ce: ColoredComposition) -> dict[bytes, int]:
 
 
 @lru_cache(maxsize=None)
-def _colored_schur_terms(components: tuple[SkewShape, ...]) -> dict[bytes, int]:
-    """Packed colored (skew) Schur element: the product of the Schur
+def _colored_schur_terms(bounds) -> dict[bytes, int]:
+    """Packed colored (skew) Schur element of the components with (outer,
+    inner) row bounds ``bounds``, in the form ``SkewShape`` stores (so a
+    component is nonempty when it has a row): the product of the Schur
     elements of the nonempty components, component j in alphabet j."""
-    r = len(components)
+    r = len(bounds)
     return _product(
-        (_embed(_ssyt_terms(comp), j, r) for j, comp in enumerate(components) if comp.ncells),
+        (_embed(_ssyt_terms(outer, inner), j, r) for j, (outer, inner) in enumerate(bounds) if outer),
         r,
     )
 
@@ -296,16 +296,22 @@ def _colored_schur_terms(components: tuple[SkewShape, ...]) -> dict[bytes, int]:
 def _colored_ribbon_terms(ce: ColoredComposition) -> dict[bytes, int]:
     """Packed colored ribbon element: the colored skew Schur element of the
     r-partite shape of ``ce``."""
-    return _colored_schur_terms(colored_composition_shape(ce))
+    return _colored_schur_terms(_raw_colored_composition_shape(ce.parts, ce.colors, ce.r))
+
+
+def _row_sum_bounds(part: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(outer, inner) of the direct sum of the rows of ``part``: each row
+    starts at the end of the row below, so outer is the partial sums, top
+    row first."""
+    outer = tuple(accumulate(part))[::-1]
+    return outer, (outer[1:] + (0,) if outer else ())
 
 
 def _colored_h_terms(bll: RPartitePartition) -> dict[bytes, int]:
     """Packed product of complete homogeneous elements, component j in
     alphabet j: the colored skew Schur element whose component j is the
     direct sum of the rows of part j."""
-    return _colored_schur_terms(tuple(
-        reduce(direct_sum, (SkewShape((k,), ()) for k in part), EMPTY_SHAPE) for part in bll
-    ))
+    return _colored_schur_terms(tuple(map(_row_sum_bounds, bll)))
 
 
 def _schur_in_alphabet(shape: SkewShape, alphabet: int, widths) -> MultiAlphabetPolynomial:
@@ -313,8 +319,10 @@ def _schur_in_alphabet(shape: SkewShape, alphabet: int, widths) -> MultiAlphabet
     colored Schur polynomial whose other components are empty."""
     widths = tuple(widths)
     _check_alphabet(alphabet, widths)
-    components = tuple(shape if j == alphabet else EMPTY_SHAPE for j in range(len(widths)))
-    return _place(_colored_schur_terms(components), widths)
+    bounds = tuple(
+        (shape.outer, shape.inner) if j == alphabet else ((), ()) for j in range(len(widths))
+    )
+    return _place(_colored_schur_terms(bounds), widths)
 
 
 def schur_poly(shape, alphabet: int, widths) -> MultiAlphabetPolynomial:
@@ -371,7 +379,7 @@ def colored_schur(components, widths) -> MultiAlphabetPolynomial:
         raise DimensionMismatchError(
             f"{len(components)} components vs {len(widths)} alphabets"
         )
-    return _place(_colored_schur_terms(components), widths)
+    return _place(_colored_schur_terms(tuple((s.outer, s.inner) for s in components)), widths)
 
 
 def colored_ribbon(ce: ColoredComposition, widths) -> MultiAlphabetPolynomial:
@@ -513,7 +521,7 @@ def _peel_ribbon(ce: ColoredComposition, terms: dict[bytes, int]) -> Expansion:
     coeffs = _peel(
         terms,
         (ce.n,) * ce.r,
-        lambda bll: _colored_schur_terms(tuple(map(as_skew, bll))),
+        lambda bll: _colored_schur_terms(tuple((part, (0,) * len(part)) for part in bll)),
     )
     return Expansion("schur", ce.n, ce.r, coeffs)
 
@@ -596,9 +604,8 @@ def ribbon_f_expansion(ce: ColoredComposition) -> dict[ColoredComposition, int]:
     """Multiplicities of the colored fundamental elements in the colored
     ribbon element: the distribution of the colored descent composition over
     standard fillings of the attached r-partite skew shape."""
-    counter = Counter(
-        map(_raw_rpartite_descent_composition, _raw_fillings(colored_composition_shape(ce)))
-    )
+    bounds = _raw_colored_composition_shape(ce.parts, ce.colors, ce.r)
+    counter = Counter(map(_raw_rpartite_descent_composition, _raw_fillings(bounds)))
     return {
         ColoredComposition(parts, colors, ce.r): count
         for (parts, colors), count in counter.items()

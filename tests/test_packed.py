@@ -5,6 +5,7 @@ truncated constructors in ``truncated_reference`` enumerate the same
 polynomials monomial by monomial.
 """
 
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -25,8 +26,8 @@ from coloredsym import (
     ribbon_schur_by_peeling,
 )
 from coloredsym._poly_py import mul_terms
-from coloredsym.shapes import as_skew, colored_composition_shape
-from coloredsym.symfun import _colored_h_terms, _colored_schur_terms, _place
+from coloredsym.shapes import EMPTY_SHAPE, as_skew, colored_composition_shape, direct_sum
+from coloredsym.symfun import _colored_h_terms, _colored_schur_terms, _place, _row_sum_bounds
 from test_kernels import packed_maps
 
 CELLS = [(n, r) for n in range(1, 6) for r in (1, 2, 3)] + [(6, 1), (7, 1)]
@@ -73,7 +74,23 @@ def test_colored_schur_terms_match_row_block_product():
         tuples.update((shape,) for shape in enumerate_skew_shapes(m))
     assert len(tuples) == 1130
     for components in tuples:
-        assert _colored_schur_terms(components) == ref.row_block_schur_terms(components)
+        bounds = tuple((s.outer, s.inner) for s in components)
+        assert _colored_schur_terms(bounds) == ref.row_block_schur_terms(components)
+
+
+def test_h_row_bounds_match_the_direct_sum_of_the_rows():
+    # every part of every r-partite partition with n <= 7, r <= 3: the row
+    # bounds that key colored h are those of the direct sum of the rows
+    parts = [
+        part
+        for n, r in product(range(8), (1, 2, 3))
+        for bll in enumerate_rpartite_partitions(n, r)
+        for part in bll
+    ]
+    assert len(parts) == 3075
+    for part in parts:
+        shape = reduce(direct_sum, (as_skew((k,)) for k in part), EMPTY_SHAPE)
+        assert _row_sum_bounds(part) == (shape.outer, shape.inner), part
 
 
 def test_colored_h_terms_match_quasi_shuffle_product():

@@ -1,9 +1,10 @@
-"""The one-pass shape and colored-set constructors against the multi-pass
-validation they replaced, kept here as the reference: on exhaustive grids
-each input is accepted with the same stored fields or refused with the same
-exception type and message.  The sweeps' test of raw fillings,
-``shapes._raw_standard_test``, must accept exactly the fillings the tableau
-constructors accept."""
+"""The shape, tableau and colored-set constructors against reference
+validations: on exhaustive grids each input is accepted with the same
+stored fields or refused with the same exception type and message.  The
+``SkewShape``, ``ZigzagShape`` and ``ColoredSet`` constructors now make
+the plain checks of their references.  The sweeps' test of raw
+fillings, ``shapes._raw_standard_test``, must accept exactly the fillings
+the tableau constructors accept."""
 
 from itertools import chain, combinations, product
 

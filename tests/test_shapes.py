@@ -351,7 +351,7 @@ class TestSytEnumeration:
 
     def test_raw_fillings_match_object_path_and_reference(self):
         for shapes in cross_check_shapes():
-            raw = list(_raw_fillings(shapes))
+            raw = list(_raw_fillings(tuple((s.outer, s.inner) for s in shapes)))
             assert raw == [
                 tuple(q.rows for q in bq.components)
                 for bq in enumerate_rpartite_syt(shapes)
@@ -483,7 +483,8 @@ def brute_force_skew_shapes(m):
 
 class TestSkewEnumeration:
     def test_matches_brute_force(self):
-        for m in range(1, 6):
+        # up to 6 cells, the skew-schur-f default
+        for m in range(1, 7):
             assert set(enumerate_skew_shapes(m)) == brute_force_skew_shapes(m)
 
     def test_small_counts(self):

@@ -159,7 +159,7 @@ def row_block_schur_terms(components):
     r = len(components)
     return _product(
         (
-            _embed(_ssyt_terms(block), j, r)
+            _embed(_ssyt_terms(block.outer, block.inner), j, r)
             for j, comp in enumerate(components)
             for block in _row_blocks(comp)
         ),
