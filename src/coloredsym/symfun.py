@@ -288,7 +288,11 @@ def _colored_schur_terms(bounds) -> dict[bytes, int]:
     elements of the nonempty components, component j in alphabet j."""
     r = len(bounds)
     return _product(
-        (_embed(_ssyt_terms(outer, inner), j, r) for j, (outer, inner) in enumerate(bounds) if outer),
+        (
+            _embed(_ssyt_terms(outer, inner), j, r)
+            for j, (outer, inner) in enumerate(bounds)
+            if outer
+        ),
         r,
     )
 
