@@ -124,6 +124,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on first use: parsing keeps no state
+    in it, and building it costs more than most point queries."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def _cmd_enum_comps(args) -> int:
     items = enumerate_colored_compositions(args.n, args.r)
     obj = {
@@ -269,9 +281,8 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     handlers = {

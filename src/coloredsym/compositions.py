@@ -294,22 +294,29 @@ def composition_coarsenings(a: Composition) -> list[Composition]:
 
 
 def coarsenings(ce: ColoredComposition) -> list[ColoredComposition]:
-    """All colored compositions below ``ce`` in reverse refinement: each
-    boundary between adjacent parts of equal color is merged or kept, and
-    each choice is built in one pass over the parts."""
-    optional = [i for i in range(1, len(ce.parts)) if ce.colors[i - 1] == ce.colors[i]]
-    out = []
+    """All colored compositions below ``ce`` in reverse refinement, in the
+    order of ``_raw_coarsenings``."""
+    return [
+        ColoredComposition(parts, colors, ce.r)
+        for parts, colors in _raw_coarsenings(ce.parts, ce.colors)
+    ]
+
+
+def _raw_coarsenings(parts, colors):
+    """The (parts, colors) pairs of ``coarsenings``: each boundary between
+    adjacent parts of equal color is merged or kept, and each choice is
+    built in one pass over the parts."""
+    optional = [i for i in range(1, len(parts)) if colors[i - 1] == colors[i]]
     for merges in product((False, True), repeat=len(optional)):
         merged = {i for i, merge in zip(optional, merges) if merge}
-        parts, colors = [ce.parts[0]], [ce.colors[0]]
-        for i in range(1, len(ce.parts)):
+        out_parts, out_colors = [parts[0]], [colors[0]]
+        for i in range(1, len(parts)):
             if i in merged:
-                parts[-1] += ce.parts[i]
+                out_parts[-1] += parts[i]
             else:
-                parts.append(ce.parts[i])
-                colors.append(ce.colors[i])
-        out.append(ColoredComposition(tuple(parts), tuple(colors), ce.r))
-    return out
+                out_parts.append(parts[i])
+                out_colors.append(colors[i])
+        yield tuple(out_parts), tuple(out_colors)
 
 
 def coarsening_covers(ce: ColoredComposition) -> list[ColoredComposition]:

@@ -10,7 +10,7 @@ counting; only ``rsk`` and the conjugate-inverse counts of the ribbon Schur
 suites enumerate the group, as their statements are about all of it.  The
 sweeps run on raw tuples from the private ``_raw_*`` cores of
 ``compositions``, ``shapes``, ``permutations`` and ``bijections``, which the
-public enumerators and bijections wrap and validate.  The shape memo is
+public enumerators and bijections wrap and validate.  The shape memos are
 keyed by (outer, inner) row bounds; objects are built only as the colored
 composition memo keys, as the skew shapes ``skew-schur-f`` enumerates, as
 the paper-route shape oracle of the class sweep, and for witnesses.  Every
@@ -18,13 +18,21 @@ raw filling a sweep reads is checked standard with the checks the public
 tableau constructors make, and every raw colored zigzag with the checks of
 the zigzag constructors.
 
-Every suite runs in-process.  The two colored ribbon verifiers share one
-memoized ribbon element per r-partite shape, so a double pass (as in
-``verify --identity all``) certifies mutual consistency of the
-Schur-positivity identity and the alternating h-expansion.  Three
-classical suites are r = 1 slices of colored ones, run through the same
-sweeps: ``reading-word`` of ``class-tableau``, ``ribbon-schur`` of
-``colored-ribbon-schur`` and ``ribbon-h`` of ``colored-ribbon-h``.
+Every suite runs in-process.  The ribbon and h elements are per-alphabet
+symmetric, so ``colored-ribbon-h`` compares them in tensor coordinates
+(one one-alphabet key per alphabet, see ``symfun``), and the Schur peel
+peels each one-alphabet factor of the ribbon.  The colored F-sum is only
+colored quasisymmetric, so ``colored-ribbon-schur`` compares it with the
+packed ribbon, the quasi-shuffle of the same factors.  The two colored
+ribbon verifiers share the memoized one-alphabet factors of each ribbon,
+the products of the Schur elements of its zigzags, so a double pass (as
+in ``verify --identity all``) certifies mutual consistency of the
+Schur-positivity identity and the alternating h-expansion.  The h side is
+chain-counted from the direct sum of the rows, not built from the ribbon's
+factors.  Three classical suites are r = 1 slices of colored ones, run
+through the same sweeps: ``reading-word`` of ``class-tableau``,
+``ribbon-schur`` of ``colored-ribbon-schur`` and ``ribbon-h`` of
+``colored-ribbon-h``.
 """
 
 from __future__ import annotations
@@ -74,12 +82,14 @@ from .shapes import (
 )
 from .symfun import (
     _colored_F_terms,
-    _colored_h_terms,
     _colored_ribbon_terms,
-    _colored_schur_terms,
-    _peel_ribbon,
+    _h_factors,
+    _ribbon_factors,
+    _schur_terms,
+    _tensor,
     ribbon_h_expansion,
     ribbon_schur_by_counting,
+    ribbon_schur_by_peeling,
 )
 
 MAX_WITNESSES = 10
@@ -231,8 +241,9 @@ def verify_skew_schur_f_expansion(max_n: int = 6) -> VerificationReport:
     for m, shapes in shape_lists.items():
         for shape in shapes:
             b.case(m)
+            # one shape's row bounds are its one block and its r = 1 bounds
             bounds = ((shape.outer, shape.inner),)
-            lhs = _colored_schur_terms(bounds)
+            lhs = _schur_terms(bounds)
             standard = _raw_standard_test(bounds)
             counts = Counter(
                 map(_raw_rpartite_descent_composition, filter(standard, _raw_fillings(bounds)))
@@ -421,6 +432,8 @@ def _conj_inverse_f_counters(
 
 
 def _ribbon_schur_case(ce: ColoredComposition, counter: Counter) -> dict | None:
+    # the F-sum is colored quasisymmetric, so it is compared in packed
+    # coordinates; the peel reads the ribbon's one-alphabet factors
     ribbon = _colored_ribbon_terms(ce)
     acc: dict[bytes, int] = {}
     for comp, mult in counter.items():
@@ -431,7 +444,7 @@ def _ribbon_schur_case(ce: ColoredComposition, counter: Counter) -> dict | None:
             "reason": "generating function differs from ribbon element",
             "diff": _term_diff(ribbon, acc),
         }
-    expansion = _peel_ribbon(ce, ribbon)
+    expansion = ribbon_schur_by_peeling(ce)
     if any(c <= 0 for c in expansion.coeffs.values()):
         return {
             "composition": ce.to_json(),
@@ -475,10 +488,12 @@ def verify_ribbon_schur_positive(max_n: int = 6) -> VerificationReport:
 
 
 def _ribbon_h_case(ce: ColoredComposition) -> dict | None:
-    ribbon = _colored_ribbon_terms(ce)
+    # both sides are per-alphabet symmetric of one multidegree, so they are
+    # compared in tensor coordinates
+    ribbon = _tensor(_ribbon_factors(ce))
     acc: dict[bytes, int] = {}
     for index, coeff in ribbon_h_expansion(ce).coeffs.items():
-        add_terms(acc, _colored_h_terms(index), coeff)
+        add_terms(acc, _tensor(_h_factors(index)), coeff)
     if ribbon != acc:
         return {
             "composition": ce.to_json(),

@@ -8,21 +8,38 @@ exponent vector in N^r.  An element is therefore fixed by its coefficients
 on packed monomials: its coordinates in the colored monomial
 quasisymmetric basis.
 
-Two private constructors build every element as packed coordinates (term
-maps).  ``_colored_F_terms`` gives colored F and F.  ``_colored_schur_terms``
-multiplies the Schur elements of the nonempty components, each in its
-alphabet, and gives every symmetric element: Schur, h_k (the row (k)), e_k
-(the column 1^k), colored Schur, colored h (component j the direct sum of
-the rows of part j) and the colored ribbon, the colored skew Schur element
-of its r-partite shape.
+Every symmetric element is a colored skew Schur element: the product of
+one-alphabet skew Schur elements, component j in alphabet j.  Schur, h_k
+(the row (k)), e_k (the column 1^k), colored Schur, colored h (component j
+the direct sum of the rows of part j) and the colored ribbon (component j
+the direct sum of the zigzags of color j) are all of this form.
+``_schur_terms`` gives the one-alphabet factors in one-alphabet packed
+coordinates: the chain-counted Schur element of one skew shape, or the
+product (``mul_terms`` at r = 1) of those of the blocks of a direct sum.  A
+ribbon component is built as the product of its zigzags, and an h component
+is chain-counted as one shape.
 
-A key of a degree-d element is r rows of d bytes, alphabet-major; column
-t holds the exponent vector of index t + 1.  Coefficients are exact
-(unbounded) Python ints.  Products are quasi-shuffles (``mul_terms``).
-Byte-wise lexicographic comparison of keys is the term order of
-Schur-basis peeling: alphabet-major, then index-major, exponents compared
-high to low.  The leading monomial of a per-alphabet symmetric
-element is packed, so peeling its packed coordinates gives its expansion.
+The ring in disjoint alphabets is the tensor product of the one-alphabet
+rings, so a product of factors is fixed by its tensor coordinates
+(``_tensor``): a key joins one one-alphabet key per factor, and its
+coefficient is the product of theirs, with no quasi-shuffle.  A factor's
+keys have its degree as length, so among elements of one multidegree a key
+splits one way only.  The ribbon/h comparison reads these coordinates, and
+the Schur peel peels each factor as a one-alphabet polynomial: the
+expansion of a product is the product of the expansions of its factors.
+
+Packed colored coordinates are built only where a statement or a caller
+needs them.  ``_colored_F_terms`` gives colored F and F, which are colored
+quasisymmetric but not per-alphabet symmetric.  ``_colored_schur_terms`` is
+the quasi-shuffle of the one-alphabet factors of a colored skew Schur
+element; the colored F-sum comparison and the public constructors read it.
+A packed key of a degree-d element is r rows of d bytes, alphabet-major;
+column t holds the exponent vector of index t + 1.  Coefficients are exact
+(unbounded) Python ints.  Byte-wise lexicographic comparison of keys is
+the term order of Schur-basis peeling: alphabet-major, then index-major,
+exponents compared high to low.  The leading monomial of a per-alphabet
+symmetric element is packed, so peeling its packed coordinates (as
+``expand_in_colored_schur`` does at given widths) gives its expansion.
 
 The public constructors return a ``MultiAlphabetPolynomial``, in which
 alphabet j has ``widths[j]`` variables.  It is made by placing each packed
@@ -37,13 +54,14 @@ from functools import lru_cache, reduce
 from itertools import accumulate, combinations, product
 
 from ._poly_py import add_terms, mul_terms
-from .compositions import ColoredComposition, Composition, coarsenings
+from .compositions import ColoredComposition, Composition, _raw_coarsenings
 from .errors import DimensionMismatchError, NotInSchurSpanError
 from .permutations import colored_descent_composition
 from .shapes import (
     RPartitePartition,
     SkewShape,
     _raw_colored_composition_shape,
+    _raw_colored_zigzag,
     _raw_fillings,
     _raw_rpartite_descent_composition,
     as_skew,
@@ -281,26 +299,65 @@ def _colored_F_terms(ce: ColoredComposition) -> dict[bytes, int]:
 
 
 @lru_cache(maxsize=None)
-def _colored_schur_terms(bounds) -> dict[bytes, int]:
-    """Packed colored (skew) Schur element of the components with (outer,
-    inner) row bounds ``bounds``, in the form ``SkewShape`` stores (so a
-    component is nonempty when it has a row): the product of the Schur
-    elements of the nonempty components, component j in alphabet j."""
-    r = len(bounds)
+def _schur_terms(blocks) -> dict[bytes, int]:
+    """One-alphabet packed Schur element of the direct sum of the nonempty
+    skew shapes with (outer, inner) row bounds ``blocks``, in the form
+    ``SkewShape`` stores: the product of their chain-counted Schur
+    elements, the unit when there are none.  A product multiplies the
+    element of all blocks but the last by that of the last, so the memo
+    holds every prefix."""
+    if len(blocks) > 1:
+        return mul_terms(_schur_terms(blocks[:-1]), _schur_terms(blocks[-1:]), 1)
+    return _ssyt_terms(*blocks[0]) if blocks else {b"": 1}
+
+
+def _blocks(outer: tuple[int, ...], inner: tuple[int, ...]):
+    """The blocks of ``_schur_terms`` of one shape: none if it is empty."""
+    return ((outer, inner),) if outer else ()
+
+
+@lru_cache(maxsize=None)
+def _colored_schur_terms(components) -> dict[bytes, int]:
+    """Packed colored (skew) Schur element whose component j is the direct
+    sum of the shapes ``components[j]`` (blocks of ``_schur_terms``), in
+    alphabet j: the quasi-shuffle of its one-alphabet factors."""
+    r = len(components)
     return _product(
-        (
-            _embed(_ssyt_terms(outer, inner), j, r)
-            for j, (outer, inner) in enumerate(bounds)
-            if outer
-        ),
+        (_embed(_schur_terms(blocks), j, r) for j, blocks in enumerate(components) if blocks),
         r,
     )
 
 
+def _tensor(factors) -> dict[bytes, int]:
+    """Tensor coordinates of the product of one-alphabet packed elements,
+    factor j in alphabet j: each key joins one key per factor, and its
+    coefficient is the product of theirs."""
+    return reduce(
+        lambda a, b: {ka + kb: ca * cb for ka, ca in a.items() for kb, cb in b.items()},
+        factors,
+    )
+
+
+def _ribbon_blocks(ce: ColoredComposition):
+    """Per color j, the row bounds of the zigzags of the color-j runs of
+    ``ce``, bottom to top: component j of its r-partite shape is their
+    direct sum."""
+    out: list[list] = [[] for _ in range(ce.r)]
+    for block, color in zip(*_raw_colored_zigzag(ce.parts, ce.colors)):
+        out[color].append(block)
+    return tuple(map(tuple, out))
+
+
+def _ribbon_factors(ce: ColoredComposition) -> tuple[dict[bytes, int], ...]:
+    """One-alphabet factors of the colored ribbon element: factor j is the
+    product of the Schur elements of the zigzags of color j."""
+    return tuple(map(_schur_terms, _ribbon_blocks(ce)))
+
+
 def _colored_ribbon_terms(ce: ColoredComposition) -> dict[bytes, int]:
-    """Packed colored ribbon element: the colored skew Schur element of the
-    r-partite shape of ``ce``."""
-    return _colored_schur_terms(_raw_colored_composition_shape(ce.parts, ce.colors, ce.r))
+    """Packed colored ribbon element: the quasi-shuffle of its one-alphabet
+    factors."""
+    return _colored_schur_terms(_ribbon_blocks(ce))
 
 
 def _row_sum_bounds(part: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -311,11 +368,17 @@ def _row_sum_bounds(part: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, 
     return outer, (outer[1:] + (0,) if outer else ())
 
 
+def _h_factors(bll: RPartitePartition) -> tuple[dict[bytes, int], ...]:
+    """One-alphabet factors of the colored h element: factor j is the Schur
+    element of the direct sum of the rows of part j, chain-counted as one
+    shape."""
+    return tuple(_schur_terms(_blocks(*_row_sum_bounds(part))) for part in bll)
+
+
 def _colored_h_terms(bll: RPartitePartition) -> dict[bytes, int]:
     """Packed product of complete homogeneous elements, component j in
-    alphabet j: the colored skew Schur element whose component j is the
-    direct sum of the rows of part j."""
-    return _colored_schur_terms(tuple(map(_row_sum_bounds, bll)))
+    alphabet j: the quasi-shuffle of its one-alphabet factors."""
+    return _colored_schur_terms(tuple(_blocks(*_row_sum_bounds(part)) for part in bll))
 
 
 def _schur_in_alphabet(shape: SkewShape, alphabet: int, widths) -> MultiAlphabetPolynomial:
@@ -323,10 +386,10 @@ def _schur_in_alphabet(shape: SkewShape, alphabet: int, widths) -> MultiAlphabet
     colored Schur polynomial whose other components are empty."""
     widths = tuple(widths)
     _check_alphabet(alphabet, widths)
-    bounds = tuple(
-        (shape.outer, shape.inner) if j == alphabet else ((), ()) for j in range(len(widths))
+    components = tuple(
+        _blocks(shape.outer, shape.inner) if j == alphabet else () for j in range(len(widths))
     )
-    return _place(_colored_schur_terms(bounds), widths)
+    return _place(_colored_schur_terms(components), widths)
 
 
 def schur_poly(shape, alphabet: int, widths) -> MultiAlphabetPolynomial:
@@ -383,7 +446,7 @@ def colored_schur(components, widths) -> MultiAlphabetPolynomial:
         raise DimensionMismatchError(
             f"{len(components)} components vs {len(widths)} alphabets"
         )
-    return _place(_colored_schur_terms(tuple((s.outer, s.inner) for s in components)), widths)
+    return _place(_colored_schur_terms(tuple(_blocks(s.outer, s.inner) for s in components)), widths)
 
 
 def colored_ribbon(ce: ColoredComposition, widths) -> MultiAlphabetPolynomial:
@@ -404,8 +467,14 @@ def colored_h(bll: RPartitePartition, widths) -> MultiAlphabetPolynomial:
 
 def h_index_of_colored_comp(ce: ColoredComposition) -> RPartitePartition:
     """Split the parts by color and sort each class decreasingly."""
-    classes: list[list[int]] = [[] for _ in range(ce.r)]
-    for p, c in zip(ce.parts, ce.colors):
+    return _raw_h_index(ce.parts, ce.colors, ce.r)
+
+
+def _raw_h_index(parts, colors, r: int) -> RPartitePartition:
+    """``h_index_of_colored_comp`` of the colored composition (parts,
+    colors) with r colors."""
+    classes: list[list[int]] = [[] for _ in range(r)]
+    for p, c in zip(parts, colors):
         classes[c].append(p)
     return tuple(tuple(sorted(cls, reverse=True)) for cls in classes)
 
@@ -513,20 +582,17 @@ def expand_in_colored_schur(
 
 
 def ribbon_schur_by_peeling(ce: ColoredComposition) -> Expansion:
-    """Schur expansion of the colored ribbon element, peeled from its packed
-    coordinates.  Colored Schur elements are packed the same way, so no
-    choice of widths is involved."""
-    return _peel_ribbon(ce, _colored_ribbon_terms(ce))
-
-
-def _peel_ribbon(ce: ColoredComposition, terms: dict[bytes, int]) -> Expansion:
-    """``ribbon_schur_by_peeling(ce)`` from the ribbon's terms, for a
-    caller that holds them already."""
-    coeffs = _peel(
-        terms,
-        (ce.n,) * ce.r,
-        lambda bll: _colored_schur_terms(tuple((part, (0,) * len(part)) for part in bll)),
-    )
+    """Schur expansion of the colored ribbon element: each one-alphabet
+    factor is peeled from its packed coordinates, so no choice of widths is
+    involved, and the expansion is the product of theirs."""
+    coeffs: dict[RPartitePartition, int] = {(): 1}
+    for degree, terms in zip(ce.color_class_sizes(), _ribbon_factors(ce)):
+        peeled = _peel(
+            terms, (degree,), lambda bll: _schur_terms(_blocks(bll[0], (0,) * len(bll[0])))
+        )
+        coeffs = {
+            index + part: c * d for index, c in coeffs.items() for part, d in peeled.items()
+        }
     return Expansion("schur", ce.n, ce.r, coeffs)
 
 
@@ -593,9 +659,9 @@ def ribbon_h_expansion(ce: ColoredComposition) -> Expansion:
     over the colored compositions below ``ce`` in reverse refinement."""
     coeffs: dict[RPartitePartition, int] = {}
     length = len(ce.parts)
-    for beta in coarsenings(ce):
-        sign = -1 if (length - len(beta.parts)) % 2 else 1
-        key = h_index_of_colored_comp(beta)
+    for parts, colors in _raw_coarsenings(ce.parts, ce.colors):
+        sign = -1 if (length - len(parts)) % 2 else 1
+        key = _raw_h_index(parts, colors, ce.r)
         cur = coeffs.get(key, 0) + sign
         if cur:
             coeffs[key] = cur

@@ -31,8 +31,8 @@ from coloredsym import (
     symfun,
 )
 from coloredsym.permutations import _raw_inverse
-from coloredsym.shapes import _raw_colored_composition_shape
-from coloredsym.symfun import _colored_F_terms, _colored_h_terms, _colored_schur_terms
+from coloredsym.shapes import _raw_colored_composition_shape, _raw_colored_zigzag
+from coloredsym.symfun import _colored_F_terms, _colored_schur_terms, _h_factors, _schur_terms
 from coloredsym.identities import (
     verify_colored_ribbon_h,
     verify_colored_ribbon_schur,
@@ -161,8 +161,9 @@ def _doubled_at(fn, target):
     ("ribbon-h", 4, None),
 ])
 def test_polynomial_ribbon_sweeps_build_no_skew_shape(monkeypatch, name, max_n, max_r):
-    # the shape memo is keyed by raw row bounds, so a sweep with the memo
+    # the shape memos are keyed by raw row bounds, so a sweep with the memos
     # cleared still validates no shape
+    _schur_terms.cache_clear()
     _colored_schur_terms.cache_clear()
     built = []
     post_init = SkewShape.__post_init__
@@ -186,13 +187,63 @@ def test_planted_fundamental_fault_fails_ribbon_schur(monkeypatch):
     assert report.failure_count > 0
 
 
+def _h_factors_changed(target, change):
+    """``_h_factors`` with ``change`` applied to factor 0 of every colored h
+    index that ``target`` accepts."""
+
+    def planted(bll):
+        factors = _h_factors(bll)
+        if not target(bll):
+            return factors
+        return (change(factors[0]), *factors[1:])
+
+    return planted
+
+
+def _cases_with_h_index(max_n, rs, target):
+    """The colored compositions in the range whose alternating h-expansion
+    has a nonzero coefficient at an index ``target`` accepts: the h
+    elements are linearly independent, so a change of those alone fails
+    exactly these cases."""
+    return [
+        ce.to_json()
+        for n in range(1, max_n + 1)
+        for r in rs
+        for ce in enumerate_colored_compositions(n, r)
+        if any(map(target, ribbon_h_expansion(ce).coeffs))
+    ]
+
+
 def test_planted_h_fault_fails_ribbon_h(monkeypatch):
+    target = ((2, 1),).__eq__
     monkeypatch.setattr(
-        identities, "_colored_h_terms", _doubled_at(_colored_h_terms, ((2, 1),))
+        identities,
+        "_h_factors",
+        _h_factors_changed(target, lambda terms: {k: 2 * c for k, c in terms.items()}),
     )
     report = run_identity("ribbon-h", 3)
     assert not report.passed
-    assert report.failure_count > 0
+    failing = _cases_with_h_index(3, (1,), target)
+    assert report.failure_count == len(failing) == 3
+    assert all(w["composition"] in failing and w["n"] == 3 for w in report.failures)
+
+
+def test_planted_sign_flip_fails_colored_ribbon_h(monkeypatch):
+    # the h side of the tensor check negated on every index of r >= 2
+    # colors whose component 0 has two parts
+    def target(bll):
+        return len(bll) >= 2 and len(bll[0]) == 2
+
+    monkeypatch.setattr(
+        identities,
+        "_h_factors",
+        _h_factors_changed(target, lambda terms: {k: -c for k, c in terms.items()}),
+    )
+    report = run_identity("colored-ribbon-h", 4, 2)
+    assert not report.passed
+    failing = _cases_with_h_index(4, (1, 2), target)
+    assert report.failure_count == len(failing) > 0
+    assert all(w["composition"] in failing and w["r"] == 2 for w in report.failures)
 
 
 def test_planted_h_expansion_fault_fails_ribbon_h(monkeypatch):
@@ -261,13 +312,26 @@ def test_planted_direct_sum_shift_fails_class_tableau(monkeypatch):
     assert {(w["n"], w["r"]) for w in report.failures} == {(3, 2)}
 
 
+def _zigzag_with_broken_ribbons(parts, colors):
+    """The colored zigzag key with the rows of each color run started at
+    the end of the row below, so each ribbon splits into a direct sum."""
+    blocks, begin = [], 0
+    for end in range(1, len(parts) + 1):
+        if end == len(parts) or colors[end] != colors[begin]:
+            run = parts[begin:end]
+            blocks.append(_shape_with_broken_ribbons(run, (0,) * len(run), 1)[0])
+            begin = end
+    return tuple(blocks), _raw_colored_zigzag(parts, colors)[1]
+
+
 @pytest.mark.parametrize("name", ["colored-ribbon-schur", "colored-ribbon-h"])
 def test_planted_broken_ribbon_fails_ribbon_suites(monkeypatch, name):
-    # both suites build the ribbon element from symfun's shape; the shape
-    # changes exactly for the compositions with a color run of two parts
-    raw = ((1, 1), (0, 0), 1)
-    assert _shape_with_broken_ribbons(*raw) != _raw_colored_composition_shape(*raw)
-    monkeypatch.setattr(symfun, "_raw_colored_composition_shape", _shape_with_broken_ribbons)
+    # both suites build the ribbon's one-alphabet factors from symfun's
+    # zigzags; they change exactly for the compositions with a color run
+    # of two parts
+    raw = ((1, 1), (0, 0))
+    assert _zigzag_with_broken_ribbons(*raw) != _raw_colored_zigzag(*raw)
+    monkeypatch.setattr(symfun, "_raw_colored_zigzag", _zigzag_with_broken_ribbons)
     broken = [
         ce.to_json()
         for n in range(1, 4)
@@ -658,18 +722,22 @@ def test_planted_zigzag_fault_passes_the_key_count(monkeypatch, fault):
 
 
 def test_ribbon_schur_builds_each_ribbon_once(monkeypatch):
-    # the peel reads the ribbon terms the case already holds
-    calls, terms = [], symfun._colored_ribbon_terms
+    # each case reads one packed ribbon, for the F-sum, and one tuple of
+    # one-alphabet factors, which the peel reads
+    calls = {}
+    for name in ("_colored_ribbon_terms", "_ribbon_factors"):
+        build = getattr(symfun, name)
 
-    def counted(ce):
-        calls.append(ce)
-        return terms(ce)
+        def counted(ce, build=build, seen=calls.setdefault(name, [])):
+            seen.append(ce)
+            return build(ce)
 
-    monkeypatch.setattr(identities, "_colored_ribbon_terms", counted)
-    monkeypatch.setattr(symfun, "_colored_ribbon_terms", counted)
+        monkeypatch.setattr(identities, name, counted)
+        monkeypatch.setattr(symfun, name, counted)
     report = run_identity("colored-ribbon-schur", 3, 2)
     assert report.passed
-    assert len(calls) == report.cases_checked == 33
+    for seen in calls.values():
+        assert len(seen) == report.cases_checked == 33
 
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 6) for r in (1, 2, 3)])

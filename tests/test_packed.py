@@ -1,8 +1,10 @@
-"""Packed colored-monomial coordinates against the truncated reference.
+"""Packed colored-monomial and tensor coordinates against the references.
 
 The public constructors place packed elements at the requested widths; the
 truncated constructors in ``truncated_reference`` enumerate the same
-polynomials monomial by monomial.
+polynomials monomial by monomial.  The tensor coordinates of the ribbon
+and h checks and the per-factor peel are checked against the packed
+elements and the packed peel.
 """
 
 from functools import reduce
@@ -27,7 +29,17 @@ from coloredsym import (
 )
 from coloredsym._poly_py import mul_terms
 from coloredsym.shapes import EMPTY_SHAPE, as_skew, colored_composition_shape, direct_sum
-from coloredsym.symfun import _colored_h_terms, _colored_schur_terms, _place, _row_sum_bounds
+from coloredsym.symfun import (
+    _blocks,
+    _colored_h_terms,
+    _colored_ribbon_terms,
+    _colored_schur_terms,
+    _h_factors,
+    _place,
+    _ribbon_factors,
+    _row_sum_bounds,
+    _tensor,
+)
 from test_kernels import packed_maps
 
 CELLS = [(n, r) for n in range(1, 6) for r in (1, 2, 3)] + [(6, 1), (7, 1)]
@@ -74,8 +86,8 @@ def test_colored_schur_terms_match_row_block_product():
         tuples.update((shape,) for shape in enumerate_skew_shapes(m))
     assert len(tuples) == 1130
     for components in tuples:
-        bounds = tuple((s.outer, s.inner) for s in components)
-        assert _colored_schur_terms(bounds) == ref.row_block_schur_terms(components)
+        blocks = tuple(_blocks(s.outer, s.inner) for s in components)
+        assert _colored_schur_terms(blocks) == ref.row_block_schur_terms(components)
 
 
 def test_h_row_bounds_match_the_direct_sum_of_the_rows():
@@ -110,3 +122,57 @@ def test_quasi_shuffle_is_the_placed_product(data, r):
     widths = data.draw(st.tuples(*[st.integers(0, 5)] * r))
     placed = _place(a, widths) * _place(b, widths)
     assert _place(mul_terms(a, b, r), widths) == placed
+
+
+def block_diagonal(terms, degrees):
+    """The tensor coordinates read off a packed element of multidegree
+    ``degrees``: its keys whose used indices carry alphabet 0 first, then
+    alphabet 1, and so on, one alphabet per index, each alphabet's
+    exponents joined in index order and padded to its degree."""
+    r = len(degrees)
+    out = {}
+    for key, c in terms.items():
+        w = len(key) // r
+        used = [col for col in (key[t::w] for t in range(w)) if any(col)]
+        alphabets = [[j for j, e in enumerate(col) if e] for col in used]
+        if any(len(a) != 1 for a in alphabets) or alphabets != sorted(alphabets):
+            continue
+        parts = [bytes(col[j] for col in used if col[j]) for j in range(r)]
+        out[b"".join(p + bytes(d - len(p)) for p, d in zip(parts, degrees))] = c
+    return out
+
+
+def test_block_diagonal_reads_one_key_per_tensor_key():
+    # x1^2 y2 + x1 x2 y3 + x1 y1 + y1 x2 at degrees (2, 1): the last two
+    # share an index or put alphabet 1 first
+    terms = {
+        bytes((2, 0, 0, 0, 1, 0)): 3,
+        bytes((1, 1, 0, 0, 0, 1)): 5,
+        bytes((1, 0, 0, 1, 0, 0)): 7,
+        bytes((0, 1, 0, 1, 0, 0)): 11,
+    }
+    assert block_diagonal(terms, (2, 1)) == {bytes((2, 0, 1)): 3, bytes((1, 1, 1)): 5}
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 6) for r in (1, 2, 3)])
+def test_tensor_coordinates_are_the_block_diagonal_of_the_packed_elements(n, r):
+    # the ribbon, from its zigzag products, against the packed ribbon and
+    # the packed chain count of its r-partite shape; every colored h index
+    # against the packed h and its colored F product
+    for ce in enumerate_colored_compositions(n, r):
+        degrees = ce.color_class_sizes()
+        direct_sums = tuple(_blocks(s.outer, s.inner) for s in colored_composition_shape(ce))
+        packed = _colored_ribbon_terms(ce)
+        assert packed == _colored_schur_terms(direct_sums)
+        assert _tensor(_ribbon_factors(ce)) == block_diagonal(packed, degrees)
+    for bll in enumerate_rpartite_partitions(n, r):
+        degrees = tuple(map(sum, bll))
+        tensor = _tensor(_h_factors(bll))
+        assert tensor == block_diagonal(_colored_h_terms(bll), degrees)
+        assert tensor == block_diagonal(ref.quasi_shuffle_h_terms(bll), degrees)
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 6) for r in (1, 2, 3)])
+def test_per_factor_peel_matches_the_packed_peel(n, r):
+    for ce in enumerate_colored_compositions(n, r):
+        assert ribbon_schur_by_peeling(ce).coeffs == ref.packed_peel(ce)

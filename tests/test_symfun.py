@@ -30,7 +30,9 @@ from coloredsym import (
     qsym_generating_function,
     ribbon_f_expansion,
     ribbon_h_expansion,
+    parse_colored_composition,
     ribbon_schur_by_counting,
+    ribbon_schur_by_peeling,
     rpartite_descent_composition,
     schur_poly,
     steingrimsson_descent_set,
@@ -541,6 +543,16 @@ class TestTableauCounting:
         column = ColoredComposition((1,) * n, (0,) * n, 1)
         assert ribbon_schur_by_counting(row).coeffs == {((n,),): 1}
         assert ribbon_schur_by_counting(column).coeffs == {((1,) * n,): 1}
+
+    @pytest.mark.parametrize("text", ["7^0,7^1", "4^0,4^1,4^2", "1^0,1^1,1^0,1^1,1^0,1^1"])
+    def test_peeling_matches_counting(self, text):
+        # peeled per alphabet, the rows take no packed element of n = 14 or
+        # n = 12 cells; the single cells multiply the coefficient 2 of
+        # s_21 in s_1^3 across the two alphabets
+        ce = parse_colored_composition(text)
+        peeled = ribbon_schur_by_peeling(ce)
+        assert peeled == ribbon_schur_by_counting(ce)
+        assert max(peeled.coeffs.values()) == (4 if ce.n == 6 else 1)
 
     def test_counting_expansion_running_example(self):
         exp = ribbon_schur_by_counting(RUNNING)

@@ -2,14 +2,23 @@
 reference: every monomial at the given widths is enumerated directly, and
 products multiply exponent vectors variable by variable.  Two packed routes
 that the colored skew Schur constructor replaced are kept here too: the
-row-block product and h as a product of one-part colored F elements."""
+row-block product and h as a product of one-part colored F elements.  So is
+the packed peel of the colored ribbon, which the per-factor peel
+replaced."""
 
 from itertools import combinations_with_replacement
 
 from coloredsym import ColoredComposition, zigzag_of
 from coloredsym.compositions import rainbow_decomposition
-from coloredsym.shapes import SkewShape, as_skew
-from coloredsym.symfun import _colored_F_terms, _embed, _product, _ssyt_terms
+from coloredsym.shapes import SkewShape, as_skew, colored_composition_shape
+from coloredsym.symfun import (
+    _colored_F_terms,
+    _colored_schur_terms,
+    _embed,
+    _peel,
+    _product,
+    _ssyt_terms,
+)
 
 
 def _offsets(widths):
@@ -173,3 +182,19 @@ def quasi_shuffle_h_terms(bll):
     r = len(bll)
     hs = (ColoredComposition((k,), (j,), r) for j, part in enumerate(bll) for k in part)
     return _product(map(_colored_F_terms, hs), r)
+
+
+def _direct_sums(shapes):
+    """Blocks of ``_colored_schur_terms``: each component one shape."""
+    return tuple(((s.outer, s.inner),) if s.outer else () for s in shapes)
+
+
+def packed_peel(ce):
+    """Colored Schur coefficients of the colored ribbon, peeled from the
+    packed chain count of its r-partite shape with packed colored Schur
+    elements."""
+    return _peel(
+        _colored_schur_terms(_direct_sums(colored_composition_shape(ce))),
+        (ce.n,) * ce.r,
+        lambda bll: _colored_schur_terms(_direct_sums(map(as_skew, bll))),
+    )
