@@ -40,8 +40,9 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, product
+from itertools import accumulate, compress, product
 from math import factorial
+from operator import eq, gt, itemgetter
 
 from ._poly_py import add_terms
 from .bijections import (
@@ -267,7 +268,11 @@ def verify_colored_zigzag_count(max_n: int = 7, max_r: int = 4) -> VerificationR
     is r(r+1)^(n-1).  Each (n, r) cell streams the raw colored compositions
     and keys each by its raw colored zigzag, which must pass
     ``_raw_zigzag_test``: a shape the constructors accept whose rows read
-    back, block by block, as the composition.  The keys must be distinct,
+    back, block by block, as the composition.  A key is built and tested
+    in full for every composition, but the work on one rainbow block, its
+    zigzag and its rows, is memoized per block (``_raw_zigzag``,
+    ``_raw_ribbon_rows``), as blocks repeat across compositions; both
+    memos hold every block of the default range.  The keys must be distinct,
     as many as the compositions and the formula, and equal to the set of
     colored zigzag shapes generated from the definition.  Keys are not
     kept, so a cell holds one set of shapes: each key is ticked off a copy
@@ -414,21 +419,60 @@ def _conj_inverse_f_counters(
     n: int, r: int
 ) -> dict[ColoredComposition, Counter]:
     """For each colored composition, the multiset of colored descent
-    compositions over its conjugate-inverse descent class.  The group pass
-    runs on raw (word, colors) pairs and raw compositions; one
-    ``ColoredComposition`` is built per distinct composition."""
-    raw: dict[tuple, dict[tuple, int]] = {}
-    for word, colors in _raw_group(n, r):
-        counter = raw.setdefault(
-            _raw_colored_descent_composition(*_raw_conj_inverse(word, colors)), {}
-        )
-        member = _raw_colored_descent_composition(word, colors)
-        counter[member] = counter.get(member, 0) + 1
-    comp = {key: ColoredComposition(*key, r) for key in set(raw).union(*raw.values())}
-    return {
-        comp[key]: Counter({comp[k]: m for k, m in counter.items()})
-        for key, counter in raw.items()
-    }
+    compositions over its conjugate-inverse descent class.
+
+    The group pass runs on raw (word, colors) pairs and computes each
+    element's parts once: per word its inverse, the descent masks of both
+    and the index permutation of the conjugate-inverse colors (read from
+    ``_raw_conj_inverse`` of the positions), and per coloring its mask of
+    equal adjacent colors.  A colored descent composition breaks where the
+    colors differ or the word descends, so it is in bijection with the key
+    (colors, descent mask & equal-color mask), which is packed in one int
+    as the coloring's index above the mask bits.  Each distinct key is
+    decoded once, by ``_raw_colored_descent_composition`` of an element
+    with that key, into one ``ColoredComposition``."""
+    bits = [1 << i for i in range(n)]
+
+    def mask(seq, rel) -> int:
+        # bit i - 1 set for each i in 1..len(seq)-1 with rel(seq[i-1], seq[i])
+        return sum(compress(bits, map(rel, seq, seq[1:])))
+
+    colorings = list(product(range(r), repeat=n))
+    # coloring -> (its index shifted above the mask bits, its equal-color mask)
+    coded = {z: (i << n, mask(z, eq)) for i, z in enumerate(colorings)}
+    span = len(colorings) << n  # every key lies in range(span)
+    positions = tuple(range(n))
+    word_of_mask: dict[int, tuple[int, ...]] = {}
+
+    def pair_codes():
+        # key of the conjugate-inverse * span + key of the element, per element
+        word = None
+        for w, colors in _raw_group(n, r):
+            if w is not word:
+                word = w
+                inv, perm = _raw_conj_inverse(word, positions)
+                des, inv_des = mask(word, gt), mask(inv, gt)
+                word_of_mask.setdefault(des, word)
+                # itemgetter of one index returns the item, not a 1-tuple
+                permute = itemgetter(*perm) if n > 1 else tuple
+            index, equal = coded[colors]
+            inv_index, inv_equal = coded[permute(colors)]
+            yield (inv_index | (inv_des & inv_equal)) * span + (index | (des & equal))
+
+    def decode(key: int) -> ColoredComposition:
+        index, masked = divmod(key, 1 << n)
+        # every subset of [n-1] is the descent mask of some word
+        element = word_of_mask[masked], colorings[index]
+        return ColoredComposition(*_raw_colored_descent_composition(*element), r)
+
+    counts = Counter(pair_codes())
+    keys = {key for code in counts for key in divmod(code, span)}
+    comp = {key: decode(key) for key in keys}
+    out: dict[ColoredComposition, Counter] = {}
+    for code, mult in counts.items():
+        key, member = divmod(code, span)
+        out.setdefault(comp[key], Counter())[comp[member]] = mult
+    return out
 
 
 def _ribbon_schur_case(ce: ColoredComposition, counter: Counter) -> dict | None:

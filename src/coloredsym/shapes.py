@@ -14,6 +14,7 @@ by stripping trailing empty rows so equality is structural.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, product
 from math import factorial
 from operator import eq, ge, gt, lt, ne, sub
@@ -31,6 +32,11 @@ Partition = tuple[int, ...]
 
 #: r-tuple of partitions with a given total size.
 RPartitePartition = tuple[Partition, ...]
+
+#: Bound of the per-block zigzag memos: at least the 2^n - 1 = 127 blocks
+#: (compositions of 1..n) of ``zigzag-count`` at its default n <= 7, so a
+#: default run never evicts; 511 holds every block up to n = 9.
+BLOCK_MEMO_SIZE = 511
 
 
 def is_partition(parts) -> bool:
@@ -188,9 +194,11 @@ def zigzag_of(a: Composition) -> ZigzagShape:
     return ZigzagShape(SkewShape(*_raw_zigzag(a.parts)), a)
 
 
+@lru_cache(maxsize=BLOCK_MEMO_SIZE)
 def _raw_zigzag(parts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(outer, inner) of ``zigzag_of``, top row first, built bottom to top
-    from column 0."""
+    from column 0.  Memoized: the blocks of colored compositions repeat
+    across cases."""
     outer: list[int] = []
     inner: list[int] = []
     start = 0
@@ -262,26 +270,43 @@ def _raw_zigzag_test(key, parts, colors) -> bool:
     inverse is the colored composition (parts, colors): each block's rows
     read bottom to top, with the block's color.
 
-    Each row above another starts one column left of the end of the row
-    below (the two share exactly one column).  As the parts and colors
-    read back are those of a colored composition, every row is nonempty,
-    so no row is a trailing empty one, and the colors lie in 0..r-1; once
-    the bottom row starts at a column >= 0, outer and inner weakly
-    decrease and inner fits inside outer."""
+    The key is checked here for one color per block and adjacent colors
+    distinct; each block is checked on its own by ``_raw_ribbon_rows``,
+    which is memoized, as blocks repeat across keys.  As the colors read
+    back are those of a colored composition, they lie in 0..r-1."""
     blocks, block_colors = key
     if len(blocks) != len(block_colors) or any(map(eq, block_colors, block_colors[1:])):
         return False
     read_parts: list[int] = []
     read_colors: list[int] = []
-    for (outer, inner), c in zip(blocks, block_colors):
-        k = len(outer)
-        if not k or len(inner) != k or inner[-1] < 0:
+    for block, c in zip(blocks, block_colors):
+        rows = _raw_ribbon_rows(block)
+        if rows is None:
             return False
-        if tuple(map(sub, outer[1:], inner)) != (1,) * (k - 1):
-            return False
-        read_parts += map(sub, outer[::-1], inner[::-1])
-        read_colors += (c,) * k
+        read_parts += rows
+        read_colors += (c,) * len(rows)
     return tuple(read_parts) == parts and tuple(read_colors) == colors
+
+
+@lru_cache(maxsize=BLOCK_MEMO_SIZE)
+def _raw_ribbon_rows(block) -> tuple[int, ...] | None:
+    """The row lengths, bottom to top, of the block (outer, inner) of a
+    diagram key, or None when it is no ribbon block.
+
+    In a ribbon block each row above another starts one column left of the
+    end of the row below (the two share exactly one column), and the
+    bottom row starts at a column >= 0.  Once ``_raw_zigzag_test`` has
+    read the rows back as parts of a colored composition, every row is
+    nonempty, so no row is a trailing empty one, and outer and inner
+    weakly decrease with inner inside outer: the constructors accept the
+    block as given."""
+    outer, inner = block
+    k = len(outer)
+    if not k or len(inner) != k or inner[-1] < 0:
+        return None
+    if tuple(map(sub, outer[1:], inner)) != (1,) * (k - 1):
+        return None
+    return tuple(map(sub, outer[::-1], inner[::-1]))
 
 
 def colored_zigzag_to_comp(czz: ColoredZigzagShape, r: int) -> ColoredComposition:

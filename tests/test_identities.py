@@ -721,6 +721,19 @@ def test_planted_zigzag_fault_passes_the_key_count(monkeypatch, fault):
     assert report.failure_count == 1
 
 
+def test_block_memos_are_bounded_and_never_evict_at_the_default_range():
+    # the memos of the zigzag-count blocks hold the 2^7 - 1 compositions of
+    # 1..7, each once, so a default run misses once per block and keeps all
+    memos = (shapes._raw_zigzag, shapes._raw_ribbon_rows)
+    for memo in memos:
+        assert memo.cache_info().maxsize is not None
+        memo.cache_clear()
+    assert run_identity("zigzag-count").passed
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.misses == info.currsize == 2**7 - 1 <= info.maxsize
+
+
 def test_ribbon_schur_builds_each_ribbon_once(monkeypatch):
     # each case reads one packed ribbon, for the F-sum, and one tuple of
     # one-alphabet factors, which the peel reads
@@ -740,6 +753,8 @@ def test_ribbon_schur_builds_each_ribbon_once(monkeypatch):
         assert len(seen) == report.cases_checked == 33
 
 
-@pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 6) for r in (1, 2, 3)])
+@pytest.mark.parametrize(
+    "n,r", [(n, r) for n in range(1, 6) for r in (1, 2, 3)] + [(6, 1)]
+)
 def test_raw_group_counters_match_object_path(n, r):
     assert identities._conj_inverse_f_counters(n, r) == ref.conj_inverse_f_counters(n, r)

@@ -361,3 +361,70 @@ def test_raw_zigzag_test_matches_constructors_on_perturbed_keys():
                     rejected += not want
     # shifted blocks are accepted; everything else is rejected
     assert accepted > 0 and rejected > 10 * accepted
+
+
+def multi_block_zigzag_test(key, parts, colors) -> bool:
+    """``shapes._raw_zigzag_test`` as it was before its per-block checks
+    moved to the memoized ``_raw_ribbon_rows``: every block checked in one
+    loop, kept as the reference."""
+    blocks, block_colors = key
+    if len(blocks) != len(block_colors) or any(
+        a == b for a, b in zip(block_colors, block_colors[1:])
+    ):
+        return False
+    read_parts: list[int] = []
+    read_colors: list[int] = []
+    for (outer, inner), c in zip(blocks, block_colors):
+        k = len(outer)
+        if not k or len(inner) != k or inner[-1] < 0:
+            return False
+        if tuple(o - i for o, i in zip(outer[1:], inner)) != (1,) * (k - 1):
+            return False
+        read_parts += (o - i for o, i in zip(outer[::-1], inner[::-1]))
+        read_colors += (c,) * k
+    return tuple(read_parts) == parts and tuple(read_colors) == colors
+
+
+def mutated_zigzag_keys(key):
+    """Each outer or inner entry moved by one; each color run split into two
+    blocks of its color; and each block with the rows above one of its
+    rows moved one column left, so that those two rows share two
+    columns."""
+    blocks, colors = key
+
+    def put(j, *new):
+        return blocks[:j] + new + blocks[j + 1 :]
+
+    def moved(seq, k, d):
+        return seq[:k] + (seq[k] + d,) + seq[k + 1 :]
+
+    for j, (outer, inner) in enumerate(blocks):
+        for k in range(len(outer)):
+            for d in (-1, 1):
+                yield put(j, (moved(outer, k, d), inner)), colors
+                yield put(j, (outer, moved(inner, k, d))), colors
+        parts = tuple(o - i for o, i in zip(outer[::-1], inner[::-1]))
+        for cut in range(1, len(parts)):
+            halves = (zigzag_rows(parts[:cut]), zigzag_rows(parts[cut:]))
+            yield put(j, *halves), colors[: j + 1] + colors[j:]
+        for k in range(1, len(outer)):
+            left = tuple(x - 1 for x in outer[:k]) + outer[k:]
+            yield put(j, (left, tuple(x - 1 for x in inner[:k]) + inner[k:])), colors
+
+
+def test_per_block_zigzag_test_matches_the_multi_block_one():
+    # every colored composition with n <= 5, r <= 3, under its own key, the
+    # keys of the other compositions of its cell and mutated keys: the key
+    # checks with the memoized block rows answer as the one-loop body
+    for n in range(1, 6):
+        for r in (1, 2, 3):
+            cell = [(ce.parts, ce.colors) for ce in enumerate_colored_compositions(n, r)]
+            keys = [_raw_colored_zigzag(*raw) for raw in cell]
+            accepted = 0
+            for raw, own in zip(cell, keys):
+                for key in chain(keys, mutated_zigzag_keys(own)):
+                    want = multi_block_zigzag_test(key, *raw)
+                    assert _raw_zigzag_test(key, *raw) == want, (raw, key)
+                    accepted += want
+            # each composition accepts its own key and no other
+            assert accepted == len(cell)
