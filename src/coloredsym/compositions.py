@@ -25,6 +25,14 @@ ColorVector = tuple[int, ...]
 _TOKEN_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 
+def _check_colors(colors, r: int, shown) -> None:
+    """Raise unless r >= 1 and each color lies in 0..r-1, showing ``shown``."""
+    if r < 1:
+        raise ValueError(f"r must be at least 1, got {r}")
+    if any(not 0 <= c < r for c in colors):
+        raise ValueError(f"colors must lie in 0..{r - 1}: {shown!r}")
+
+
 @dataclass(frozen=True)
 class Composition:
     """Sequence of positive integer parts; ``n`` is their sum."""
@@ -90,8 +98,7 @@ class ColoredComposition:
             raise ValueError(f"composition parts must be positive: {parts!r}")
         if len(parts) != len(colors):
             raise ValueError("parts and colors must have equal length")
-        if self.r < 1 or min(colors) < 0 or max(colors) >= self.r:
-            raise ValueError(f"colors must lie in 0..{self.r - 1}: {colors!r}")
+        _check_colors(colors, self.r, colors)
 
     @property
     def n(self) -> int:
@@ -105,17 +112,7 @@ class ColoredComposition:
 
     def extended_colors(self) -> ColorVector:
         """Color vector of length n: color of part i repeated parts[i] times."""
-        out = []
-        for p, c in zip(self.parts, self.colors):
-            out.extend([c] * p)
-        return tuple(out)
-
-    def color_class_sizes(self) -> tuple[int, ...]:
-        """Number of positions of each color, indexed by color."""
-        sizes = [0] * self.r
-        for p, c in zip(self.parts, self.colors):
-            sizes[c] += p
-        return tuple(sizes)
+        return _raw_extended_colors(self.parts, self.colors)
 
     def text(self) -> str:
         return ",".join(f"{p}^{c}" for p, c in zip(self.parts, self.colors))
@@ -141,8 +138,7 @@ class ColoredSet:
         pairs = tuple((int(e), int(c)) for e, c in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         AugmentedSubset(self.n, self.elements())
-        if self.r < 1 or any(not 0 <= c < self.r for _, c in pairs):
-            raise ValueError(f"colors must lie in 0..{self.r - 1}: {pairs!r}")
+        _check_colors((c for _, c in pairs), self.r, pairs)
 
     def elements(self) -> tuple[int, ...]:
         return tuple(e for e, _ in self.pairs)
@@ -210,6 +206,11 @@ def extend_color_vector(ce: ColoredComposition) -> ColorVector:
     return ce.extended_colors()
 
 
+def _raw_extended_colors(parts, colors) -> ColorVector:
+    """``extend_color_vector`` of the colored composition (parts, colors)."""
+    return tuple(c for p, c in zip(parts, colors) for _ in range(p))
+
+
 def extend_set_color_vector(cs: ColoredSet) -> ColorVector:
     """Positions j with s_{i-1} < j <= s_i all get the color of s_i."""
     out, prev = [], 0
@@ -270,17 +271,18 @@ def enumerate_colored_compositions(n: int, r: int) -> list[ColoredComposition]:
         raise ValueError("r must be positive")
     if n < 1:
         raise ValueError("n must be positive")
-    items = [
-        ColoredComposition(parts, colors, r)
-        for parts, colors in _raw_colored_compositions(n, r)
-    ]
-    items.sort(key=lambda ce: (ce.extended_colors(), ce.parts))
-    return items
+    return [ColoredComposition(*pair, r) for pair in _raw_colored_composition_list(n, r)]
+
+
+def _raw_colored_composition_list(n: int, r: int) -> list:
+    """The (parts, colors) pairs of ``enumerate_colored_compositions(n, r)``,
+    in its order."""
+    return sorted(_raw_colored_compositions(n, r), key=lambda p: (_raw_extended_colors(*p), p[0]))
 
 
 def _raw_colored_compositions(n: int, r: int):
-    """The (parts, colors) pairs of ``enumerate_colored_compositions(n, r)``,
-    lazily and in no promised order: every coloring of every composition."""
+    """The pairs of ``_raw_colored_composition_list(n, r)``, lazily and in
+    no promised order: every coloring of every composition."""
     for parts in _raw_compositions(n):
         for colors in product(range(r), repeat=len(parts)):
             yield parts, colors

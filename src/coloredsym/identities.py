@@ -9,14 +9,16 @@ The class suites read each descent class from fillings and certify it by
 counting; only ``rsk`` and the conjugate-inverse counts of the ribbon Schur
 suites enumerate the group, as their statements are about all of it.  The
 sweeps run on raw tuples from the private ``_raw_*`` cores of
-``compositions``, ``shapes``, ``permutations`` and ``bijections``, which the
-public enumerators and bijections wrap and validate.  The shape memos are
-keyed by (outer, inner) row bounds; objects are built only as the colored
-composition memo keys, as the skew shapes ``skew-schur-f`` enumerates, as
-the paper-route shape oracle of the class sweep, and for witnesses.  Every
-raw filling a sweep reads is checked standard with the checks the public
-tableau constructors make, and every raw colored zigzag with the checks of
-the zigzag constructors.
+``compositions``, ``shapes``, ``permutations``, ``bijections`` and
+``symfun``, which the public functions wrap and validate.  A colored
+composition is a (parts, colors) pair with r beside it, in the case lists,
+the memo keys and the group pass, and a shape is its (outer, inner) row
+bounds.  Objects are built only as the skew shapes ``skew-schur-f``
+enumerates, for the paper-route oracle of the class sweep (one colored
+composition and its shapes per case), and for witnesses.  Every raw filling a
+sweep reads is checked standard with the checks the public tableau
+constructors make, and every raw colored zigzag with the checks of the
+zigzag constructors.
 
 Every suite runs in-process.  The ribbon and h elements are per-alphabet
 symmetric, so ``colored-ribbon-h`` compares them in tensor coordinates
@@ -54,9 +56,9 @@ from .bijections import (
 )
 from .compositions import (
     ColoredComposition,
+    _raw_colored_composition_list,
     _raw_colored_compositions,
     _raw_compositions,
-    enumerate_colored_compositions,
 )
 from .permutations import (
     ColoredPermutation,
@@ -85,12 +87,12 @@ from .symfun import (
     _colored_F_terms,
     _colored_ribbon_terms,
     _h_factors,
+    _raw_ribbon_h_expansion,
+    _raw_ribbon_schur_by_counting,
+    _raw_ribbon_schur_by_peeling,
     _ribbon_factors,
     _schur_terms,
     _tensor,
-    ribbon_h_expansion,
-    ribbon_schur_by_counting,
-    ribbon_schur_by_peeling,
 )
 
 MAX_WITNESSES = 10
@@ -170,21 +172,24 @@ class _Builder:
         self.t0 = time.perf_counter()
 
     def cells(self):
-        """(n, r, the colored compositions of n with r colors) over the
-        range, r = 1 only when there is no color range."""
+        """(n, r, the (parts, colors) pairs of the colored compositions of n
+        with r colors, in public order) over the range, r = 1 only when
+        there is no color range."""
         for n in range(1, self.max_n + 1):
             for r in range(1, (self.max_r or 1) + 1):
-                yield n, r, enumerate_colored_compositions(n, r)
+                yield n, r, _raw_colored_composition_list(n, r)
 
     def case(self, n: int, r: int = 1) -> None:
         """Count one case of (n, r); ``report`` names the cells."""
         self.counts[n, r] += 1
 
-    def check(self, n: int, r: int, witness: dict | None) -> None:
-        """Count one case of (n, r); a witness, tagged with n and r, fails it."""
+    def check(self, n: int, r: int, ce, witness: dict | None) -> None:
+        """Count the case of the (parts, colors) pair ``ce`` of (n, r); a
+        witness, which names ``ce`` first and is tagged with n and r, fails it."""
         self.case(n, r)
         if witness is not None:
-            self.fail({**witness, "n": n, "r": r})
+            composition = ColoredComposition(*ce, r).to_json()
+            self.fail({"composition": composition, **witness, "n": n, "r": r})
 
     def fail(self, witness: dict) -> None:
         self.failure_count += 1
@@ -251,7 +256,7 @@ def verify_skew_schur_f_expansion(max_n: int = 6) -> VerificationReport:
             )
             acc: dict[bytes, int] = {}
             for (parts, colors), mult in counts.items():
-                add_terms(acc, _colored_F_terms(ColoredComposition(parts, colors, 1)), mult)
+                add_terms(acc, _colored_F_terms(parts, colors, 1), mult)
             if lhs != acc:
                 b.fail(
                     {
@@ -353,13 +358,14 @@ def _generated_colored_zigzags(n: int, r: int, zigzags: dict) -> set:
 
 def _class_tableau_sweep(identity, max_n, max_r) -> VerificationReport:
     b = _Builder(identity, max_n, max_r)
-    for n, r, ces in b.cells():
+    for n, r, cell in b.cells():
         total = 0
-        for ce in ces:
+        for target in cell:
+            # the paper-route shape oracle takes the validated object
+            ce = ColoredComposition(*target, r)
             bounds = tuple(
                 (s.outer, s.inner) for s in rpartite_shape_of(colored_zigzag_of(ce), r)
             )
-            target = (ce.parts, ce.colors)
             standard = _raw_standard_test(bounds)
             keys, ok = [], _raw_colored_composition_shape(*target, r) == bounds
             for filling in _raw_fillings(bounds):
@@ -375,8 +381,7 @@ def _class_tableau_sweep(identity, max_n, max_r) -> VerificationReport:
             class_size = len(set(keys))
             total += class_size
             passed = ok and class_size == len(keys) == descent_class_size(ce)
-            b.check(n, r, None if passed else {
-                "composition": ce.to_json(),
+            b.check(n, r, target, None if passed else {
                 "class_size": class_size,
                 "filling_count": len(keys),
             })
@@ -384,9 +389,9 @@ def _class_tableau_sweep(identity, max_n, max_r) -> VerificationReport:
         # classes of distinct compositions that sum to the group order are
         # those classes
         order = factorial(n) * r**n
-        if len(set(ces)) != len(ces) or total != order:
+        if len(set(cell)) != len(cell) or total != order:
             b.fail({"n": n, "r": r, "class_size_sum": total, "group_order": order,
-                    "distinct_compositions": len(set(ces))})
+                    "distinct_compositions": len(set(cell))})
     return b.report()
 
 
@@ -415,11 +420,9 @@ def verify_reading_word_bijection(max_n: int = 6) -> VerificationReport:
     return _class_tableau_sweep("reading-word", max_n, None)
 
 
-def _conj_inverse_f_counters(
-    n: int, r: int
-) -> dict[ColoredComposition, Counter]:
+def _conj_inverse_f_counters(n: int, r: int) -> dict[tuple, Counter]:
     """For each colored composition, the multiset of colored descent
-    compositions over its conjugate-inverse descent class.
+    compositions over its conjugate-inverse descent class, as raw pairs.
 
     The group pass runs on raw (word, colors) pairs and computes each
     element's parts once: per word its inverse, the descent masks of both
@@ -430,7 +433,7 @@ def _conj_inverse_f_counters(
     (colors, descent mask & equal-color mask), which is packed in one int
     as the coloring's index above the mask bits.  Each distinct key is
     decoded once, by ``_raw_colored_descent_composition`` of an element
-    with that key, into one ``ColoredComposition``."""
+    with that key."""
     bits = [1 << i for i in range(n)]
 
     def mask(seq, rel) -> int:
@@ -459,46 +462,39 @@ def _conj_inverse_f_counters(
             inv_index, inv_equal = coded[permute(colors)]
             yield (inv_index | (inv_des & inv_equal)) * span + (index | (des & equal))
 
-    def decode(key: int) -> ColoredComposition:
+    def decode(key: int) -> tuple:
         index, masked = divmod(key, 1 << n)
         # every subset of [n-1] is the descent mask of some word
-        element = word_of_mask[masked], colorings[index]
-        return ColoredComposition(*_raw_colored_descent_composition(*element), r)
+        return _raw_colored_descent_composition(word_of_mask[masked], colorings[index])
 
     counts = Counter(pair_codes())
     keys = {key for code in counts for key in divmod(code, span)}
     comp = {key: decode(key) for key in keys}
-    out: dict[ColoredComposition, Counter] = {}
+    out: dict[tuple, Counter] = {}
     for code, mult in counts.items():
         key, member = divmod(code, span)
         out.setdefault(comp[key], Counter())[comp[member]] = mult
     return out
 
 
-def _ribbon_schur_case(ce: ColoredComposition, counter: Counter) -> dict | None:
+def _ribbon_schur_case(parts, colors, r: int, counter: Counter) -> dict | None:
     # the F-sum is colored quasisymmetric, so it is compared in packed
     # coordinates; the peel reads the ribbon's one-alphabet factors
-    ribbon = _colored_ribbon_terms(ce)
+    ribbon = _colored_ribbon_terms(parts, colors, r)
     acc: dict[bytes, int] = {}
     for comp, mult in counter.items():
-        add_terms(acc, _colored_F_terms(comp), mult)
+        add_terms(acc, _colored_F_terms(*comp, r), mult)
     if ribbon != acc:
         return {
-            "composition": ce.to_json(),
             "reason": "generating function differs from ribbon element",
             "diff": _term_diff(ribbon, acc),
         }
-    expansion = ribbon_schur_by_peeling(ce)
+    expansion = _raw_ribbon_schur_by_peeling(parts, colors, r)
     if any(c <= 0 for c in expansion.coeffs.values()):
-        return {
-            "composition": ce.to_json(),
-            "reason": "negative coefficient",
-            "expansion": expansion.to_json(),
-        }
-    counted = ribbon_schur_by_counting(ce)
+        return {"reason": "negative coefficient", "expansion": expansion.to_json()}
+    counted = _raw_ribbon_schur_by_counting(parts, colors, r)
     if expansion.coeffs != counted.coeffs:
         return {
-            "composition": ce.to_json(),
             "reason": "tableau counts differ from peeled coefficients",
             "expansion": expansion.to_json(),
             "counted": counted.to_json(),
@@ -508,10 +504,10 @@ def _ribbon_schur_case(ce: ColoredComposition, counter: Counter) -> dict | None:
 
 def _ribbon_schur_sweep(identity, max_n, max_r) -> VerificationReport:
     b = _Builder(identity, max_n, max_r)
-    for n, r, ces in b.cells():
+    for n, r, cell in b.cells():
         counters = _conj_inverse_f_counters(n, r)
-        for ce in ces:
-            b.check(n, r, _ribbon_schur_case(ce, counters.get(ce, Counter())))
+        for ce in cell:
+            b.check(n, r, ce, _ribbon_schur_case(*ce, r, counters.get(ce, Counter())))
     return b.report()
 
 
@@ -531,16 +527,15 @@ def verify_ribbon_schur_positive(max_n: int = 6) -> VerificationReport:
     return _ribbon_schur_sweep("ribbon-schur", max_n, None)
 
 
-def _ribbon_h_case(ce: ColoredComposition) -> dict | None:
+def _ribbon_h_case(parts, colors, r: int) -> dict | None:
     # both sides are per-alphabet symmetric of one multidegree, so they are
     # compared in tensor coordinates
-    ribbon = _tensor(_ribbon_factors(ce))
+    ribbon = _tensor(_ribbon_factors(parts, colors, r))
     acc: dict[bytes, int] = {}
-    for index, coeff in ribbon_h_expansion(ce).coeffs.items():
+    for index, coeff in _raw_ribbon_h_expansion(parts, colors, r).coeffs.items():
         add_terms(acc, _tensor(_h_factors(index)), coeff)
     if ribbon != acc:
         return {
-            "composition": ce.to_json(),
             "reason": "alternating h-sum differs from ribbon element",
             "diff": _term_diff(ribbon, acc),
         }
@@ -549,9 +544,9 @@ def _ribbon_h_case(ce: ColoredComposition) -> dict | None:
 
 def _ribbon_h_sweep(identity, max_n, max_r) -> VerificationReport:
     b = _Builder(identity, max_n, max_r, note=SYMFUN_LEVEL_NOTE)
-    for n, r, ces in b.cells():
-        for ce in ces:
-            b.check(n, r, _ribbon_h_case(ce))
+    for n, r, cell in b.cells():
+        for ce in cell:
+            b.check(n, r, ce, _ribbon_h_case(*ce, r))
     return b.report()
 
 

@@ -29,6 +29,7 @@ from .compositions import (
     ColoredComposition,
     ColoredSet,
     Composition,
+    _check_colors,
     _parse_tokens,
 )
 from .errors import DimensionMismatchError, ParseError
@@ -68,8 +69,7 @@ class ColoredPermutation:
         object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
         if len(self.colors) != self.perm.n:
             raise ValueError("colors must have length n")
-        if self.r < 1 or any(not 0 <= c < self.r for c in self.colors):
-            raise ValueError(f"colors must lie in 0..{self.r - 1}: {self.colors!r}")
+        _check_colors(self.colors, self.r, self.colors)
 
     @property
     def n(self) -> int:

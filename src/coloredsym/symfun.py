@@ -54,9 +54,9 @@ from functools import lru_cache, reduce
 from itertools import accumulate, combinations, product
 
 from ._poly_py import add_terms, mul_terms
-from .compositions import ColoredComposition, Composition, _raw_coarsenings
+from .compositions import ColoredComposition, Composition, _raw_coarsenings, _raw_extended_colors
 from .errors import DimensionMismatchError, NotInSchurSpanError
-from .permutations import colored_descent_composition
+from .permutations import _raw_colored_descent_composition
 from .shapes import (
     RPartitePartition,
     SkewShape,
@@ -160,7 +160,10 @@ class MultiAlphabetPolynomial:
         key = bytearray(self.nvars)
         offs = _offsets(self.widths)
         for j, exps in enumerate(exponents_by_alphabet):
+            _check_alphabet(j, self.widths)
             for i, e in enumerate(exps):
+                if i == self.widths[j]:
+                    raise DimensionMismatchError(f"alphabet {j} has {i} variables, not more")
                 key[offs[j] + i] = e
         return self.terms.get(bytes(key), 0)
 
@@ -274,22 +277,20 @@ def _ssyt_terms(outer: tuple[int, ...], inner: tuple[int, ...]) -> dict[bytes, i
 
 
 @lru_cache(maxsize=None)
-def _colored_F_terms(ce: ColoredComposition) -> dict[bytes, int]:
-    """Packed colored fundamental element (see ``colored_F``).  A packed
-    index chain groups the positions into consecutive blocks of equal
-    index: a strict position always ends a block, any other position may.
-    Each grouping is one term."""
-    ext = ce.extended_colors()
-    n = ce.n
-    sums = ce.composition().partial_sums()
-    strict_after = {
-        sums[j] for j in range(len(ce.parts) - 1) if ce.colors[j] >= ce.colors[j + 1]
-    }
+def _colored_F_terms(parts, colors, r: int) -> dict[bytes, int]:
+    """Packed colored fundamental element (see ``colored_F``) of (parts,
+    colors) with r colors.  A packed index chain groups the positions into
+    consecutive blocks of equal index: a strict position always ends a
+    block, any other position may.  Each grouping is one term."""
+    ext = _raw_extended_colors(parts, colors)
+    n = len(ext)
+    sums = tuple(accumulate(parts))
+    strict_after = {sums[j] for j in range(len(parts) - 1) if colors[j] >= colors[j + 1]}
     optional = [t for t in range(1, n) if t not in strict_after]
     terms: dict[bytes, int] = {}
     for chosen in product((False, True), repeat=len(optional)):
         ends = strict_after.union(t for t, end in zip(optional, chosen) if end)
-        counts = bytearray(n * ce.r)
+        counts = bytearray(n * r)
         block = 0
         for t in range(1, n + 1):
             counts[ext[t - 1] * n + block] += 1
@@ -338,26 +339,26 @@ def _tensor(factors) -> dict[bytes, int]:
     )
 
 
-def _ribbon_blocks(ce: ColoredComposition):
-    """Per color j, the row bounds of the zigzags of the color-j runs of
-    ``ce``, bottom to top: component j of its r-partite shape is their
-    direct sum."""
-    out: list[list] = [[] for _ in range(ce.r)]
-    for block, color in zip(*_raw_colored_zigzag(ce.parts, ce.colors)):
+def _ribbon_blocks(parts, colors, r: int):
+    """Per color j, the row bounds of the zigzags of the color-j runs of the
+    colored composition (parts, colors), bottom to top: component j of its
+    r-partite shape is their direct sum."""
+    out: list[list] = [[] for _ in range(r)]
+    for block, color in zip(*_raw_colored_zigzag(parts, colors)):
         out[color].append(block)
     return tuple(map(tuple, out))
 
 
-def _ribbon_factors(ce: ColoredComposition) -> tuple[dict[bytes, int], ...]:
+def _ribbon_factors(parts, colors, r: int) -> tuple[dict[bytes, int], ...]:
     """One-alphabet factors of the colored ribbon element: factor j is the
     product of the Schur elements of the zigzags of color j."""
-    return tuple(map(_schur_terms, _ribbon_blocks(ce)))
+    return tuple(map(_schur_terms, _ribbon_blocks(parts, colors, r)))
 
 
-def _colored_ribbon_terms(ce: ColoredComposition) -> dict[bytes, int]:
+def _colored_ribbon_terms(parts, colors, r: int) -> dict[bytes, int]:
     """Packed colored ribbon element: the quasi-shuffle of its one-alphabet
     factors."""
-    return _colored_schur_terms(_ribbon_blocks(ce))
+    return _colored_schur_terms(_ribbon_blocks(parts, colors, r))
 
 
 def _row_sum_bounds(part: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -420,8 +421,7 @@ def fundamental_F(a: Composition, alphabet: int, widths) -> MultiAlphabetPolynom
     the ``colored_F`` whose parts all have color ``alphabet``."""
     widths = tuple(widths)
     _check_alphabet(alphabet, widths)
-    ce = ColoredComposition(a.parts, (alphabet,) * len(a.parts), len(widths))
-    return _place(_colored_F_terms(ce), widths)
+    return _place(_colored_F_terms(a.parts, (alphabet,) * len(a.parts), len(widths)), widths)
 
 
 def colored_F(ce: ColoredComposition, widths) -> MultiAlphabetPolynomial:
@@ -434,7 +434,7 @@ def colored_F(ce: ColoredComposition, widths) -> MultiAlphabetPolynomial:
     """
     widths = tuple(widths)
     _check_widths(ce.r, widths)
-    return _place(_colored_F_terms(ce), widths)
+    return _place(_colored_F_terms(ce.parts, ce.colors, ce.r), widths)
 
 
 def colored_schur(components, widths) -> MultiAlphabetPolynomial:
@@ -454,7 +454,7 @@ def colored_ribbon(ce: ColoredComposition, widths) -> MultiAlphabetPolynomial:
     r-partite shape of ``ce`` (``colored_composition_shape``)."""
     widths = tuple(widths)
     _check_widths(ce.r, widths)
-    return _place(_colored_ribbon_terms(ce), widths)
+    return _place(_colored_ribbon_terms(ce.parts, ce.colors, ce.r), widths)
 
 
 def colored_h(bll: RPartitePartition, widths) -> MultiAlphabetPolynomial:
@@ -488,13 +488,12 @@ def qsym_generating_function(
     elements = list(group_elements)
     if len({(a.n, a.r) for a in elements}) > 1:
         raise DimensionMismatchError("elements must share one n and one r")
-    counter: Counter[ColoredComposition] = Counter(
-        colored_descent_composition(a) for a in elements
-    )
+    if elements:
+        _check_widths(elements[0].r, widths)
+    counter = Counter(_raw_colored_descent_composition(a.word, a.colors) for a in elements)
     acc: dict[bytes, int] = {}
-    for ce, mult in counter.items():
-        _check_widths(ce.r, widths)
-        add_terms(acc, _colored_F_terms(ce), mult)
+    for (parts, colors), mult in counter.items():
+        add_terms(acc, _colored_F_terms(parts, colors, len(widths)), mult)
     return _place(acc, widths)
 
 
@@ -585,33 +584,43 @@ def ribbon_schur_by_peeling(ce: ColoredComposition) -> Expansion:
     """Schur expansion of the colored ribbon element: each one-alphabet
     factor is peeled from its packed coordinates, so no choice of widths is
     involved, and the expansion is the product of theirs."""
+    return _raw_ribbon_schur_by_peeling(ce.parts, ce.colors, ce.r)
+
+
+def _raw_ribbon_schur_by_peeling(parts, colors, r: int) -> Expansion:
+    """``ribbon_schur_by_peeling`` of (parts, colors) with r colors."""
     coeffs: dict[RPartitePartition, int] = {(): 1}
-    for degree, terms in zip(ce.color_class_sizes(), _ribbon_factors(ce)):
+    for cls, terms in zip(_raw_h_index(parts, colors, r), _ribbon_factors(parts, colors, r)):
         peeled = _peel(
-            terms, (degree,), lambda bll: _schur_terms(_blocks(bll[0], (0,) * len(bll[0])))
+            terms, (sum(cls),), lambda bll: _schur_terms(_blocks(bll[0], (0,) * len(bll[0])))
         )
         coeffs = {
             index + part: c * d for index, c in coeffs.items() for part, d in peeled.items()
         }
-    return Expansion("schur", ce.n, ce.r, coeffs)
+    return Expansion("schur", sum(parts), r, coeffs)
 
 
 def ribbon_schur_by_counting(ce: ColoredComposition) -> Expansion:
     """Schur expansion of the colored ribbon element: the coefficient of
     ``bll`` counts the standard fillings of the r-partite shape ``bll``
-    whose colored descent composition is ``ce``.
+    whose colored descent composition is ``ce``."""
+    return _raw_ribbon_schur_by_counting(ce.parts, ce.colors, ce.r)
 
-    Such a filling puts entry i in the component of the extended color at
-    i, in a strictly lower row than entry i-1 of the same component exactly
-    when i-1 ends a part.  One search grows all shapes at once, placing
-    entry i at any addable row that obeys this, a new bottom row included.
-    Row 0 or a new bottom row always qualifies, so no branch dies and the
-    search costs O(n) per counted filling.  It keeps an explicit stack, so
-    n is not bounded by the recursion limit.
+
+def _raw_ribbon_schur_by_counting(parts, colors, r: int) -> Expansion:
+    """``ribbon_schur_by_counting`` of (parts, colors) with r colors.
+
+    A filling counted there puts entry i in the component of the extended
+    color at i, in a strictly lower row than entry i-1 of the same
+    component exactly when i-1 ends a part.  One search grows all shapes
+    at once, placing entry i at any addable row that obeys this, a new
+    bottom row included.  Row 0 or a new bottom row always qualifies, so
+    no branch dies and the search costs O(n) per counted filling.  It
+    keeps an explicit stack, so n is not bounded by the recursion limit.
     """
-    n, ext = ce.n, ce.extended_colors()
-    ends = set(ce.composition().partial_sums())
-    rows: list[list[int]] = [[] for _ in range(ce.r)]
+    ext = _raw_extended_colors(parts, colors)
+    n, ends = len(ext), set(accumulate(parts))
+    rows: list[list[int]] = [[] for _ in range(r)]
     coeffs: dict[RPartitePartition, int] = {}
 
     def choices(i: int, prev: int):
@@ -651,23 +660,27 @@ def ribbon_schur_by_counting(ce: ColoredComposition) -> Expansion:
             coeffs[bll] = coeffs.get(bll, 0) + 1
         else:
             stack.append(choices(i + 1, t))
-    return Expansion("schur", ce.n, ce.r, coeffs)
+    return Expansion("schur", n, r, coeffs)
 
 
 def ribbon_h_expansion(ce: ColoredComposition) -> Expansion:
     """Alternating h-basis expansion of the colored ribbon element, summed
     over the colored compositions below ``ce`` in reverse refinement."""
+    return _raw_ribbon_h_expansion(ce.parts, ce.colors, ce.r)
+
+
+def _raw_ribbon_h_expansion(parts, colors, r: int) -> Expansion:
+    """``ribbon_h_expansion`` of (parts, colors) with r colors."""
     coeffs: dict[RPartitePartition, int] = {}
-    length = len(ce.parts)
-    for parts, colors in _raw_coarsenings(ce.parts, ce.colors):
-        sign = -1 if (length - len(parts)) % 2 else 1
-        key = _raw_h_index(parts, colors, ce.r)
+    for coarse, coarse_colors in _raw_coarsenings(parts, colors):
+        sign = -1 if (len(parts) - len(coarse)) % 2 else 1
+        key = _raw_h_index(coarse, coarse_colors, r)
         cur = coeffs.get(key, 0) + sign
         if cur:
             coeffs[key] = cur
         else:
             coeffs.pop(key, None)
-    return Expansion("h", ce.n, ce.r, coeffs)
+    return Expansion("h", sum(parts), r, coeffs)
 
 
 def ribbon_f_expansion(ce: ColoredComposition) -> dict[ColoredComposition, int]:

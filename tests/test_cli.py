@@ -306,6 +306,12 @@ def test_parse_error_exit_code(capsys):
     assert "oops" in err
 
 
+def test_color_count_below_one_is_named(capsys):
+    code, out, err = run_cli(capsys, "ribbon", "--comp", "1^0", "--r", "0")
+    assert code == 2 and out == ""
+    assert err == "error: r must be at least 1, got 0\n"
+
+
 def test_bad_flag_exit_code(capsys):
     code, _, _ = run_cli(capsys, "ribbon", "--comp", "2^0", "--basis", "typo")
     assert code == 2

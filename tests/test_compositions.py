@@ -278,6 +278,15 @@ class TestText:
         with pytest.raises(ParseError):
             parse_colored_composition("2^5", 2)  # color out of range
 
+    def test_color_count_below_one_is_named(self):
+        for r in (0, -1):
+            with pytest.raises(ValueError, match=f"^r must be at least 1, got {r}$"):
+                ColoredComposition((1,), (0,), r)
+            with pytest.raises(ParseError, match="^r must be at least 1"):
+                parse_colored_composition("1^0", r)
+        with pytest.raises(ValueError, match="^colors must lie in 0..0"):
+            ColoredComposition((1,), (1,), 1)
+
     @given(colored_comps())
     def test_format_parse_round_trip(self, ce):
         assert parse_colored_composition(ce.text(), ce.r) == ce

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+from collections import Counter
 from itertools import accumulate
 
 import pytest
@@ -26,13 +27,20 @@ from coloredsym import (
 from coloredsym import (
     SkewShape,
     bijections,
+    compositions,
     identities,
     shapes,
     symfun,
 )
 from coloredsym.permutations import _raw_inverse
 from coloredsym.shapes import _raw_colored_composition_shape, _raw_colored_zigzag
-from coloredsym.symfun import _colored_F_terms, _colored_schur_terms, _h_factors, _schur_terms
+from coloredsym.symfun import (
+    _colored_F_terms,
+    _colored_schur_terms,
+    _h_factors,
+    _raw_ribbon_h_expansion,
+    _schur_terms,
+)
 from coloredsym.identities import (
     verify_colored_ribbon_h,
     verify_colored_ribbon_schur,
@@ -146,12 +154,36 @@ def test_classical_ribbon_suites_are_the_r1_slices():
 
 
 def _doubled_at(fn, target):
-    """``fn`` with every coefficient doubled at ``target``."""
-    def planted(key):
-        terms = fn(key)
+    """``fn`` with every coefficient doubled at the arguments ``target``."""
+    def planted(*key):
+        terms = fn(*key)
         return {k: 2 * c for k, c in terms.items()} if key == target else terms
 
     return planted
+
+
+def _pair(ce):
+    """The (parts, colors) pair of ``ce``, as the sweeps take it."""
+    return ce.parts, ce.colors
+
+
+def _constructions(monkeypatch, cls):
+    """The list that each validated construction of ``cls`` from now on
+    appends its instance to."""
+    built = []
+    post_init = cls.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+def _clear_memos():
+    for memo in (_colored_F_terms, _schur_terms, _colored_schur_terms):
+        memo.cache_clear()
 
 
 @pytest.mark.parametrize("name,max_n,max_r", [
@@ -163,22 +195,75 @@ def _doubled_at(fn, target):
 def test_polynomial_ribbon_sweeps_build_no_skew_shape(monkeypatch, name, max_n, max_r):
     # the shape memos are keyed by raw row bounds, so a sweep with the memos
     # cleared still validates no shape
-    _schur_terms.cache_clear()
-    _colored_schur_terms.cache_clear()
-    built = []
-    post_init = SkewShape.__post_init__
-
-    def counted(self):
-        built.append((self.outer, self.inner))
-        post_init(self)
-
-    monkeypatch.setattr(SkewShape, "__post_init__", counted)
+    _clear_memos()
+    built = _constructions(monkeypatch, SkewShape)
     assert run_identity(name, max_n, max_r).passed
     assert built == []
 
 
+@pytest.mark.parametrize("name,max_n,max_r", [
+    ("skew-schur-f", 4, None),
+    ("colored-ribbon-schur", 3, 2),
+    ("colored-ribbon-h", 3, 2),
+    ("ribbon-schur", 4, None),
+    ("ribbon-h", 4, None),
+    ("zigzag-count", 4, 3),
+    ("rsk", 3, 2),
+])
+def test_sweeps_build_no_colored_composition(monkeypatch, name, max_n, max_r):
+    # the case lists, the memo keys and the group pass hold raw (parts,
+    # colors) pairs, so a passing sweep with the memos cleared validates
+    # no colored composition
+    _clear_memos()
+    built = _constructions(monkeypatch, ColoredComposition)
+    assert run_identity(name, max_n, max_r).passed
+    assert built == []
+
+
+@pytest.mark.parametrize("name", ["class-tableau", "reading-word"])
+def test_class_sweep_builds_one_colored_composition_per_case(monkeypatch, name):
+    # its paper-route shape oracle takes the validated object
+    built = _constructions(monkeypatch, ColoredComposition)
+    report = run_identity(name, *REDUCED[name])
+    assert report.passed
+    assert len(built) == len(set(built)) == report.cases_checked
+
+
+def test_cells_are_the_public_lists():
+    # every colored sweep reads a cell as the raw pairs of the public list,
+    # in its order
+    cells = identities._Builder("cells", 6, 3).cells()
+    assert list(cells) == [
+        (n, r, [_pair(ce) for ce in enumerate_colored_compositions(n, r)])
+        for n in range(1, 7)
+        for r in range(1, 4)
+    ]
+
+
+@pytest.mark.parametrize("name,case", [
+    ("colored-ribbon-schur", "_ribbon_schur_case"),
+    ("colored-ribbon-h", "_ribbon_h_case"),
+])
+def test_witnesses_of_one_cell_follow_the_public_order(monkeypatch, name, case):
+    # a fault at every composition of 3 with 2 colors whose first color is
+    # 1: the raw stream meets (1, 2) with colors (1, 0) after the four
+    # colorings of (1, 1, 1), the public order second
+    def hit(parts, colors, r):
+        return (sum(parts), r, colors[0]) == (3, 2, 1)
+
+    checked = getattr(identities, case)
+    monkeypatch.setattr(identities, case, lambda parts, colors, r, *rest: (
+        {"reason": "planted"} if hit(parts, colors, r) else checked(parts, colors, r, *rest)
+    ))
+    report = run_identity(name, 3, 2)
+    want = [ce.to_json() for ce in enumerate_colored_compositions(3, 2) if hit(*_pair(ce), 2)]
+    assert report.failure_count == len(want) == 9
+    assert [w["composition"] for w in report.failures] == want
+    assert all(w["reason"] == "planted" for w in report.failures)
+
+
 def test_planted_fundamental_fault_fails_ribbon_schur(monkeypatch):
-    target = ColoredComposition((1, 2), (0, 0), 1)
+    target = ((1, 2), (0, 0), 1)
     monkeypatch.setattr(
         identities, "_colored_F_terms", _doubled_at(_colored_F_terms, target)
     )
@@ -247,16 +332,16 @@ def test_planted_sign_flip_fails_colored_ribbon_h(monkeypatch):
 
 
 def test_planted_h_expansion_fault_fails_ribbon_h(monkeypatch):
-    target = ColoredComposition((1, 2), (0, 0), 1)
+    target = ((1, 2), (0, 0), 1)
 
-    def dropped(ce):
-        expansion = ribbon_h_expansion(ce)
+    def dropped(*ce):
+        expansion = _raw_ribbon_h_expansion(*ce)
         if ce != target:
             return expansion
         kept = dict(expansion.sorted_items()[1:])
         return Expansion(expansion.basis, expansion.n, expansion.r, kept)
 
-    monkeypatch.setattr(identities, "ribbon_h_expansion", dropped)
+    monkeypatch.setattr(identities, "_raw_ribbon_h_expansion", dropped)
     report = run_identity("ribbon-h", 3)
     assert not report.passed
     assert report.failure_count == 1
@@ -451,8 +536,8 @@ def test_planted_fault_fails_class_tableau_at_its_cell(monkeypatch, fault):
     else:
         other = ColoredComposition((1, 2), (0, 1), 2)
         assert descent_class_size(other) == descent_class_size(PLANTED_CE)
-        monkeypatch.setattr(identities, "enumerate_colored_compositions", _replaced_at(
-            enumerate_colored_compositions, (3, 2), PLANTED_CE, other
+        monkeypatch.setattr(identities, "_raw_colored_composition_list", _replaced_at(
+            compositions._raw_colored_composition_list, (3, 2), _pair(PLANTED_CE), _pair(other)
         ))
     report = run_identity("class-tableau", 4, 2)
     assert not report.passed
@@ -483,8 +568,8 @@ def test_planted_fault_fails_reading_word_at_its_size(monkeypatch, fault):
     else:
         other = ColoredComposition((1, 2), (0, 0), 1)
         assert descent_class_size(other) == descent_class_size(PLANTED_COMP)
-        monkeypatch.setattr(identities, "enumerate_colored_compositions", _replaced_at(
-            enumerate_colored_compositions, (3, 1), PLANTED_COMP, other
+        monkeypatch.setattr(identities, "_raw_colored_composition_list", _replaced_at(
+            compositions._raw_colored_composition_list, (3, 1), _pair(PLANTED_COMP), _pair(other)
         ))
     report = run_identity("reading-word", 5)
     assert not report.passed
@@ -736,25 +821,32 @@ def test_block_memos_are_bounded_and_never_evict_at_the_default_range():
 
 def test_ribbon_schur_builds_each_ribbon_once(monkeypatch):
     # each case reads one packed ribbon, for the F-sum, and one tuple of
-    # one-alphabet factors, which the peel reads
+    # one-alphabet factors, which the peel reads; both take the raw
+    # (parts, colors, r)
     calls = {}
     for name in ("_colored_ribbon_terms", "_ribbon_factors"):
         build = getattr(symfun, name)
 
-        def counted(ce, build=build, seen=calls.setdefault(name, [])):
+        def counted(*ce, build=build, seen=calls.setdefault(name, [])):
             seen.append(ce)
-            return build(ce)
+            return build(*ce)
 
         monkeypatch.setattr(identities, name, counted)
         monkeypatch.setattr(symfun, name, counted)
     report = run_identity("colored-ribbon-schur", 3, 2)
     assert report.passed
     for seen in calls.values():
-        assert len(seen) == report.cases_checked == 33
+        assert len(seen) == len(set(seen)) == report.cases_checked == 33
 
 
 @pytest.mark.parametrize(
     "n,r", [(n, r) for n in range(1, 6) for r in (1, 2, 3)] + [(6, 1)]
 )
 def test_raw_group_counters_match_object_path(n, r):
-    assert identities._conj_inverse_f_counters(n, r) == ref.conj_inverse_f_counters(n, r)
+    # the reference keys its counters by validated objects, the pass by
+    # their (parts, colors) pairs
+    want = {
+        _pair(key): Counter({_pair(ce): mult for ce, mult in counter.items()})
+        for key, counter in ref.conj_inverse_f_counters(n, r).items()
+    }
+    assert identities._conj_inverse_f_counters(n, r) == want

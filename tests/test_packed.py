@@ -160,11 +160,12 @@ def test_tensor_coordinates_are_the_block_diagonal_of_the_packed_elements(n, r):
     # the packed chain count of its r-partite shape; every colored h index
     # against the packed h and its colored F product
     for ce in enumerate_colored_compositions(n, r):
-        degrees = ce.color_class_sizes()
+        degrees = tuple(map(sum, h_index_of_colored_comp(ce)))
         direct_sums = tuple(_blocks(s.outer, s.inner) for s in colored_composition_shape(ce))
-        packed = _colored_ribbon_terms(ce)
+        raw = (ce.parts, ce.colors, ce.r)
+        packed = _colored_ribbon_terms(*raw)
         assert packed == _colored_schur_terms(direct_sums)
-        assert _tensor(_ribbon_factors(ce)) == block_diagonal(packed, degrees)
+        assert _tensor(_ribbon_factors(*raw)) == block_diagonal(packed, degrees)
     for bll in enumerate_rpartite_partitions(n, r):
         degrees = tuple(map(sum, bll))
         tensor = _tensor(_h_factors(bll))

@@ -265,6 +265,12 @@ class TestText:
         with pytest.raises(ParseError):
             parse_colored_permutation("1^0,1^0", 2)
 
+    def test_color_count_below_one_is_named(self):
+        with pytest.raises(ValueError, match="^r must be at least 1, got 0$"):
+            ColoredPermutation(Permutation((1,)), (0,), 0)
+        with pytest.raises(ParseError, match="^r must be at least 1, got 0$"):
+            parse_colored_permutation("1^0", 0)
+
     @given(st.integers(1, 6), st.integers(1, 4), st.randoms(use_true_random=False))
     def test_random_round_trip(self, n, r, rng):
         word = list(range(1, n + 1))

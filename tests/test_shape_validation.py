@@ -87,7 +87,9 @@ def reference_colored_set(n, r, pairs):
     ``AugmentedSubset``."""
     pairs = tuple((int(e), int(c)) for e, c in pairs)
     AugmentedSubset(n, tuple(e for e, _ in pairs))
-    if r < 1 or any(not 0 <= c < r for _, c in pairs):
+    if r < 1:
+        raise ValueError(f"r must be at least 1, got {r}")
+    if any(not 0 <= c < r for _, c in pairs):
         raise ValueError(f"colors must lie in 0..{r - 1}: {pairs!r}")
     return pairs
 
@@ -244,7 +246,8 @@ def test_colored_set_matches_reference_on_every_small_input():
         "n must be positive",
         *(f"augmented subset must contain n={n}" for n in range(1, 4)),
         "elements must be strictly increasing in [n]",
-        *(f"colors must lie in 0..{r - 1}" for r in range(3)),
+        "r must be",  # "r must be at least 1", cut at " at " by kind
+        *(f"colors must lie in 0..{r - 1}" for r in range(1, 3)),
         "invalid literal for int() with base 10",
     }
 

@@ -126,6 +126,22 @@ class TestRingOperations:
         q = colored_schur(((2,), (1,)), (2, 1))
         assert q.coefficient([(1, 1), (1,)]) == 1
 
+    def test_coefficient_rejects_more_exponents_than_variables(self):
+        # x1 * x3 has no variable x3 at widths (2, 2); its third exponent
+        # must not be read as that of y1, whose x1 * y1 has coefficient 1
+        p = colored_schur(((1,), (1,)), (2, 2))
+        assert p.coefficient([(1, 0), (1, 0)]) == 1
+        with pytest.raises(DimensionMismatchError, match="alphabet 0 has 2 variables"):
+            p.coefficient([(1, 0, 1)])
+        with pytest.raises(DimensionMismatchError, match="alphabet 1 has 2 variables"):
+            p.coefficient([(1,), (0, 0, 1)])
+        assert p.coefficient([(1,), (1,)]) == 1
+
+    def test_coefficient_rejects_more_alphabets_than_widths(self):
+        p = colored_schur(((1,), (1,)), (2, 2))
+        with pytest.raises(DimensionMismatchError, match="alphabet 2 is not one of the 2"):
+            p.coefficient([(1,), (1,), (0,)])
+
 
 def ssyt_poly_direct(shape, width):
     """Unfactorized semistandard enumeration over the whole diagram."""
@@ -507,7 +523,8 @@ def per_shape_counting_reference(ce):
         rec(1, -1)
         return total
 
-    shapes = product(*(list(partitions(size)) for size in ce.color_class_sizes()))
+    sizes = map(sum, h_index_of_colored_comp(ce))
+    shapes = product(*(list(partitions(size)) for size in sizes))
     return {bll: c for bll in shapes if (c := count(bll))}
 
 

@@ -180,8 +180,8 @@ def quasi_shuffle_h_terms(bll):
     """Packed colored h as the quasi-shuffle product of its factors, h_k in
     alphabet j being the colored F of the one-part composition k^j."""
     r = len(bll)
-    hs = (ColoredComposition((k,), (j,), r) for j, part in enumerate(bll) for k in part)
-    return _product(map(_colored_F_terms, hs), r)
+    hs = (_colored_F_terms((k,), (j,), r) for j, part in enumerate(bll) for k in part)
+    return _product(hs, r)
 
 
 def _direct_sums(shapes):
