@@ -36,6 +36,7 @@ from .errors import DimensionMismatchError, ResourceLimitError, ShapeError
 from .permutations import (
     ColoredPermutation,
     Permutation,
+    _check_nonempty,
     _raw_colored_descent_composition,
     _raw_conj_inverse,
     descent_composition,
@@ -85,6 +86,7 @@ def colored_class_to_tableau(a: ColoredPermutation) -> RPartiteTableau:
     Each part of the colored descent composition is one increasing
     constant-color run of the window word and fills one row; the runs of
     one color stack bottom to top in window order."""
+    _check_nonempty(a.n)
     (parts, colors), filling = _raw_class_to_tableau(a.word, a.colors, a.r)
     shapes = colored_composition_shape(ColoredComposition(parts, colors, a.r))
     return RPartiteTableau(

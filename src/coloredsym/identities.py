@@ -25,16 +25,16 @@ symmetric, so ``colored-ribbon-h`` compares them in tensor coordinates
 (one one-alphabet key per alphabet, see ``symfun``), and the Schur peel
 peels each one-alphabet factor of the ribbon.  The colored F-sum is only
 colored quasisymmetric, so ``colored-ribbon-schur`` compares it with the
-packed ribbon, the quasi-shuffle of the same factors.  The two colored
-ribbon verifiers share the memoized one-alphabet factors of each ribbon,
-the products of the Schur elements of its zigzags, so a double pass (as
-in ``verify --identity all``) certifies mutual consistency of the
-Schur-positivity identity and the alternating h-expansion.  The h side is
-chain-counted from the direct sum of the rows, not built from the ribbon's
-factors.  Three classical suites are r = 1 slices of colored ones, run
-through the same sweeps: ``reading-word`` of ``class-tableau``,
-``ribbon-schur`` of ``colored-ribbon-schur`` and ``ribbon-h`` of
-``colored-ribbon-h``.
+packed ribbon, the quasi-shuffle of the same factors, which the sweep
+keeps for one (n, r) cell only.  The two colored ribbon verifiers share
+the memoized one-alphabet factors of each ribbon, the products of the
+Schur elements of its zigzags, so a double pass (as in ``verify
+--identity all``) certifies mutual consistency of the Schur-positivity
+identity and the alternating h-expansion.  The h side is chain-counted
+from the direct sum of the rows, not built from the ribbon's factors.
+Three classical suites are r = 1 slices of colored ones, run through the
+same sweeps: ``reading-word`` of ``class-tableau``, ``ribbon-schur`` of
+``colored-ribbon-schur`` and ``ribbon-h`` of ``colored-ribbon-h``.
 """
 
 from __future__ import annotations
@@ -85,11 +85,12 @@ from .shapes import (
 )
 from .symfun import (
     _colored_F_terms,
-    _colored_ribbon_terms,
+    _colored_schur_terms,
     _h_factors,
     _raw_ribbon_h_expansion,
     _raw_ribbon_schur_by_counting,
     _raw_ribbon_schur_by_peeling,
+    _ribbon_blocks,
     _ribbon_factors,
     _schur_terms,
     _tensor,
@@ -477,10 +478,14 @@ def _conj_inverse_f_counters(n: int, r: int) -> dict[tuple, Counter]:
     return out
 
 
-def _ribbon_schur_case(parts, colors, r: int, counter: Counter) -> dict | None:
-    # the F-sum is colored quasisymmetric, so it is compared in packed
-    # coordinates; the peel reads the ribbon's one-alphabet factors
-    ribbon = _colored_ribbon_terms(parts, colors, r)
+def _ribbon_schur_case(parts, colors, r: int, counter: Counter, ribbons: dict) -> dict | None:
+    # the F-sum is colored quasisymmetric, so it is compared with the packed
+    # ribbon, kept in ``ribbons`` by its per-alphabet blocks, which fix n
+    # and r; the peel reads the ribbon's one-alphabet factors
+    blocks = _ribbon_blocks(parts, colors, r)
+    ribbon = ribbons.get(blocks)
+    if ribbon is None:
+        ribbon = ribbons[blocks] = _colored_schur_terms(blocks)
     acc: dict[bytes, int] = {}
     for comp, mult in counter.items():
         add_terms(acc, _colored_F_terms(*comp, r), mult)
@@ -505,9 +510,9 @@ def _ribbon_schur_case(parts, colors, r: int, counter: Counter) -> dict | None:
 def _ribbon_schur_sweep(identity, max_n, max_r) -> VerificationReport:
     b = _Builder(identity, max_n, max_r)
     for n, r, cell in b.cells():
-        counters = _conj_inverse_f_counters(n, r)
+        counters, ribbons = _conj_inverse_f_counters(n, r), {}
         for ce in cell:
-            b.check(n, r, ce, _ribbon_schur_case(*ce, r, counters.get(ce, Counter())))
+            b.check(n, r, ce, _ribbon_schur_case(*ce, r, counters.get(ce, Counter()), ribbons))
     return b.report()
 
 

@@ -51,6 +51,8 @@ class Permutation:
         return len(self.word)
 
     def __call__(self, i: int) -> int:
+        if not 1 <= i <= self.n:
+            raise ValueError(f"i must lie in 1..{self.n}, got {i}")
         return self.word[i - 1]
 
     def inverse(self) -> "Permutation":
@@ -147,6 +149,12 @@ def _raw_conj_inverse(word, colors) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return inv, tuple([colors[v - 1] for v in inv])
 
 
+def _check_nonempty(n: int) -> None:
+    """A run, a part or a colored descent needs a position."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+
+
 def descent_set(p: Permutation) -> frozenset[int]:
     """Positions i in [n-1] with ``p(i) > p(i+1)``."""
     w = p.word
@@ -155,6 +163,7 @@ def descent_set(p: Permutation) -> frozenset[int]:
 
 def descent_composition(p: Permutation) -> Composition:
     """Lengths of the maximal increasing runs of ``p``."""
+    _check_nonempty(p.n)
     parts, run = [], 1
     w = p.word
     for i in range(1, p.n):
@@ -170,6 +179,7 @@ def descent_composition(p: Permutation) -> Composition:
 def colored_descent_set(a: ColoredPermutation) -> ColoredSet:
     """Ending positions of maximal increasing runs of constant color,
     each carrying the color of its run; n is always included."""
+    _check_nonempty(a.n)
     return ColoredSet(a.n, a.r, _raw_colored_descent_set(a.word, a.colors))
 
 
@@ -187,6 +197,7 @@ def _raw_colored_descent_set(w, z) -> tuple[tuple[int, int], ...]:
 
 def colored_descent_composition(a: ColoredPermutation) -> ColoredComposition:
     """Run lengths of maximal increasing constant-color runs with colors."""
+    _check_nonempty(a.n)
     parts, colors = _raw_colored_descent_composition(a.word, a.colors)
     return ColoredComposition(parts, colors, a.r)
 
@@ -215,7 +226,7 @@ def steingrimsson_descent_set(a: ColoredPermutation) -> frozenset[int]:
     for i in range(1, a.n):
         if z[i - 1] > z[i] or (z[i - 1] == z[i] and w[i - 1] > w[i]):
             out.add(i)
-    if z[a.n - 1] > 0:
+    if a.n and z[-1] > 0:
         out.add(a.n)
     return frozenset(out)
 

@@ -28,22 +28,24 @@ splits one way only.  The ribbon/h comparison reads these coordinates, and
 the Schur peel peels each factor as a one-alphabet polynomial: the
 expansion of a product is the product of the expansions of its factors.
 
-Packed colored coordinates are built only where a statement or a caller
-needs them.  ``_colored_F_terms`` gives colored F and F, which are colored
-quasisymmetric but not per-alphabet symmetric.  ``_colored_schur_terms`` is
-the quasi-shuffle of the one-alphabet factors of a colored skew Schur
-element; the colored F-sum comparison and the public constructors read it.
+Packed colored coordinates are built only where they are needed:
+``_colored_F_terms`` gives colored F and F, which are not per-alphabet
+symmetric, and ``_colored_schur_terms``, the quasi-shuffle of the factors
+of a colored skew Schur element, serves only the colored F-sum comparison
+of the ribbon Schur sweep, which keeps what it builds for one (n, r) cell.
 A packed key of a degree-d element is r rows of d bytes, alphabet-major;
 column t holds the exponent vector of index t + 1.  Coefficients are exact
-(unbounded) Python ints.  Byte-wise lexicographic comparison of keys is
-the term order of Schur-basis peeling: alphabet-major, then index-major,
-exponents compared high to low.  The leading monomial of a per-alphabet
-symmetric element is packed, so peeling its packed coordinates (as
-``expand_in_colored_schur`` does at given widths) gives its expansion.
+Python ints.  Byte-wise lexicographic comparison of keys is the term order
+of Schur-basis peeling: alphabet-major, then index-major, exponents
+compared high to low; the leading monomial of a per-alphabet symmetric
+element is packed, so peeling it gives the expansion.
 
 The public constructors return a ``MultiAlphabetPolynomial``, in which
-alphabet j has ``widths[j]`` variables.  It is made by placing each packed
-key on every increasing choice of indices that fits the widths.
+alphabet j has ``widths[j]`` variables.  A symmetric element places each
+factor on every increasing choice of its alphabet's indices and joins the
+placements by ``_tensor``; colored F, F and the generating function of a
+descent class place each packed key on every increasing choice of indices
+that fits the widths.
 """
 
 from __future__ import annotations
@@ -52,12 +54,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations, product
+from operator import add
 
 from ._poly_py import add_terms, mul_terms
 from .compositions import ColoredComposition, Composition, _raw_coarsenings, _raw_extended_colors
 from .errors import DimensionMismatchError, NotInSchurSpanError
 from .permutations import _raw_colored_descent_composition
 from .shapes import (
+    EMPTY_SHAPE,
     RPartitePartition,
     SkewShape,
     _raw_colored_composition_shape,
@@ -78,17 +82,10 @@ def _offsets(widths: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _mul_full(a: dict[bytes, int], b: dict[bytes, int]) -> dict[bytes, int]:
-    """Product of two full term maps of one variable layout (zero
-    coefficients dropped)."""
+    """Product of two full term maps of one variable layout."""
     out: dict[bytes, int] = {}
     for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = bytes(x + y for x, y in zip(ka, kb))
-            cur = out.get(key, 0) + ca * cb
-            if cur:
-                out[key] = cur
-            else:
-                out.pop(key, None)
+        add_terms(out, {bytes(map(add, ka, kb)): cb for kb, cb in b.items()}, ca)
     return out
 
 
@@ -104,6 +101,10 @@ class MultiAlphabetPolynomial:
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         if any(w < 0 for w in self.widths):
             raise ValueError("alphabet widths must be nonnegative")
+        if set(map(len, self.terms)) - {self.nvars}:
+            raise DimensionMismatchError(f"every key needs {self.nvars} bytes, one per variable")
+        if not all(self.terms.values()):
+            raise ValueError("coefficients must be nonzero")
 
     @property
     def r(self) -> int:
@@ -125,34 +126,30 @@ class MultiAlphabetPolynomial:
                 f"width mismatch: {self.widths!r} vs {other.widths!r}"
             )
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        if not isinstance(other, MultiAlphabetPolynomial):
+            return NotImplemented
         self._check_ring(other)
-        return MultiAlphabetPolynomial(
-            self.widths, add_terms(dict(self.terms), other.terms, 1)
-        )
+        return MultiAlphabetPolynomial(self.widths, add_terms(dict(self.terms), other.terms, sign))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        self._check_ring(other)
-        return MultiAlphabetPolynomial(
-            self.widths, add_terms(dict(self.terms), other.terms, -1)
-        )
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return MultiAlphabetPolynomial(
-            self.widths, {k: -c for k, c in self.terms.items()}
-        )
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return MultiAlphabetPolynomial(self.widths, {})
-            return MultiAlphabetPolynomial(
-                self.widths, {k: other * c for k, c in self.terms.items()}
-            )
-        self._check_ring(other)
-        return MultiAlphabetPolynomial(
-            self.widths, _mul_full(self.terms, other.terms)
-        )
+            terms = {k: other * c for k, c in self.terms.items()} if other else {}
+        elif isinstance(other, MultiAlphabetPolynomial):
+            self._check_ring(other)
+            terms = _mul_full(self.terms, other.terms)
+        else:
+            return NotImplemented
+        return MultiAlphabetPolynomial(self.widths, terms)
 
     __rmul__ = __mul__
 
@@ -223,13 +220,6 @@ def _place(terms: dict[bytes, int], widths) -> MultiAlphabetPolynomial:
                     full[off + i] = e
             poly.terms[bytes(full)] = coeff
     return poly
-
-
-def _product(factors, r: int) -> dict[bytes, int]:
-    """Quasi-shuffle product of packed term maps over r alphabets, started
-    from the first factor; the unit when there are none."""
-    factors = list(factors)
-    return reduce(lambda a, b: mul_terms(a, b, r), factors) if factors else {b"": 1}
 
 
 def _embed(terms: dict[bytes, int], alphabet: int, r: int) -> dict[bytes, int]:
@@ -317,26 +307,33 @@ def _blocks(outer: tuple[int, ...], inner: tuple[int, ...]):
     return ((outer, inner),) if outer else ()
 
 
-@lru_cache(maxsize=None)
 def _colored_schur_terms(components) -> dict[bytes, int]:
     """Packed colored (skew) Schur element whose component j is the direct
     sum of the shapes ``components[j]`` (blocks of ``_schur_terms``), in
     alphabet j: the quasi-shuffle of its one-alphabet factors."""
     r = len(components)
-    return _product(
-        (_embed(_schur_terms(blocks), j, r) for j, blocks in enumerate(components) if blocks),
-        r,
-    )
+    factors = [_embed(_schur_terms(blocks), j, r) for j, blocks in enumerate(components) if blocks]
+    return reduce(lambda a, b: mul_terms(a, b, r), factors) if factors else {b"": 1}
 
 
 def _tensor(factors) -> dict[bytes, int]:
-    """Tensor coordinates of the product of one-alphabet packed elements,
-    factor j in alphabet j: each key joins one key per factor, and its
-    coefficient is the product of theirs."""
+    """Tensor coordinates of the product of one-alphabet elements, factor j
+    in alphabet j: each key joins one key per factor, and its coefficient
+    is the product of theirs."""
     return reduce(
         lambda a, b: {ka + kb: ca * cb for ka, ca in a.items() for kb, cb in b.items()},
         factors,
     )
+
+
+def _place_factors(factors, widths) -> MultiAlphabetPolynomial:
+    """The polynomial at ``widths`` of the product of one-alphabet packed
+    elements, factor j in alphabet j: each factor placed at its alphabet's
+    width, the placements joined by ``_tensor``; the unit when there are
+    none."""
+    widths = tuple(widths)
+    placed = [_place(f, (w,)).terms for f, w in zip(factors, widths)]
+    return MultiAlphabetPolynomial(widths, _tensor(placed) if placed else {b"": 1})
 
 
 def _ribbon_blocks(parts, colors, r: int):
@@ -355,12 +352,6 @@ def _ribbon_factors(parts, colors, r: int) -> tuple[dict[bytes, int], ...]:
     return tuple(map(_schur_terms, _ribbon_blocks(parts, colors, r)))
 
 
-def _colored_ribbon_terms(parts, colors, r: int) -> dict[bytes, int]:
-    """Packed colored ribbon element: the quasi-shuffle of its one-alphabet
-    factors."""
-    return _colored_schur_terms(_ribbon_blocks(parts, colors, r))
-
-
 def _row_sum_bounds(part: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(outer, inner) of the direct sum of the rows of ``part``: each row
     starts at the end of the row below, so outer is the partial sums, top
@@ -376,21 +367,14 @@ def _h_factors(bll: RPartitePartition) -> tuple[dict[bytes, int], ...]:
     return tuple(_schur_terms(_blocks(*_row_sum_bounds(part))) for part in bll)
 
 
-def _colored_h_terms(bll: RPartitePartition) -> dict[bytes, int]:
-    """Packed product of complete homogeneous elements, component j in
-    alphabet j: the quasi-shuffle of its one-alphabet factors."""
-    return _colored_schur_terms(tuple(_blocks(*_row_sum_bounds(part)) for part in bll))
-
-
 def _schur_in_alphabet(shape: SkewShape, alphabet: int, widths) -> MultiAlphabetPolynomial:
     """The Schur polynomial of ``shape`` in alphabet ``alphabet``: the
     colored Schur polynomial whose other components are empty."""
     widths = tuple(widths)
     _check_alphabet(alphabet, widths)
-    components = tuple(
-        _blocks(shape.outer, shape.inner) if j == alphabet else () for j in range(len(widths))
-    )
-    return _place(_colored_schur_terms(components), widths)
+    components = [EMPTY_SHAPE] * len(widths)
+    components[alphabet] = shape
+    return colored_schur(components, widths)
 
 
 def schur_poly(shape, alphabet: int, widths) -> MultiAlphabetPolynomial:
@@ -443,10 +427,8 @@ def colored_schur(components, widths) -> MultiAlphabetPolynomial:
     widths = tuple(widths)
     components = tuple(map(as_skew, components))
     if len(components) != len(widths):
-        raise DimensionMismatchError(
-            f"{len(components)} components vs {len(widths)} alphabets"
-        )
-    return _place(_colored_schur_terms(tuple(_blocks(s.outer, s.inner) for s in components)), widths)
+        raise DimensionMismatchError(f"{len(components)} components vs {len(widths)} alphabets")
+    return _place_factors((_schur_terms(_blocks(s.outer, s.inner)) for s in components), widths)
 
 
 def colored_ribbon(ce: ColoredComposition, widths) -> MultiAlphabetPolynomial:
@@ -454,7 +436,7 @@ def colored_ribbon(ce: ColoredComposition, widths) -> MultiAlphabetPolynomial:
     r-partite shape of ``ce`` (``colored_composition_shape``)."""
     widths = tuple(widths)
     _check_widths(ce.r, widths)
-    return _place(_colored_ribbon_terms(ce.parts, ce.colors, ce.r), widths)
+    return _place_factors(_ribbon_factors(ce.parts, ce.colors, ce.r), widths)
 
 
 def colored_h(bll: RPartitePartition, widths) -> MultiAlphabetPolynomial:
@@ -462,7 +444,7 @@ def colored_h(bll: RPartitePartition, widths) -> MultiAlphabetPolynomial:
     widths = tuple(widths)
     if len(bll) != len(widths):
         raise DimensionMismatchError(f"{len(bll)} components vs {len(widths)} alphabets")
-    return _place(_colored_h_terms(bll), widths)
+    return _place_factors(_h_factors(bll), widths)
 
 
 def h_index_of_colored_comp(ce: ColoredComposition) -> RPartitePartition:

@@ -266,3 +266,10 @@ class TestColoredRsk:
         w = ColoredPermutation(Permutation(tuple(word)), colors, r)
         p, q = colored_rsk(w)
         assert colored_rsk_inverse(p, q) == w
+
+
+def test_class_to_tableau_refuses_the_empty_permutation():
+    # its shape is that of the colored descent composition, which needs n >= 1
+    empty = ColoredPermutation(Permutation(()), (), 2)
+    with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+        colored_class_to_tableau(empty)

@@ -102,6 +102,22 @@ def test_ribbon_polynomial_golden_stdout(capsys, flags, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "flags,golden",
+    [
+        (("--dump-poly", "--widths", "3,2,4"), "ribbon_dump_poly_r3_widths_3_2_4.json"),
+        (("--dump-poly", "--widths", "3,0,4"), "ribbon_dump_poly_r3_widths_3_0_4.json"),
+        (("--via-poly", "--widths", "5,6,5"), "ribbon_via_poly_r3_widths_5_6_5.json"),
+    ],
+)
+def test_three_color_ribbon_polynomial_golden_stdout(capsys, flags, golden):
+    # widths below n truncate each alphabet on its own, and a zero width
+    # truncates the ribbon to zero
+    code, out, _ = run_cli(capsys, "ribbon", "--comp", "2^0,1^1,2^2", "--r", "3", *flags)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_descent_class(capsys):
     code, out, _ = run_cli(
         capsys, "descent-class", "--comp", "2^0,2^0", "--r", "1", "--conj-inverse"

@@ -36,7 +36,6 @@ from coloredsym.permutations import _raw_inverse
 from coloredsym.shapes import _raw_colored_composition_shape, _raw_colored_zigzag
 from coloredsym.symfun import (
     _colored_F_terms,
-    _colored_schur_terms,
     _h_factors,
     _raw_ribbon_h_expansion,
     _schur_terms,
@@ -182,7 +181,7 @@ def _constructions(monkeypatch, cls):
 
 
 def _clear_memos():
-    for memo in (_colored_F_terms, _schur_terms, _colored_schur_terms):
+    for memo in (_colored_F_terms, _schur_terms):
         memo.cache_clear()
 
 
@@ -820,23 +819,31 @@ def test_block_memos_are_bounded_and_never_evict_at_the_default_range():
 
 
 def test_ribbon_schur_builds_each_ribbon_once(monkeypatch):
-    # each case reads one packed ribbon, for the F-sum, and one tuple of
-    # one-alphabet factors, which the peel reads; both take the raw
-    # (parts, colors, r)
+    # each case reads the blocks of one packed ribbon, for the F-sum, and
+    # one tuple of one-alphabet factors, which the peel reads; both take the
+    # raw (parts, colors, r), and the packed ribbon of each distinct
+    # blocks is built once
     calls = {}
-    for name in ("_colored_ribbon_terms", "_ribbon_factors"):
+    for module, name in (
+        (identities, "_ribbon_blocks"),
+        (symfun, "_ribbon_factors"),
+        (identities, "_colored_schur_terms"),
+    ):
         build = getattr(symfun, name)
 
-        def counted(*ce, build=build, seen=calls.setdefault(name, [])):
-            seen.append(ce)
-            return build(*ce)
+        def counted(*args, build=build, seen=calls.setdefault(name, [])):
+            seen.append(args)
+            return build(*args)
 
-        monkeypatch.setattr(identities, name, counted)
-        monkeypatch.setattr(symfun, name, counted)
+        monkeypatch.setattr(module, name, counted)
     report = run_identity("colored-ribbon-schur", 3, 2)
     assert report.passed
-    for seen in calls.values():
+    cases = calls["_ribbon_blocks"]
+    for seen in (cases, calls["_ribbon_factors"]):
         assert len(seen) == len(set(seen)) == report.cases_checked == 33
+    built = [args[0] for args in calls["_colored_schur_terms"]]
+    assert len(built) == len(set(built)) < 33
+    assert set(built) == {symfun._ribbon_blocks(*ce) for ce in cases}
 
 
 @pytest.mark.parametrize(

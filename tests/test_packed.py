@@ -1,10 +1,12 @@
 """Packed colored-monomial and tensor coordinates against the references.
 
-The public constructors place packed elements at the requested widths; the
-truncated constructors in ``truncated_reference`` enumerate the same
-polynomials monomial by monomial.  The tensor coordinates of the ribbon
-and h checks and the per-factor peel are checked against the packed
-elements and the packed peel.
+The public symmetric constructors place each one-alphabet factor at its
+alphabet's width, and colored F places its packed element; the truncated
+constructors in ``truncated_reference`` enumerate the same polynomials
+monomial by monomial.  The placed factors of each ribbon are checked
+against the placed packed ribbon that the colored F-sum statement compares,
+and the tensor coordinates of the ribbon and h checks and the per-factor
+peel against the packed elements and the packed peel.
 """
 
 from functools import reduce
@@ -31,11 +33,10 @@ from coloredsym._poly_py import mul_terms
 from coloredsym.shapes import EMPTY_SHAPE, as_skew, colored_composition_shape, direct_sum
 from coloredsym.symfun import (
     _blocks,
-    _colored_h_terms,
-    _colored_ribbon_terms,
     _colored_schur_terms,
     _h_factors,
     _place,
+    _ribbon_blocks,
     _ribbon_factors,
     _row_sum_bounds,
     _tensor,
@@ -106,6 +107,8 @@ def test_h_row_bounds_match_the_direct_sum_of_the_rows():
 
 
 def test_colored_h_terms_match_quasi_shuffle_product():
+    # at widths of the degree every packed key fits and lands on distinct
+    # monomials, so equal placements are equal packed elements
     indices = [
         bll
         for n, r in product(range(7), (1, 2, 3))
@@ -113,7 +116,8 @@ def test_colored_h_terms_match_quasi_shuffle_product():
     ]
     assert len(indices) == 584
     for bll in indices:
-        assert _colored_h_terms(bll) == ref.quasi_shuffle_h_terms(bll)
+        widths = (sum(map(sum, bll)),) * len(bll)
+        assert colored_h(bll, widths) == _place(ref.quasi_shuffle_h_terms(bll), widths)
 
 
 @given(st.data(), st.integers(1, 3))
@@ -158,19 +162,33 @@ def test_block_diagonal_reads_one_key_per_tensor_key():
 def test_tensor_coordinates_are_the_block_diagonal_of_the_packed_elements(n, r):
     # the ribbon, from its zigzag products, against the packed ribbon and
     # the packed chain count of its r-partite shape; every colored h index
-    # against the packed h and its colored F product
+    # against its colored F product
     for ce in enumerate_colored_compositions(n, r):
         degrees = tuple(map(sum, h_index_of_colored_comp(ce)))
         direct_sums = tuple(_blocks(s.outer, s.inner) for s in colored_composition_shape(ce))
         raw = (ce.parts, ce.colors, ce.r)
-        packed = _colored_ribbon_terms(*raw)
+        packed = _colored_schur_terms(_ribbon_blocks(*raw))
         assert packed == _colored_schur_terms(direct_sums)
         assert _tensor(_ribbon_factors(*raw)) == block_diagonal(packed, degrees)
     for bll in enumerate_rpartite_partitions(n, r):
         degrees = tuple(map(sum, bll))
         tensor = _tensor(_h_factors(bll))
-        assert tensor == block_diagonal(_colored_h_terms(bll), degrees)
         assert tensor == block_diagonal(ref.quasi_shuffle_h_terms(bll), degrees)
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 6) for r in (1, 2, 3)])
+def test_placed_factors_are_the_placed_packed_ribbon_of_the_f_sum(n, r):
+    # the public ribbon places each one-alphabet factor on its own; the
+    # colored F-sum statement compares the packed ribbon of the same
+    # blocks; a packed ribbon is placed once per widths, as many colored
+    # compositions share their blocks
+    for widths in [(n,) * r, *_uneven(n, r)]:
+        placed = {}
+        for ce in enumerate_colored_compositions(n, r):
+            blocks = _ribbon_blocks(ce.parts, ce.colors, r)
+            if blocks not in placed:
+                placed[blocks] = _place(_colored_schur_terms(blocks), widths)
+            assert colored_ribbon(ce, widths) == placed[blocks]
 
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 6) for r in (1, 2, 3)])

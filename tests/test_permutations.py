@@ -135,6 +135,36 @@ class TestClassicalDescents:
         assert descent_composition(Permutation((1, 3, 2, 4))).parts == (2, 2)
         assert descent_composition(Permutation((1, 2, 3))).parts == (3,)
 
+    def test_empty_descent_composition_is_refused(self):
+        # a composition needs a part, so n = 0 has none
+        assert descent_set(Permutation(())) == frozenset()
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+            descent_composition(Permutation(()))
+
+    def test_call_is_bounded_to_one_through_n(self):
+        p = Permutation((2, 1, 3))
+        assert [p(i) for i in (1, 2, 3)] == [2, 1, 3]
+        for i in (0, -1, 4):
+            with pytest.raises(ValueError, match=f"^i must lie in 1..3, got {i}$"):
+                p(i)
+
+
+EMPTY = ColoredPermutation(Permutation(()), (), 2)
+
+
+class TestEmptyColoredPermutation:
+    def test_colored_descent_set_is_refused(self):
+        # a colored set needs n >= 1
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+            colored_descent_set(EMPTY)
+
+    def test_colored_descent_composition_is_refused(self):
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+            colored_descent_composition(EMPTY)
+
+    def test_steingrimsson_descent_set_is_empty(self):
+        assert steingrimsson_descent_set(EMPTY) == frozenset()
+
 
 class TestColoredDescents:
     def test_colored_descent_set_from_definition(self):

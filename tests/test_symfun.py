@@ -11,6 +11,7 @@ from coloredsym import (
     ColoredComposition,
     Composition,
     MultiAlphabetPolynomial,
+    SkewShape,
     colored_F,
     colored_h,
     colored_ribbon,
@@ -40,6 +41,8 @@ from coloredsym import (
     conj_inverse_descent_class,
     zigzag_of,
 )
+from coloredsym import symfun
+from coloredsym._poly_py import mul_terms
 from coloredsym.errors import DimensionMismatchError, NotInSchurSpanError
 from coloredsym.symfun import zero
 
@@ -141,6 +144,57 @@ class TestRingOperations:
         p = colored_schur(((1,), (1,)), (2, 2))
         with pytest.raises(DimensionMismatchError, match="alphabet 2 is not one of the 2"):
             p.coefficient([(1,), (1,), (0,)])
+
+    def test_constructor_rejects_keys_of_the_wrong_length(self):
+        # a 1-byte key at widths (2,) would mix with the 2-byte keys of
+        # every polynomial of that ring
+        with pytest.raises(DimensionMismatchError, match="every key needs 2 bytes"):
+            MultiAlphabetPolynomial((2,), {b"\x01": 1})
+        with pytest.raises(DimensionMismatchError, match="every key needs 2 bytes"):
+            MultiAlphabetPolynomial((1, 1), {bytes(2): 1, bytes(3): 1})
+        assert MultiAlphabetPolynomial((), {b"": 1}).coefficient([]) == 1
+
+    def test_constructor_rejects_zero_coefficients(self):
+        with pytest.raises(ValueError, match="coefficients must be nonzero"):
+            MultiAlphabetPolynomial((2,), {bytes((1, 0)): 1, bytes((0, 1)): 0})
+
+    @pytest.mark.parametrize("op", [
+        lambda p: p + 1,
+        lambda p: 1 + p,
+        lambda p: p - 1,
+        lambda p: p * 2.0,
+        lambda p: 2.0 * p,
+    ], ids=["add", "radd", "sub", "mul", "rmul"])
+    def test_other_operands_raise_type_error(self, op):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(schur_poly((1,), 0, (2,)))
+
+    def test_int_scaling_from_either_side(self):
+        p = schur_poly((1,), 0, (2,))
+        assert 2 * p == p * 2 == p + p
+
+
+def test_public_symmetric_constructors_multiply_in_one_alphabet_only(monkeypatch):
+    # each factor is built in its own alphabet and placed there, so no
+    # public symmetric constructor quasi-shuffles across alphabets; the
+    # ribbon's two color-0 zigzags make the factors reach the kernel
+    seen = []
+
+    def counted(a, b, r):
+        seen.append(r)
+        return mul_terms(a, b, r)
+
+    monkeypatch.setattr(symfun, "mul_terms", counted)
+    symfun._schur_terms.cache_clear()
+    widths = (5, 5, 5)
+    ce = parse_colored_composition("2^0,1^1,1^0,1^2", 3)
+    schur_poly(SkewShape((3, 1), (1,)), 1, widths)
+    h_poly(3, 0, widths)
+    e_poly(2, 2, widths)
+    colored_schur(((2, 1), (1,), SkewShape((2, 2), (1,))), widths)
+    colored_h(((2, 1), (1,), (1,)), widths)
+    expand_in_colored_schur(colored_ribbon(ce, widths))
+    assert seen and set(seen) == {1}
 
 
 def ssyt_poly_direct(shape, width):

@@ -6,6 +6,7 @@ row-block product and h as a product of one-part colored F elements.  So is
 the packed peel of the colored ribbon, which the per-factor peel
 replaced."""
 
+from functools import reduce
 from itertools import combinations_with_replacement
 
 from coloredsym import ColoredComposition, zigzag_of
@@ -16,9 +17,15 @@ from coloredsym.symfun import (
     _colored_schur_terms,
     _embed,
     _peel,
-    _product,
     _ssyt_terms,
 )
+from coloredsym._poly_py import mul_terms
+
+
+def _product(factors, r):
+    """Quasi-shuffle product of packed term maps over r alphabets; the unit
+    when there are none."""
+    return reduce(lambda a, b: mul_terms(a, b, r), factors, {b"": 1})
 
 
 def _offsets(widths):
