@@ -54,19 +54,35 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _help_formatter(prog: str) -> argparse.HelpFormatter:
+    """argparse's formatter at the width it uses when stdout is not a
+    terminal: with no width given it imports ``shutil`` to read the terminal
+    size, and argparse builds a formatter for every argument it adds."""
+    return argparse.HelpFormatter(prog, width=78)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coloredsym",
         description="colored descent combinatorics and exact symmetric-function identities",
+        formatter_class=_help_formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enum-comps", help="enumerate colored compositions")
+    p = sub.add_parser(
+        "enum-comps",
+        help="enumerate colored compositions",
+        formatter_class=_help_formatter,
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     _add_format(p)
 
-    p = sub.add_parser("descent-class", help="list a colored descent class")
+    p = sub.add_parser(
+        "descent-class",
+        help="list a colored descent class",
+        formatter_class=_help_formatter,
+    )
     p.add_argument("--comp", required=True, help='caret form, e.g. "2^0,2^1,1^1"')
     p.add_argument("--r", type=int, default=None)
     p.add_argument(
@@ -76,7 +92,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_format(p)
 
-    p = sub.add_parser("ribbon", help="expand a colored ribbon element")
+    p = sub.add_parser(
+        "ribbon",
+        help="expand a colored ribbon element",
+        formatter_class=_help_formatter,
+    )
     p.add_argument("--comp", required=True)
     p.add_argument("--r", type=int, default=None)
     p.add_argument("--basis", choices=("schur", "h", "f"), default="schur")
@@ -97,17 +117,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_format(p)
 
-    p = sub.add_parser("rsk", help="insertion correspondence")
+    p = sub.add_parser(
+        "rsk",
+        help="insertion correspondence",
+        formatter_class=_help_formatter,
+    )
     p.add_argument("--perm", required=True, help='window form, e.g. "2^0,3^0,1^1"')
     p.add_argument("--r", type=int, default=None)
     _add_format(p)
 
-    p = sub.add_parser("tableau-of", help="descent class to r-partite filling")
+    p = sub.add_parser(
+        "tableau-of",
+        help="descent class to r-partite filling",
+        formatter_class=_help_formatter,
+    )
     p.add_argument("--perm", required=True)
     p.add_argument("--r", type=int, default=None)
     _add_format(p)
 
-    p = sub.add_parser("verify", help="run exhaustive identity suites")
+    p = sub.add_parser(
+        "verify",
+        help="run exhaustive identity suites",
+        formatter_class=_help_formatter,
+    )
     p.add_argument(
         "--identity",
         default="all",
@@ -171,11 +203,7 @@ def _cmd_ribbon(args) -> int:
         raise ValueError("--widths applies only with --via-poly or --dump-poly")
     if args.via_poly and args.basis != "schur":
         raise ValueError("--via-poly applies only with --basis schur")
-    widths = (
-        tuple(int(w) for w in args.widths.split(","))
-        if args.widths is not None
-        else (ce.n,) * ce.r
-    )
+    widths = _parse_widths(args.widths) if args.widths is not None else (ce.n,) * ce.r
     if args.basis == "schur":
         if args.via_poly and args.widths is not None:
             expansion = expand_in_colored_schur(colored_ribbon(ce, widths), ce.n)
@@ -211,6 +239,13 @@ def _cmd_ribbon(args) -> int:
         }
     _emit(obj, args.format, _ribbon_table)
     return 0
+
+
+def _parse_widths(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(w) for w in text.split(","))
+    except ValueError:
+        raise ValueError(f"--widths takes comma-separated integers, got {text!r}") from None
 
 
 def _ribbon_table(obj) -> str:

@@ -51,10 +51,12 @@ that fits the widths.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations, product
 from operator import add
+from types import MappingProxyType
 
 from ._poly_py import add_terms, mul_terms
 from .compositions import ColoredComposition, Composition, _raw_coarsenings, _raw_extended_colors
@@ -89,22 +91,33 @@ def _mul_full(a: dict[bytes, int], b: dict[bytes, int]) -> dict[bytes, int]:
     return out
 
 
+def _checked_widths(widths) -> tuple[int, ...]:
+    widths = tuple(int(w) for w in widths)
+    if any(w < 0 for w in widths):
+        raise ValueError("alphabet widths must be nonnegative")
+    return widths
+
+
 @dataclass(frozen=True, eq=True)
 class MultiAlphabetPolynomial:
     """Sparse polynomial over r truncated alphabets with exact integer
-    coefficients; ``terms`` maps exponent bytes to nonzero ints."""
+    coefficients; ``terms`` maps exponent bytes to nonzero ints.  The
+    constructor copies the terms it is given and stores them read-only, so
+    a polynomial keeps the checks it passed and can be hashed."""
 
     widths: tuple[int, ...]
-    terms: dict[bytes, int] = field(default_factory=dict)
+    terms: Mapping[bytes, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        if any(w < 0 for w in self.widths):
-            raise ValueError("alphabet widths must be nonnegative")
+        object.__setattr__(self, "widths", _checked_widths(self.widths))
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
         if set(map(len, self.terms)) - {self.nvars}:
             raise DimensionMismatchError(f"every key needs {self.nvars} bytes, one per variable")
         if not all(self.terms.values()):
             raise ValueError("coefficients must be nonzero")
+
+    def __hash__(self) -> int:
+        return hash((self.widths, frozenset(self.terms.items())))
 
     @property
     def r(self) -> int:
@@ -196,9 +209,10 @@ def _place(terms: dict[bytes, int], widths) -> MultiAlphabetPolynomial:
     """The polynomial at ``widths`` of the element with packed coordinates
     ``terms``: each packed key placed on every increasing choice of indices
     whose variables exist in the widths."""
-    poly = MultiAlphabetPolynomial(tuple(widths))
-    widths, nvars = poly.widths, poly.nvars
+    widths = _checked_widths(widths)
+    nvars = sum(widths)
     offs = _offsets(widths)
+    out: dict[bytes, int] = {}
     for key, coeff in terms.items():
         w = len(key) // max(len(widths), 1)
         # per used index: the (variable offset, exponent) of its nonzero
@@ -218,8 +232,8 @@ def _place(terms: dict[bytes, int], widths) -> MultiAlphabetPolynomial:
             for i, cells in zip(indices, columns):
                 for off, e in cells:
                     full[off + i] = e
-            poly.terms[bytes(full)] = coeff
-    return poly
+            out[bytes(full)] = coeff
+    return MultiAlphabetPolynomial(widths, out)
 
 
 def _embed(terms: dict[bytes, int], alphabet: int, r: int) -> dict[bytes, int]:

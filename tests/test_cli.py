@@ -1,6 +1,8 @@
 """Command-line behaviour: schemas, determinism and exit codes."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -279,7 +281,9 @@ def test_ribbon_widths_need_a_polynomial_path(capsys):
         ("2^0,1^0", ("--basis", "f", "--via-poly"), "--via-poly"),
         ("1^0,1^0", ("--via-poly", "--widths", "1"), "widths >= degree 2"),
         ("2^0", ("--via-poly", "--widths", "1"), "widths >= degree 2"),
-        ("2^0", ("--via-poly", "--widths", ""), "invalid literal"),
+        ("2^0", ("--via-poly", "--widths", ""), "--widths takes"),
+        ("1^0", ("--via-poly", "--widths", "a"), "comma-separated integers, got 'a'"),
+        ("1^0", ("--via-poly", "--widths", "3,,4"), ", got '3,,4'"),
     ],
 )
 def test_ribbon_rejects_ignored_or_narrow_polynomial_path(capsys, comp, flags, needle):
@@ -338,3 +342,64 @@ def test_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+HELP_GOLDENS = {
+    "top": (),
+    "enum-comps": ("enum-comps",),
+    "descent-class": ("descent-class",),
+    "ribbon": ("ribbon",),
+    "rsk": ("rsk",),
+    "tableau-of": ("tableau-of",),
+    "verify": ("verify",),
+}
+
+
+def _set_columns(monkeypatch, columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+
+
+@pytest.mark.parametrize("columns", [None, "40", "200"])
+@pytest.mark.parametrize("name", sorted(HELP_GOLDENS))
+def test_help_golden_stdout(capsys, monkeypatch, name, columns):
+    # help wraps at 78 columns, the width argparse takes for piped output
+    # when COLUMNS is unset; the terminal width and COLUMNS are not read
+    _set_columns(monkeypatch, columns)
+    code, out, err = run_cli(capsys, *HELP_GOLDENS[name], "--help")
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / f"help_{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("columns", [None, "40"])
+def test_usage_error_golden_stderr(capsys, monkeypatch, columns):
+    _set_columns(monkeypatch, columns)
+    code, out, err = run_cli(capsys, "enum-comps", "--n", "x")
+    assert code == 2 and out == ""
+    assert err == (GOLDEN / "usage_enum_comps_n_x.txt").read_text()
+
+
+COLD_CALL = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from coloredsym.cli import main
+codes = [main(["verify", "--identity", "ribbon-h", "--max-n", "1"])]
+loaded = ["shutil" in sys.modules]
+codes.append(main(["enum-comps", "--n", "x"]))
+loaded.append("shutil" in sys.modules)
+print(codes, loaded)
+"""
+
+
+def test_cold_cli_call_does_not_import_shutil():
+    # argparse imports shutil (and with it zlib, bz2, lzma) to read the
+    # terminal width unless the formatter is given one
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", COLD_CALL, str(src)],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[0, 2] [False, False]"
+    assert "error: argument --n: invalid int value: 'x'" in proc.stderr

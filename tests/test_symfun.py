@@ -173,6 +173,28 @@ class TestRingOperations:
         p = schur_poly((1,), 0, (2,))
         assert 2 * p == p * 2 == p + p
 
+    def test_terms_refuse_writes_after_construction(self):
+        # a zero coefficient written past the constructor's checks would
+        # make the polynomial unequal to an equal one and not zero
+        p = schur_poly((1,), 0, (2,))
+        with pytest.raises(TypeError):
+            p.terms[b"\x00\x07"] = 0
+        with pytest.raises(TypeError):
+            del p.terms[b"\x01\x00"]
+        assert p == schur_poly((1,), 0, (2,)) and not p.is_zero()
+
+    def test_constructor_copies_the_terms_it_is_given(self):
+        terms = {bytes((1, 0)): 1}
+        p = MultiAlphabetPolynomial((2,), terms)
+        terms[bytes((0, 1))] = 0
+        assert dict(p.terms) == {bytes((1, 0)): 1}
+
+    def test_equal_polynomials_hash_equal(self):
+        p = schur_poly((1,), 0, (2,))
+        q = MultiAlphabetPolynomial((2,), {bytes((0, 1)): 1, bytes((1, 0)): 1})
+        assert p == q and hash(p) == hash(q)
+        assert len({p, q, p + q, 2 * p, zero((2,)), zero((1, 1))}) == 4
+
 
 def test_public_symmetric_constructors_multiply_in_one_alphabet_only(monkeypatch):
     # each factor is built in its own alphabet and placed there, so no
