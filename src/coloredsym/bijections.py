@@ -28,10 +28,11 @@ them and build validated objects.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, chain
+from itertools import accumulate, chain, groupby
 from math import comb, factorial
+from operator import itemgetter
 
-from .compositions import ColoredComposition, Composition, rainbow_decomposition
+from .compositions import ColoredComposition, Composition
 from .errors import DimensionMismatchError, ResourceLimitError, ShapeError
 from .permutations import (
     ColoredPermutation,
@@ -157,9 +158,10 @@ def descent_class_size(ce: ColoredComposition) -> int:
     blocks are disjoint zigzags, so a multinomial coefficient of the block
     sizes times the fillings of each block."""
     size, placed = 1, 0
-    for comp, _ in rainbow_decomposition(ce).blocks:
-        placed += comp.n
-        size *= comb(placed, comp.n) * _ribbon_filling_count(comp.parts)
+    for _, run in groupby(zip(ce.parts, ce.colors), key=itemgetter(1)):
+        parts = tuple(map(itemgetter(0), run))
+        placed += sum(parts)
+        size *= comb(placed, sum(parts)) * _ribbon_filling_count(parts)
     return size
 
 

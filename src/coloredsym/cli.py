@@ -306,12 +306,9 @@ def _cmd_verify(args) -> int:
         # `all` passes --max-r only to the suites that have a color range
         max_r = None if args.identity == "all" and default_r is None else args.max_r
         reports.append(run_identity(name, args.max_n, max_r))
-    if args.format == "table":
-        print("\n\n".join(report.table() for report in reports))
-    else:
-        payload = [report.to_json() for report in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload,
-                         indent=2, sort_keys=True))
+    payload = [report.to_json() for report in reports]
+    _emit(payload[0] if len(payload) == 1 else payload, args.format,
+          lambda _: "\n\n".join(report.table() for report in reports))
     return 0 if all(report.passed for report in reports) else 1
 
 

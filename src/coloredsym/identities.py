@@ -27,11 +27,11 @@ peels each one-alphabet factor of the ribbon.  The colored F-sum is only
 colored quasisymmetric, so ``colored-ribbon-schur`` compares it with the
 packed ribbon, the quasi-shuffle of the same factors, which the sweep
 keeps for one (n, r) cell only.  The two colored ribbon verifiers share
-the memoized one-alphabet factors of each ribbon, the products of the
-Schur elements of its zigzags, so a double pass (as in ``verify
---identity all``) certifies mutual consistency of the Schur-positivity
-identity and the alternating h-expansion.  The h side is chain-counted
-from the direct sum of the rows, not built from the ribbon's factors.
+the memoized one-alphabet factors of each ribbon, the chain-counted Schur
+elements of the components of its r-partite shape, so a double pass (as
+in ``verify --identity all``) certifies mutual consistency of the
+Schur-positivity identity and the alternating h-expansion.  The h side
+multiplies the Schur elements of the rows in the kernel instead.
 Three classical suites are r = 1 slices of colored ones, run through the
 same sweeps: ``reading-word`` of ``class-tableau``, ``ribbon-schur`` of
 ``colored-ribbon-schur`` and ``ribbon-h`` of ``colored-ribbon-h``.
@@ -480,8 +480,8 @@ def _conj_inverse_f_counters(n: int, r: int) -> dict[tuple, Counter]:
 
 def _ribbon_schur_case(parts, colors, r: int, counter: Counter, ribbons: dict) -> dict | None:
     # the F-sum is colored quasisymmetric, so it is compared with the packed
-    # ribbon, kept in ``ribbons`` by its per-alphabet blocks, which fix n
-    # and r; the peel reads the ribbon's one-alphabet factors
+    # ribbon, kept in ``ribbons`` by the blocks of its r-partite shape,
+    # which fix n and r; the peel reads the ribbon's one-alphabet factors
     blocks = _ribbon_blocks(parts, colors, r)
     ribbon = ribbons.get(blocks)
     if ribbon is None:

@@ -1,6 +1,7 @@
 """Command-line behaviour: schemas, determinism and exit codes."""
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -403,3 +404,23 @@ def test_cold_cli_call_does_not_import_shutil():
     )
     assert proc.stdout.splitlines()[-1] == "[0, 2] [False, False]"
     assert "error: argument --n: invalid int value: 'x'" in proc.stderr
+
+
+def _readme_examples():
+    """The ``coloredsym`` command lines of the README's bash blocks."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = text.split("```bash\n")[1:]
+    lines = [line for block in blocks for line in block.split("```")[0].splitlines()]
+    return [line for line in lines if line.startswith("coloredsym ")]
+
+
+def test_readme_has_its_examples():
+    assert len(_readme_examples()) == 10
+
+
+@pytest.mark.parametrize("line", _readme_examples())
+def test_readme_example_exits_0_with_json(capsys, line):
+    argv = shlex.split(line, comments=True)[1:]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    json.loads(out)

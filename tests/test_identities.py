@@ -33,7 +33,7 @@ from coloredsym import (
     symfun,
 )
 from coloredsym.permutations import _raw_inverse
-from coloredsym.shapes import _raw_colored_composition_shape, _raw_colored_zigzag
+from coloredsym.shapes import _raw_colored_composition_shape
 from coloredsym.symfun import (
     _colored_F_terms,
     _h_factors,
@@ -396,26 +396,14 @@ def test_planted_direct_sum_shift_fails_class_tableau(monkeypatch):
     assert {(w["n"], w["r"]) for w in report.failures} == {(3, 2)}
 
 
-def _zigzag_with_broken_ribbons(parts, colors):
-    """The colored zigzag key with the rows of each color run started at
-    the end of the row below, so each ribbon splits into a direct sum."""
-    blocks, begin = [], 0
-    for end in range(1, len(parts) + 1):
-        if end == len(parts) or colors[end] != colors[begin]:
-            run = parts[begin:end]
-            blocks.append(_shape_with_broken_ribbons(run, (0,) * len(run), 1)[0])
-            begin = end
-    return tuple(blocks), _raw_colored_zigzag(parts, colors)[1]
-
-
 @pytest.mark.parametrize("name", ["colored-ribbon-schur", "colored-ribbon-h"])
 def test_planted_broken_ribbon_fails_ribbon_suites(monkeypatch, name):
     # both suites build the ribbon's one-alphabet factors from symfun's
-    # zigzags; they change exactly for the compositions with a color run
-    # of two parts
-    raw = ((1, 1), (0, 0))
-    assert _zigzag_with_broken_ribbons(*raw) != _raw_colored_zigzag(*raw)
-    monkeypatch.setattr(symfun, "_raw_colored_zigzag", _zigzag_with_broken_ribbons)
+    # r-partite shape; they change exactly for the compositions with a
+    # color run of two parts
+    raw = ((1, 1), (0, 0), 1)
+    assert _shape_with_broken_ribbons(*raw) != _raw_colored_composition_shape(*raw)
+    monkeypatch.setattr(symfun, "_raw_colored_composition_shape", _shape_with_broken_ribbons)
     broken = [
         ce.to_json()
         for n in range(1, 4)
@@ -816,6 +804,23 @@ def test_block_memos_are_bounded_and_never_evict_at_the_default_range():
     for memo in memos:
         info = memo.cache_info()
         assert info.misses == info.currsize == 2**7 - 1 <= info.maxsize
+
+
+def test_polynomial_memos_are_bounded_and_never_evict_at_the_raised_range():
+    # the suites of ``verify --identity all`` that read the colored F and
+    # one-alphabet factor memos, the colored ribbon suites at n <= 6, r <= 3
+    # (which hold every case of their defaults): every miss is kept, and the
+    # colored F memo holds one key per colored composition of the range
+    _clear_memos()
+    for name in ("skew-schur-f", "ribbon-schur", "ribbon-h"):
+        assert run_identity(name).passed
+    for name in ("colored-ribbon-schur", "colored-ribbon-h"):
+        assert run_identity(name, 6, 3).passed
+    for memo in (_colored_F_terms, _schur_terms):
+        info = memo.cache_info()
+        assert info.maxsize is not None
+        assert info.misses == info.currsize <= info.maxsize
+    assert _colored_F_terms.cache_info().currsize == 4886
 
 
 def test_ribbon_schur_builds_each_ribbon_once(monkeypatch):

@@ -5,8 +5,9 @@ alphabet's width, and colored F places its packed element; the truncated
 constructors in ``truncated_reference`` enumerate the same polynomials
 monomial by monomial.  The placed factors of each ribbon are checked
 against the placed packed ribbon that the colored F-sum statement compares,
-and the tensor coordinates of the ribbon and h checks and the per-factor
-peel against the packed elements and the packed peel.
+the ribbon and h factors against the routes they replaced, and the tensor
+coordinates of the ribbon and h checks and the per-factor peel against
+the packed elements and the packed peel.
 """
 
 from functools import reduce
@@ -30,6 +31,7 @@ from coloredsym import (
     ribbon_schur_by_peeling,
 )
 from coloredsym._poly_py import mul_terms
+from coloredsym.compositions import _raw_colored_compositions
 from coloredsym.shapes import EMPTY_SHAPE, as_skew, colored_composition_shape, direct_sum
 from coloredsym.symfun import (
     _blocks,
@@ -38,7 +40,6 @@ from coloredsym.symfun import (
     _place,
     _ribbon_blocks,
     _ribbon_factors,
-    _row_sum_bounds,
     _tensor,
 )
 from test_kernels import packed_maps
@@ -93,7 +94,8 @@ def test_colored_schur_terms_match_row_block_product():
 
 def test_h_row_bounds_match_the_direct_sum_of_the_rows():
     # every part of every r-partite partition with n <= 7, r <= 3: the row
-    # bounds that key colored h are those of the direct sum of the rows
+    # bounds of the reference h factors are those of the direct sum of the
+    # rows
     parts = [
         part
         for n, r in product(range(8), (1, 2, 3))
@@ -103,7 +105,24 @@ def test_h_row_bounds_match_the_direct_sum_of_the_rows():
     assert len(parts) == 3075
     for part in parts:
         shape = reduce(direct_sum, (as_skew((k,)) for k in part), EMPTY_SHAPE)
-        assert _row_sum_bounds(part) == (shape.outer, shape.inner), part
+        assert ref.row_sum_bounds(part) == (shape.outer, shape.inner), part
+
+
+def test_ribbon_and_h_factors_match_the_routes_they_replaced():
+    # every colored composition and every r-partite partition with n <= 6,
+    # r <= 3: a ribbon factor against the product of its zigzags, an h
+    # factor against the chain count of the direct sum of its rows
+    cases = indices = 0
+    for n, r in product(range(1, 7), (1, 2, 3)):
+        for parts, colors in _raw_colored_compositions(n, r):
+            cases += 1
+            assert _ribbon_factors(parts, colors, r) == ref.zigzag_product_factors(
+                parts, colors, r
+            ), (parts, colors)
+        for bll in enumerate_rpartite_partitions(n, r):
+            indices += 1
+            assert _h_factors(bll) == ref.row_sum_h_factors(bll), bll
+    assert (cases, indices) == (4886, 581)
 
 
 def test_colored_h_terms_match_quasi_shuffle_product():
@@ -160,15 +179,14 @@ def test_block_diagonal_reads_one_key_per_tensor_key():
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 6) for r in (1, 2, 3)])
 def test_tensor_coordinates_are_the_block_diagonal_of_the_packed_elements(n, r):
-    # the ribbon, from its zigzag products, against the packed ribbon and
-    # the packed chain count of its r-partite shape; every colored h index
-    # against its colored F product
+    # the ribbon, from the chain counts of its r-partite shape, against the
+    # packed ribbon and the packed product of its zigzags; every colored h
+    # index against its colored F product
     for ce in enumerate_colored_compositions(n, r):
         degrees = tuple(map(sum, h_index_of_colored_comp(ce)))
-        direct_sums = tuple(_blocks(s.outer, s.inner) for s in colored_composition_shape(ce))
         raw = (ce.parts, ce.colors, ce.r)
         packed = _colored_schur_terms(_ribbon_blocks(*raw))
-        assert packed == _colored_schur_terms(direct_sums)
+        assert packed == ref.zigzag_product_ribbon(*raw)
         assert _tensor(_ribbon_factors(*raw)) == block_diagonal(packed, degrees)
     for bll in enumerate_rpartite_partitions(n, r):
         degrees = tuple(map(sum, bll))

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,7 +29,9 @@ from coloredsym import (
     parse_colored_permutation,
     steingrimsson_descent_set,
 )
+from coloredsym.compositions import Composition, RainbowDecomposition
 from coloredsym.errors import DimensionMismatchError, ParseError, ResourceLimitError
+from coloredsym.permutations import _raw_colored_descent_composition, _raw_group
 
 import group_reference as ref
 
@@ -284,6 +287,21 @@ class TestDescentClasses:
         table = ref.descent_class_table(n, r)
         for ce in enumerate_colored_compositions(n, r):
             assert descent_class_size(ce) == len(table.get(ce, []))
+
+    def test_class_size_builds_no_object_and_counts_each_class(self, monkeypatch):
+        # every class with n <= 5, r <= 3 against the group, counted on raw
+        # pairs; the runs are split from the raw parts and colors, so no
+        # composition object is built
+        cells = [(n, r) for n in range(1, 6) for r in (1, 2, 3)]
+        comps = {cell: enumerate_colored_compositions(*cell) for cell in cells}
+        built = []
+        for cls in (Composition, RainbowDecomposition):
+            monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
+        for n, r in cells:
+            counts = Counter(_raw_colored_descent_composition(*w) for w in _raw_group(n, r))
+            sizes = {(ce.parts, ce.colors): descent_class_size(ce) for ce in comps[n, r]}
+            assert sizes == counts, (n, r)
+        assert built == []
 
 
 class TestText:

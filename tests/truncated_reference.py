@@ -4,14 +4,17 @@ products multiply exponent vectors variable by variable.  Two packed routes
 that the colored skew Schur constructor replaced are kept here too: the
 row-block product and h as a product of one-part colored F elements.  So is
 the packed peel of the colored ribbon, which the per-factor peel
-replaced."""
+replaced, and the one-alphabet factors that the chain count of the
+r-partite shape and the product of rows replaced: a ribbon factor as the
+product of its zigzags, and an h factor chain-counted as the direct sum
+of its rows."""
 
 from functools import reduce
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
 from coloredsym import ColoredComposition, zigzag_of
 from coloredsym.compositions import rainbow_decomposition
-from coloredsym.shapes import SkewShape, as_skew, colored_composition_shape
+from coloredsym.shapes import SkewShape, _raw_colored_zigzag, as_skew, colored_composition_shape
 from coloredsym.symfun import (
     _colored_F_terms,
     _colored_schur_terms,
@@ -189,6 +192,36 @@ def quasi_shuffle_h_terms(bll):
     r = len(bll)
     hs = (_colored_F_terms((k,), (j,), r) for j, part in enumerate(bll) for k in part)
     return _product(hs, r)
+
+
+def zigzag_product_factors(parts, colors, r):
+    """One-alphabet factors of the colored ribbon: factor j is the product
+    of the Schur elements of the zigzags of the color-j runs."""
+    factors = [{b"": 1} for _ in range(r)]
+    for block, color in zip(*_raw_colored_zigzag(parts, colors)):
+        factors[color] = mul_terms(factors[color], _ssyt_terms(*block), 1)
+    return tuple(factors)
+
+
+def zigzag_product_ribbon(parts, colors, r):
+    """Packed colored ribbon as the quasi-shuffle of its zigzag product
+    factors, factor j in alphabet j."""
+    factors = zigzag_product_factors(parts, colors, r)
+    return _product((_embed(f, j, r) for j, f in enumerate(factors)), r)
+
+
+def row_sum_bounds(part):
+    """(outer, inner) of the direct sum of the rows of ``part``: each row
+    starts at the end of the row below, so outer is the partial sums, top
+    row first."""
+    outer = tuple(accumulate(part))[::-1]
+    return outer, (outer[1:] + (0,) if outer else ())
+
+
+def row_sum_h_factors(bll):
+    """One-alphabet factors of colored h: factor j is the Schur element of
+    the direct sum of the rows of part j, chain-counted as one shape."""
+    return tuple(_ssyt_terms(*row_sum_bounds(part)) if part else {b"": 1} for part in bll)
 
 
 def _direct_sums(shapes):
