@@ -3,7 +3,8 @@
 * ``reading_word`` / ``reading_word_inverse``: standard fillings of a ribbon
   correspond to the permutations with that run profile, by reading the cells
   from the southwestern corner towards the northeast (rows bottom to top,
-  each left to right).
+  each left to right).  ``reading_word_inverse`` is the r = 1 slice of
+  ``colored_class_to_tableau``.
 * ``colored_class_to_tableau`` / ``colored_tableau_to_class``: a colored
   descent class corresponds to the standard fillings of the r-partite skew
   shape built from its colored zigzag shape; each increasing constant-color
@@ -32,12 +33,11 @@ from itertools import accumulate, chain, groupby
 from math import comb, factorial
 from operator import itemgetter
 
-from .compositions import ColoredComposition, Composition
+from .compositions import ColoredComposition, Composition, _check_nonempty
 from .errors import DimensionMismatchError, ResourceLimitError, ShapeError
 from .permutations import (
     ColoredPermutation,
     Permutation,
-    _check_nonempty,
     _raw_colored_descent_composition,
     _raw_conj_inverse,
     descent_composition,
@@ -49,7 +49,6 @@ from .shapes import (
     _raw_colored_composition_shape,
     _raw_fillings,
     colored_composition_shape,
-    zigzag_of,
 )
 
 #: Largest descent class that ``descent_class`` lists.
@@ -67,17 +66,13 @@ def reading_word(q: StandardTableau) -> Permutation:
 
 def reading_word_inverse(p: Permutation, a: Composition) -> StandardTableau:
     """The unique ribbon filling of the zigzag of ``a`` whose reading word
-    is ``p``; requires the run profile of ``p`` to equal ``a``."""
+    is ``p``; requires the run profile of ``p`` to equal ``a``.  The r = 1
+    slice of ``colored_class_to_tableau``."""
     if descent_composition(p) != a:
         raise ShapeError(
             f"descent composition of {p.word!r} is not {a.parts!r}"
         )
-    rows_bottom_up = []
-    pos = 0
-    for part in a.parts:
-        rows_bottom_up.append(tuple(p.word[pos : pos + part]))
-        pos += part
-    return StandardTableau(zigzag_of(a).shape, tuple(rows_bottom_up[::-1]))
+    return colored_class_to_tableau(ColoredPermutation(p, (0,) * p.n, 1)).components[0]
 
 
 def colored_class_to_tableau(a: ColoredPermutation) -> RPartiteTableau:

@@ -9,13 +9,18 @@ final part survives the subset encoding.
 The reverse-refinement order on colored compositions merges adjacent parts of
 equal color; ``refines`` implements the equivalent characterization "same
 extended color vector and containment of the colored subsets".
+
+Every set-to-composition map, the classical ``augmented_set_to_comp`` (the
+r = 1 slice) and the descent compositions of words and fillings included,
+is the one loop ``_raw_set_to_comp``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, groupby, product, repeat
+from operator import itemgetter
 
 from .errors import DimensionMismatchError, ParseError
 
@@ -23,6 +28,12 @@ from .errors import DimensionMismatchError, ParseError
 ColorVector = tuple[int, ...]
 
 _TOKEN_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
+
+
+def _check_nonempty(n: int) -> None:
+    """A run, a part or a colored descent needs a position."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
 
 
 def _check_colors(colors, r: int, shown) -> None:
@@ -53,11 +64,7 @@ class Composition:
         return len(self.parts)
 
     def partial_sums(self) -> tuple[int, ...]:
-        out, total = [], 0
-        for p in self.parts:
-            total += p
-            out.append(total)
-        return tuple(out)
+        return tuple(accumulate(self.parts))
 
     def to_json(self) -> dict:
         return {"n": self.n, "parts": list(self.parts)}
@@ -165,11 +172,8 @@ class RainbowDecomposition:
             raise ValueError("adjacent block colors must differ")
 
     def colored_composition(self, r: int) -> ColoredComposition:
-        parts, colors = [], []
-        for comp, color in self.blocks:
-            parts.extend(comp.parts)
-            colors.extend([color] * len(comp.parts))
-        return ColoredComposition(tuple(parts), tuple(colors), r)
+        pairs = [(p, color) for comp, color in self.blocks for p in comp.parts]
+        return ColoredComposition(*zip(*pairs), r)
 
 
 def comp_to_augmented_set(a: Composition) -> AugmentedSubset:
@@ -178,28 +182,30 @@ def comp_to_augmented_set(a: Composition) -> AugmentedSubset:
 
 
 def augmented_set_to_comp(s: AugmentedSubset) -> Composition:
-    """Consecutive differences; mutually inverse with ``comp_to_augmented_set``."""
-    prev, parts = 0, []
-    for e in s.elements:
-        parts.append(e - prev)
-        prev = e
-    return Composition(tuple(parts))
+    """Consecutive differences; mutually inverse with ``comp_to_augmented_set``.
+    The r = 1 slice of ``colored_set_to_colored_comp``."""
+    return Composition(_raw_set_to_comp(zip(s.elements, repeat(0)))[0])
 
 
 def colored_comp_to_colored_set(ce: ColoredComposition) -> ColoredSet:
     """Partial sum r_i carries the color of part i."""
-    return ColoredSet(
-        ce.n,
-        ce.r,
-        tuple(zip(comp_to_augmented_set(ce.composition()).elements, ce.colors)),
-    )
+    return ColoredSet(ce.n, ce.r, tuple(zip(ce.composition().partial_sums(), ce.colors)))
 
 
 def colored_set_to_colored_comp(cs: ColoredSet) -> ColoredComposition:
     """Inverse of ``colored_comp_to_colored_set``."""
-    elements = cs.elements()
-    parts = tuple(b - a for a, b in zip((0,) + elements, elements))
-    return ColoredComposition(parts, tuple(c for _, c in cs.pairs), cs.r)
+    return ColoredComposition(*_raw_set_to_comp(cs.pairs), cs.r)
+
+
+def _raw_set_to_comp(pairs) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(parts, colors) of the colored set with (element, color) pairs
+    ``pairs``: each part ends at its element and takes its color."""
+    parts, colors, prev = [], [], 0
+    for e, c in pairs:
+        parts.append(e - prev)
+        colors.append(c)
+        prev = e
+    return tuple(parts), tuple(colors)
 
 
 def extend_color_vector(ce: ColoredComposition) -> ColorVector:
@@ -213,11 +219,7 @@ def _raw_extended_colors(parts, colors) -> ColorVector:
 
 def extend_set_color_vector(cs: ColoredSet) -> ColorVector:
     """Positions j with s_{i-1} < j <= s_i all get the color of s_i."""
-    out, prev = [], 0
-    for e, c in cs.pairs:
-        out.extend([c] * (e - prev))
-        prev = e
-    return tuple(out)
+    return _raw_extended_colors(*_raw_set_to_comp(cs.pairs))
 
 
 def refines(fine: ColoredComposition, coarse: ColoredComposition) -> bool:
@@ -235,16 +237,10 @@ def refines(fine: ColoredComposition, coarse: ColoredComposition) -> bool:
 
 def rainbow_decomposition(ce: ColoredComposition) -> RainbowDecomposition:
     """Split into maximal runs of parts with constant color."""
-    blocks: list[tuple[Composition, int]] = []
-    run: list[int] = []
-    run_color = ce.colors[0]
-    for p, c in zip(ce.parts, ce.colors):
-        if c != run_color:
-            blocks.append((Composition(tuple(run)), run_color))
-            run, run_color = [], c
-        run.append(p)
-    blocks.append((Composition(tuple(run)), run_color))
-    return RainbowDecomposition(tuple(blocks))
+    runs = groupby(zip(ce.parts, ce.colors), key=itemgetter(1))
+    return RainbowDecomposition(
+        tuple((Composition(tuple(map(itemgetter(0), run))), c) for c, run in runs)
+    )
 
 
 def enumerate_compositions(n: int) -> list[Composition]:

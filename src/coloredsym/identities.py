@@ -40,7 +40,7 @@ same sweeps: ``reading-word`` of ``class-tableau``, ``ribbon-schur`` of
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, product
 from math import factorial
@@ -87,9 +87,9 @@ from .symfun import (
     _colored_F_terms,
     _colored_schur_terms,
     _h_factors,
+    _peel_factors,
     _raw_ribbon_h_expansion,
     _raw_ribbon_schur_by_counting,
-    _raw_ribbon_schur_by_peeling,
     _ribbon_blocks,
     _ribbon_factors,
     _schur_terms,
@@ -471,17 +471,18 @@ def _conj_inverse_f_counters(n: int, r: int) -> dict[tuple, Counter]:
     counts = Counter(pair_codes())
     keys = {key for code in counts for key in divmod(code, span)}
     comp = {key: decode(key) for key in keys}
-    out: dict[tuple, Counter] = {}
+    out: dict[tuple, Counter] = defaultdict(Counter)
     for code, mult in counts.items():
         key, member = divmod(code, span)
-        out.setdefault(comp[key], Counter())[comp[member]] = mult
+        out[comp[key]][comp[member]] = mult
     return out
 
 
 def _ribbon_schur_case(parts, colors, r: int, counter: Counter, ribbons: dict) -> dict | None:
     # the F-sum is colored quasisymmetric, so it is compared with the packed
     # ribbon, kept in ``ribbons`` by the blocks of its r-partite shape,
-    # which fix n and r; the peel reads the ribbon's one-alphabet factors
+    # which fix n and r; the peel reads the ribbon's one-alphabet factors,
+    # the Schur elements of the same blocks
     blocks = _ribbon_blocks(parts, colors, r)
     ribbon = ribbons.get(blocks)
     if ribbon is None:
@@ -494,7 +495,7 @@ def _ribbon_schur_case(parts, colors, r: int, counter: Counter, ribbons: dict) -
             "reason": "generating function differs from ribbon element",
             "diff": _term_diff(ribbon, acc),
         }
-    expansion = _raw_ribbon_schur_by_peeling(parts, colors, r)
+    expansion = _peel_factors(tuple(map(_schur_terms, blocks)))
     if any(c <= 0 for c in expansion.coeffs.values()):
         return {"reason": "negative coefficient", "expansion": expansion.to_json()}
     counted = _raw_ribbon_schur_by_counting(parts, colors, r)

@@ -10,6 +10,8 @@ Descent statistics:
 
 * ``colored_descent_set`` records the ending positions of maximal increasing
   runs of constant color, together with their colors (n always included).
+  ``colored_descent_composition`` encodes it, and the classical
+  ``descent_composition`` is its r = 1 slice (every color 0).
 * ``steingrimsson_descent_set`` is the variant on [n] with color drops
   counted everywhere and position n present exactly when its color is > 0.
 
@@ -30,7 +32,9 @@ from .compositions import (
     ColoredSet,
     Composition,
     _check_colors,
+    _check_nonempty,
     _parse_tokens,
+    _raw_set_to_comp,
 )
 from .errors import DimensionMismatchError, ParseError
 
@@ -149,12 +153,6 @@ def _raw_conj_inverse(word, colors) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return inv, tuple([colors[v - 1] for v in inv])
 
 
-def _check_nonempty(n: int) -> None:
-    """A run, a part or a colored descent needs a position."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-
-
 def descent_set(p: Permutation) -> frozenset[int]:
     """Positions i in [n-1] with ``p(i) > p(i+1)``."""
     w = p.word
@@ -162,18 +160,10 @@ def descent_set(p: Permutation) -> frozenset[int]:
 
 
 def descent_composition(p: Permutation) -> Composition:
-    """Lengths of the maximal increasing runs of ``p``."""
+    """Lengths of the maximal increasing runs of ``p``: the parts of the
+    colored descent composition of ``p`` with every color 0."""
     _check_nonempty(p.n)
-    parts, run = [], 1
-    w = p.word
-    for i in range(1, p.n):
-        if w[i - 1] > w[i]:
-            parts.append(run)
-            run = 1
-        else:
-            run += 1
-    parts.append(run)
-    return Composition(tuple(parts))
+    return Composition(_raw_colored_descent_composition(p.word, (0,) * p.n)[0])
 
 
 def colored_descent_set(a: ColoredPermutation) -> ColoredSet:
@@ -204,18 +194,8 @@ def colored_descent_composition(a: ColoredPermutation) -> ColoredComposition:
 
 def _raw_colored_descent_composition(w, z) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(parts, colors) of ``colored_descent_composition`` of a raw (word,
-    colors) pair."""
-    parts, colors, run = [], [], 1
-    for i in range(1, len(w)):
-        if z[i - 1] != z[i] or w[i - 1] > w[i]:
-            parts.append(run)
-            colors.append(z[i - 1])
-            run = 1
-        else:
-            run += 1
-    parts.append(run)
-    colors.append(z[-1])
-    return tuple(parts), tuple(colors)
+    colors) pair: the encoding of its colored descent set."""
+    return _raw_set_to_comp(_raw_colored_descent_set(w, z))
 
 
 def steingrimsson_descent_set(a: ColoredPermutation) -> frozenset[int]:

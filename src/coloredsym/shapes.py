@@ -9,6 +9,10 @@ columns ``inner[r] .. outer[r]-1``.
 Zigzag diagrams (ribbons) are identified by their bottom-to-top row profile
 and constructed in bottom-left justified position; skew shapes are normalized
 by stripping trailing empty rows so equality is structural.
+
+The classical ``tableau_descent_set`` is the r = 1 slice of the r-partite
+descent set.  ``rpartite_shape_of`` folds each color's zigzags with
+``direct_sum``; ``colored_composition_shape`` builds it in one pass.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ from .compositions import (
     ColoredComposition,
     ColoredSet,
     Composition,
+    RainbowDecomposition,
+    _check_nonempty,
+    _raw_set_to_comp,
     enumerate_compositions,
 )
 from .errors import ShapeError
@@ -311,12 +318,8 @@ def _raw_ribbon_rows(block) -> tuple[int, ...] | None:
 
 def colored_zigzag_to_comp(czz: ColoredZigzagShape, r: int) -> ColoredComposition:
     """Inverse of ``colored_zigzag_of``."""
-    parts: list[int] = []
-    colors: list[int] = []
-    for z, c in zip(czz.zigzags, czz.colors):
-        parts.extend(z.source.parts)
-        colors.extend([c] * len(z.source.parts))
-    return ColoredComposition(tuple(parts), tuple(colors), r)
+    blocks = tuple((z.source, c) for z, c in zip(czz.zigzags, czz.colors))
+    return RainbowDecomposition(blocks).colored_composition(r)
 
 
 def direct_sum(a: SkewShape, b: SkewShape) -> SkewShape:
@@ -333,18 +336,14 @@ def direct_sum(a: SkewShape, b: SkewShape) -> SkewShape:
 
 
 def rpartite_shape_of(czz: ColoredZigzagShape, r: int) -> tuple[SkewShape, ...]:
-    """Component j is the direct sum, in index order, of the color-j zigzags:
-    their rows, each zigzag shifted right to the end of the top row of the
-    ones before it."""
+    """Component j is the direct sum, in index order, of the color-j zigzags,
+    folded with ``direct_sum`` from the empty shape."""
     if any(not 0 <= c < r for c in czz.colors):
         raise ShapeError("zigzag color out of range")
-    outer: list[list[int]] = [[] for _ in range(r)]  # rows bottom to top
-    inner: list[list[int]] = [[] for _ in range(r)]
+    components = [EMPTY_SHAPE] * r
     for z, c in zip(czz.zigzags, czz.colors):
-        shift = outer[c][-1] if outer[c] else 0
-        outer[c].extend(x + shift for x in reversed(z.shape.outer))
-        inner[c].extend(x + shift for x in reversed(z.shape.inner))
-    return tuple(SkewShape(o[::-1], i[::-1]) for o, i in zip(outer, inner))
+        components[c] = direct_sum(components[c], z.shape)
+    return tuple(components)
 
 
 def colored_composition_shape(ce: ColoredComposition) -> tuple[SkewShape, ...]:
@@ -463,12 +462,12 @@ def _raw_standard_test(bounds):
 
 
 def tableau_descent_set(q: StandardTableau) -> frozenset[int]:
-    """Entries i such that i+1 sits in a strictly lower row than i."""
+    """Entries i such that i+1 sits in a strictly lower row than i: the
+    r = 1 slice of ``rpartite_descent_set``, without n."""
     n = q.ncells
     if q.entries() != tuple(range(1, n + 1)):
         raise ShapeError("descents need entries exactly 1..n")
-    row_of = {x: r for r, row in enumerate(q.rows) for x in row}
-    return frozenset(i for i in range(1, n) if row_of[i + 1] > row_of[i])
+    return frozenset(i for i, _ in _raw_rpartite_descent_set((q.rows,))[:-1])
 
 
 @dataclass(frozen=True)
@@ -515,6 +514,7 @@ def rpartite_color_vector(bq: RPartiteTableau) -> tuple[int, ...]:
 def rpartite_descent_set(bq: RPartiteTableau) -> ColoredSet:
     """Entries i whose successor changes component, or descends within the
     same component; n is always included with its component's color."""
+    _check_nonempty(bq.n)
     return ColoredSet(
         bq.n, bq.r, _raw_rpartite_descent_set(tuple(q.rows for q in bq.components))
     )
@@ -531,24 +531,21 @@ def _raw_rpartite_descent_set(filling) -> tuple[tuple[int, int], ...]:
             for x in row:
                 color[x - 1] = j
                 row_of[x - 1] = k
-    pairs = [
+    return tuple(
         (i, color[i - 1])
-        for i in range(1, n)
-        if color[i - 1] != color[i] or row_of[i] > row_of[i - 1]
-    ]
-    pairs.append((n, color[n - 1]))
-    return tuple(pairs)
+        for i in range(1, n + 1)
+        if i == n or color[i - 1] != color[i] or row_of[i] > row_of[i - 1]
+    )
 
 
 def _raw_rpartite_descent_composition(filling) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(parts, colors) of ``rpartite_descent_composition`` of a filling given
-    as one tuple of row tuples per component."""
-    pairs = _raw_rpartite_descent_set(filling)
-    ends = [i for i, _ in pairs]
-    return tuple(map(sub, ends, [0, *ends])), tuple(c for _, c in pairs)
+    as one tuple of row tuples per component: its descent set, encoded."""
+    return _raw_set_to_comp(_raw_rpartite_descent_set(filling))
 
 
 def rpartite_descent_composition(bq: RPartiteTableau) -> ColoredComposition:
+    _check_nonempty(bq.n)
     parts, colors = _raw_rpartite_descent_composition(
         tuple(q.rows for q in bq.components)
     )

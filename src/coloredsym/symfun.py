@@ -577,20 +577,23 @@ def ribbon_schur_by_peeling(ce: ColoredComposition) -> Expansion:
     """Schur expansion of the colored ribbon element: each one-alphabet
     factor is peeled from its packed coordinates, so no choice of widths is
     involved, and the expansion is the product of theirs."""
-    return _raw_ribbon_schur_by_peeling(ce.parts, ce.colors, ce.r)
+    return _peel_factors(_ribbon_factors(ce.parts, ce.colors, ce.r))
 
 
-def _raw_ribbon_schur_by_peeling(parts, colors, r: int) -> Expansion:
-    """``ribbon_schur_by_peeling`` of (parts, colors) with r colors."""
+def _peel_factors(factors) -> Expansion:
+    """Schur expansion of the product of one-alphabet packed elements, factor
+    j in alphabet j: the product of their expansions, each factor peeled at
+    its degree, the length of its keys."""
+    degrees = [len(next(iter(terms))) for terms in factors]
     coeffs: dict[RPartitePartition, int] = {(): 1}
-    for cls, terms in zip(_raw_h_index(parts, colors, r), _ribbon_factors(parts, colors, r)):
+    for terms, degree in zip(factors, degrees):
         peeled = _peel(
-            terms, (sum(cls),), lambda bll: _schur_terms(_blocks(bll[0], (0,) * len(bll[0])))
+            terms, (degree,), lambda bll: _schur_terms(_blocks(bll[0], (0,) * len(bll[0])))
         )
         coeffs = {
             index + part: c * d for index, c in coeffs.items() for part, d in peeled.items()
         }
-    return Expansion("schur", sum(parts), r, coeffs)
+    return Expansion("schur", sum(degrees), len(degrees), coeffs)
 
 
 def ribbon_schur_by_counting(ce: ColoredComposition) -> Expansion:

@@ -172,10 +172,12 @@ def test_descent_class_cells_are_bounded_by_the_class_size_only(capsys):
             ("--identity", "reading-word", "--max-n", "6"),
             "verify_reading_word_n6.json",
         ),
+        (("--identity", "all"), "verify_all.json"),
     ],
 )
 def test_verify_golden_stdout(capsys, argv, golden):
-    # report bytes and breakdown order of the shape and class suites
+    # report bytes and breakdown order of the shape and class suites, and
+    # of every suite at its default range
     code, out, _ = run_cli(capsys, "verify", *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()

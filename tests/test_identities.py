@@ -824,14 +824,14 @@ def test_polynomial_memos_are_bounded_and_never_evict_at_the_raised_range():
 
 
 def test_ribbon_schur_builds_each_ribbon_once(monkeypatch):
-    # each case reads the blocks of one packed ribbon, for the F-sum, and
-    # one tuple of one-alphabet factors, which the peel reads; both take the
-    # raw (parts, colors, r), and the packed ribbon of each distinct
-    # blocks is built once
+    # each case builds the r-partite shape of its raw (parts, colors, r)
+    # once: its blocks key the packed ribbon, for the F-sum, and give the
+    # one-alphabet factors that the peel reads; the packed ribbon of each
+    # distinct blocks is built once
     calls = {}
     for module, name in (
         (identities, "_ribbon_blocks"),
-        (symfun, "_ribbon_factors"),
+        (symfun, "_raw_colored_composition_shape"),
         (identities, "_colored_schur_terms"),
     ):
         build = getattr(symfun, name)
@@ -844,8 +844,8 @@ def test_ribbon_schur_builds_each_ribbon_once(monkeypatch):
     report = run_identity("colored-ribbon-schur", 3, 2)
     assert report.passed
     cases = calls["_ribbon_blocks"]
-    for seen in (cases, calls["_ribbon_factors"]):
-        assert len(seen) == len(set(seen)) == report.cases_checked == 33
+    assert calls["_raw_colored_composition_shape"] == cases
+    assert len(cases) == len(set(cases)) == report.cases_checked == 33
     built = [args[0] for args in calls["_colored_schur_terms"]]
     assert len(built) == len(set(built)) < 33
     assert set(built) == {symfun._ribbon_blocks(*ce) for ce in cases}

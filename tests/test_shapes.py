@@ -29,6 +29,7 @@ from coloredsym import (
     hook_length_count,
     partitions,
     rpartite_color_vector,
+    rpartite_descent_composition,
     rpartite_descent_set,
     rpartite_shape_of,
     tableau_descent_set,
@@ -424,6 +425,16 @@ class TestTableauDescents:
     def test_single_component(self):
         bq = build_rpartite([[], [[1, 2, 3]]])
         assert rpartite_descent_set(bq).pairs == ((3, 1),)
+
+    def test_empty_tableau(self):
+        # no cell has a classical descent; a colored descent set needs n >= 1
+        q = StandardTableau(EMPTY_SHAPE, ())
+        assert tableau_descent_set(q) == frozenset()
+        bq = RPartiteTableau((q, q))
+        assert rpartite_color_vector(bq) == ()
+        for statistic in (rpartite_descent_set, rpartite_descent_composition):
+            with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+                statistic(bq)
 
     def test_color_vector_matches_descent_extension(self):
         for n in range(1, 6):
