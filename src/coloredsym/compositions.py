@@ -18,10 +18,10 @@ is the one loop ``_raw_set_to_comp``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import accumulate, groupby, product, repeat
-from operator import itemgetter
+from operator import index, itemgetter
 
+from ._value import FrozenValue, set_field
 from .errors import DimensionMismatchError, ParseError
 
 #: Length-n vector of colors, one per position.
@@ -44,17 +44,25 @@ def _check_colors(colors, r: int, shown) -> None:
         raise ValueError(f"colors must lie in 0..{r - 1}: {shown!r}")
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(FrozenValue):
     """Sequence of positive integer parts; ``n`` is their sum."""
 
-    parts: tuple[int, ...]
+    def __init__(self, parts: tuple[int, ...]):
+        set_field(self, "parts", tuple(map(index, parts)))
+        self.__post_init__()
 
     def __post_init__(self):
-        parts = tuple(map(int, self.parts))
-        object.__setattr__(self, "parts", parts)
+        parts = self.parts
         if not parts or min(parts) < 1:
             raise ValueError(f"composition parts must be positive: {parts!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @property
     def n(self) -> int:
@@ -70,15 +78,15 @@ class Composition:
         return {"n": self.n, "parts": list(self.parts)}
 
 
-@dataclass(frozen=True)
-class AugmentedSubset:
+class AugmentedSubset(FrozenValue):
     """Strictly increasing subset of [n] that always contains n."""
 
-    n: int
-    elements: tuple[int, ...]
+    def __init__(self, n: int, elements: tuple[int, ...]):
+        set_field(self, "n", index(n))
+        set_field(self, "elements", tuple(map(index, elements)))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(int(e) for e in self.elements))
         if self.n < 1:
             raise ValueError("n must be positive")
         elems = self.elements
@@ -87,25 +95,39 @@ class AugmentedSubset:
         if any(e < 1 for e in elems) or any(a >= b for a, b in zip(elems, elems[1:])):
             raise ValueError(f"elements must be strictly increasing in [n]: {elems!r}")
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.elements) == (other.n, other.elements)
+        return NotImplemented
 
-@dataclass(frozen=True)
-class ColoredComposition:
+    def __hash__(self) -> int:
+        return hash((self.n, self.elements))
+
+
+class ColoredComposition(FrozenValue):
     """Composition with a color in ``0..r-1`` attached to each part."""
 
-    parts: tuple[int, ...]
-    colors: tuple[int, ...]
-    r: int
+    def __init__(self, parts: tuple[int, ...], colors: tuple[int, ...], r: int):
+        set_field(self, "parts", tuple(map(index, parts)))
+        set_field(self, "colors", tuple(map(index, colors)))
+        set_field(self, "r", index(r))
+        self.__post_init__()
 
     def __post_init__(self):
-        parts = tuple(map(int, self.parts))
-        colors = tuple(map(int, self.colors))
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "colors", colors)
+        parts, colors, r = self.parts, self.colors, self.r
         if not parts or min(parts) < 1:
             raise ValueError(f"composition parts must be positive: {parts!r}")
         if len(parts) != len(colors):
             raise ValueError("parts and colors must have equal length")
-        _check_colors(colors, self.r, colors)
+        _check_colors(colors, r, colors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parts, self.colors, self.r) == (other.parts, other.colors, other.r)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts, self.colors, self.r))
 
     @property
     def n(self) -> int:
@@ -133,19 +155,26 @@ class ColoredComposition:
         }
 
 
-@dataclass(frozen=True)
-class ColoredSet:
+class ColoredSet(FrozenValue):
     """Augmented subset of [n] with a color attached to each element."""
 
-    n: int
-    r: int
-    pairs: tuple[tuple[int, int], ...]
+    def __init__(self, n: int, r: int, pairs: tuple[tuple[int, int], ...]):
+        set_field(self, "n", index(n))
+        set_field(self, "r", index(r))
+        set_field(self, "pairs", tuple((index(e), index(c)) for e, c in pairs))
+        self.__post_init__()
 
     def __post_init__(self):
-        pairs = tuple((int(e), int(c)) for e, c in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
         AugmentedSubset(self.n, self.elements())
-        _check_colors((c for _, c in pairs), self.r, pairs)
+        _check_colors((c for _, c in self.pairs), self.r, self.pairs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.r, self.pairs) == (other.n, other.r, other.pairs)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.r, self.pairs))
 
     def elements(self) -> tuple[int, ...]:
         return tuple(e for e, _ in self.pairs)
@@ -154,15 +183,16 @@ class ColoredSet:
         return {"n": self.n, "r": self.r, "pairs": [list(p) for p in self.pairs]}
 
 
-@dataclass(frozen=True)
-class RainbowDecomposition:
+class RainbowDecomposition(FrozenValue):
     """Maximal monochromatic blocks of a colored composition.
 
     Adjacent blocks carry distinct colors and concatenating the blocks
     restores the original colored composition.
     """
 
-    blocks: tuple[tuple[Composition, int], ...]
+    def __init__(self, blocks: tuple[tuple[Composition, int], ...]):
+        set_field(self, "blocks", blocks)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.blocks:
@@ -170,6 +200,14 @@ class RainbowDecomposition:
         colors = [c for _, c in self.blocks]
         if any(a == b for a, b in zip(colors, colors[1:])):
             raise ValueError("adjacent block colors must differ")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.blocks == other.blocks
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.blocks,))
 
     def colored_composition(self, r: int) -> ColoredComposition:
         pairs = [(p, color) for comp, color in self.blocks for p in comp.parts]

@@ -41,12 +41,12 @@ from __future__ import annotations
 
 import time
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from itertools import accumulate, compress, product
 from math import factorial
 from operator import eq, gt, itemgetter
 
 from ._poly_py import add_terms
+from ._value import Value
 from .bijections import (
     _raw_class_to_tableau,
     _raw_read_rows,
@@ -103,20 +103,32 @@ SYMFUN_LEVEL_NOTE = (
 )
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Value):
     """Outcome of one exhaustive identity sweep."""
 
-    identity: str
-    max_n: int
-    max_r: int | None
-    cases_checked: int
-    expected_cases: int
-    failure_count: int
-    failures: list[dict]
-    wall_time: float
-    breakdown: dict[str, int] = field(default_factory=dict)
-    note: str = ""
+    def __init__(
+        self,
+        identity: str,
+        max_n: int,
+        max_r: int | None,
+        cases_checked: int,
+        expected_cases: int,
+        failure_count: int,
+        failures: list[dict],
+        wall_time: float,
+        breakdown: dict[str, int] | None = None,
+        note: str = "",
+    ):
+        self.identity = identity
+        self.max_n = max_n
+        self.max_r = max_r
+        self.cases_checked = cases_checked
+        self.expected_cases = expected_cases
+        self.failure_count = failure_count
+        self.failures = failures
+        self.wall_time = wall_time
+        self.breakdown = {} if breakdown is None else breakdown
+        self.note = note
 
     @property
     def passed(self) -> bool:

@@ -23,10 +23,11 @@ fillings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations as _permutations
 from itertools import product
+from operator import index
 
+from ._value import FrozenValue, set_field
 from .compositions import (
     ColoredComposition,
     ColoredSet,
@@ -39,16 +40,24 @@ from .compositions import (
 from .errors import DimensionMismatchError, ParseError
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(FrozenValue):
     """Permutation of [n] in one-line notation."""
 
-    word: tuple[int, ...]
+    def __init__(self, word: tuple[int, ...]):
+        set_field(self, "word", tuple(map(index, word)))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "word", tuple(int(x) for x in self.word))
         if sorted(self.word) != list(range(1, len(self.word) + 1)):
             raise ValueError(f"not a permutation of [n]: {self.word!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.word == other.word
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.word,))
 
     @property
     def n(self) -> int:
@@ -63,19 +72,27 @@ class Permutation:
         return Permutation(_raw_inverse(self.word))
 
 
-@dataclass(frozen=True)
-class ColoredPermutation:
+class ColoredPermutation(FrozenValue):
     """Element (word, colors) of the r-colored permutation group."""
 
-    perm: Permutation
-    colors: tuple[int, ...]
-    r: int
+    def __init__(self, perm: Permutation, colors: tuple[int, ...], r: int):
+        set_field(self, "perm", perm)
+        set_field(self, "colors", tuple(map(index, colors)))
+        set_field(self, "r", index(r))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
         if len(self.colors) != self.perm.n:
             raise ValueError("colors must have length n")
         _check_colors(self.colors, self.r, self.colors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.perm, self.colors, self.r) == (other.perm, other.colors, other.r)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.perm, self.colors, self.r))
 
     @property
     def n(self) -> int:

@@ -17,12 +17,12 @@ descent set.  ``rpartite_shape_of`` folds each color's zigzags with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 from math import factorial
-from operator import eq, ge, gt, lt, ne, sub
+from operator import eq, ge, gt, index, lt, ne, sub
 
+from ._value import FrozenValue, set_field
 from .compositions import (
     ColoredComposition,
     ColoredSet,
@@ -87,20 +87,20 @@ def hook_length_count(shape: Partition) -> int:
     return factorial(n) // denom
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class SkewShape(FrozenValue):
     """Pair of partitions outer/inner with inner contained in outer.
 
     ``inner`` is stored padded with zeros to the length of ``outer``;
     trailing empty rows (outer_i == inner_i at the bottom) are stripped.
     """
 
-    outer: tuple[int, ...]
-    inner: tuple[int, ...]
+    def __init__(self, outer: tuple[int, ...], inner: tuple[int, ...]):
+        set_field(self, "outer", tuple(map(index, outer)))
+        set_field(self, "inner", tuple(map(index, inner)))
+        self.__post_init__()
 
     def __post_init__(self):
-        outer = tuple(map(int, self.outer))
-        inner = tuple(map(int, self.inner))
+        outer, inner = self.outer, self.inner
         if any(inner[len(outer) :]):
             raise ShapeError(f"inner exceeds outer: {inner!r} vs {outer!r}")
         inner = inner[: len(outer)] + (0,) * (len(outer) - len(inner))
@@ -112,8 +112,16 @@ class SkewShape:
             raise ShapeError(f"outer and inner must weakly decrease: {outer!r}/{inner!r}")
         if any(map(gt, inner, outer)):
             raise ShapeError(f"inner must fit inside outer: {outer!r}/{inner!r}")
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
+        set_field(self, "outer", outer)
+        set_field(self, "inner", inner)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.outer, self.inner) == (other.outer, other.inner)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.outer, self.inner))
 
     @property
     def ncells(self) -> int:
@@ -173,19 +181,28 @@ def as_skew(shape) -> SkewShape:
     return straight_shape(tuple(shape))
 
 
-@dataclass(frozen=True)
-class ZigzagShape:
+class ZigzagShape(FrozenValue):
     """Connected skew shape with no 2x2 square, together with the
     composition giving its bottom-to-top row profile."""
 
-    shape: SkewShape
-    source: Composition
+    def __init__(self, shape: SkewShape, source: Composition):
+        set_field(self, "shape", shape)
+        set_field(self, "source", source)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.shape.row_profile_bottom_to_top() != self.source.parts:
             raise ShapeError("row profile does not match the source composition")
         if not self.shape.is_connected() or self.shape.contains_2x2():
             raise ShapeError("a zigzag diagram must be connected and 2x2-free")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.shape, self.source) == (other.shape, other.source)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.source))
 
     @property
     def ncells(self) -> int:
@@ -216,18 +233,27 @@ def _raw_zigzag(parts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...
     return tuple(outer[::-1]), tuple(inner[::-1])
 
 
-@dataclass(frozen=True)
-class ColoredZigzagShape:
+class ColoredZigzagShape(FrozenValue):
     """Sequence of zigzag diagrams with colors, adjacent colors distinct."""
 
-    zigzags: tuple[ZigzagShape, ...]
-    colors: tuple[int, ...]
+    def __init__(self, zigzags: tuple[ZigzagShape, ...], colors: tuple[int, ...]):
+        set_field(self, "zigzags", zigzags)
+        set_field(self, "colors", colors)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.zigzags) != len(self.colors) or not self.zigzags:
             raise ShapeError("need one color per zigzag")
         if any(a == b for a, b in zip(self.colors, self.colors[1:])):
             raise ShapeError("adjacent zigzag colors must differ")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.zigzags, self.colors) == (other.zigzags, other.colors)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.zigzags, self.colors))
 
     @property
     def ncells(self) -> int:
@@ -381,17 +407,17 @@ def _raw_colored_composition_shape(parts, colors, r: int):
     return tuple((tuple(o[::-1]), tuple(i[::-1])) for o, i in zip(outer, inner))
 
 
-@dataclass(frozen=True)
-class StandardTableau:
+class StandardTableau(FrozenValue):
     """Filling of a skew shape by distinct positive integers, strictly
     increasing along rows and down columns."""
 
-    shape: SkewShape
-    rows: tuple[tuple[int, ...], ...]
+    def __init__(self, shape: SkewShape, rows: tuple[tuple[int, ...], ...]):
+        set_field(self, "shape", shape)
+        set_field(self, "rows", tuple(tuple(map(index, row)) for row in rows))
+        self.__post_init__()
 
     def __post_init__(self):
-        rows = tuple(tuple(map(int, row)) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+        rows = self.rows
         outer, inner = self.shape.outer, self.shape.inner
         if len(rows) != len(outer) or any(
             map(ne, map(len, rows), map(sub, outer, inner))
@@ -409,6 +435,14 @@ class StandardTableau:
             if any(map(ge, rows[r - 1], below)):
                 c = inner[r - 1] + list(map(ge, rows[r - 1], below)).index(True)
                 raise ShapeError(f"column not strictly increasing at {(r, c)}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.shape, self.rows) == (other.shape, other.rows)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.rows))
 
     @property
     def ncells(self) -> int:
@@ -470,15 +504,16 @@ def tableau_descent_set(q: StandardTableau) -> frozenset[int]:
     return frozenset(i for i, _ in _raw_rpartite_descent_set((q.rows,))[:-1])
 
 
-@dataclass(frozen=True)
-class RPartiteTableau:
+class RPartiteTableau(FrozenValue):
     """r-tuple of standard fillings whose entries partition [n].
 
     The component index is the color; entry i has color j when it lies in
     component j.
     """
 
-    components: tuple[StandardTableau, ...]
+    def __init__(self, components: tuple[StandardTableau, ...]):
+        set_field(self, "components", components)
+        self.__post_init__()
 
     def __post_init__(self):
         entries = sorted(
@@ -486,6 +521,14 @@ class RPartiteTableau:
         )
         if entries != list(range(1, len(entries) + 1)):
             raise ShapeError("entries must be exactly 1..n across components")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.components == other.components
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.components,))
 
     @property
     def r(self) -> int:

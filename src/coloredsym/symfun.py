@@ -52,13 +52,13 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations, compress, product, starmap
-from operator import add, le, lt
+from operator import add, index, le, lt
 from types import MappingProxyType
 
 from ._poly_py import add_terms, mul_terms
+from ._value import FrozenValue, set_field
 from .compositions import ColoredComposition, Composition, _raw_coarsenings, _raw_extended_colors
 from .errors import DimensionMismatchError, NotInSchurSpanError
 from .permutations import _raw_colored_descent_composition
@@ -98,29 +98,33 @@ def _mul_full(a: dict[bytes, int], b: dict[bytes, int]) -> dict[bytes, int]:
 
 
 def _checked_widths(widths) -> tuple[int, ...]:
-    widths = tuple(int(w) for w in widths)
+    widths = tuple(map(index, widths))
     if any(w < 0 for w in widths):
         raise ValueError("alphabet widths must be nonnegative")
     return widths
 
 
-@dataclass(frozen=True, eq=True)
-class MultiAlphabetPolynomial:
+class MultiAlphabetPolynomial(FrozenValue):
     """Sparse polynomial over r truncated alphabets with exact integer
     coefficients; ``terms`` maps exponent bytes to nonzero ints.  The
     constructor copies the terms it is given and stores them read-only, so
     a polynomial keeps the checks it passed and can be hashed."""
 
-    widths: tuple[int, ...]
-    terms: Mapping[bytes, int] = field(default_factory=dict)
+    def __init__(self, widths: tuple[int, ...], terms: Mapping[bytes, int] = MappingProxyType({})):
+        set_field(self, "widths", _checked_widths(widths))
+        set_field(self, "terms", MappingProxyType(dict(terms)))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", _checked_widths(self.widths))
-        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
         if set(map(len, self.terms)) - {self.nvars}:
             raise DimensionMismatchError(f"every key needs {self.nvars} bytes, one per variable")
         if not all(self.terms.values()):
             raise ValueError("coefficients must be nonzero")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.widths, self.terms) == (other.widths, other.terms)
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.widths, frozenset(self.terms.items())))
@@ -490,15 +494,15 @@ def qsym_generating_function(
     return _place(acc, widths)
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(FrozenValue):
     """Exact expansion of an element in the colored Schur or h basis,
-    indexed by r-tuples of partitions."""
+    indexed by r-tuples of partitions.  Unhashable: ``coeffs`` is a dict."""
 
-    basis: str
-    n: int
-    r: int
-    coeffs: dict[RPartitePartition, int]
+    def __init__(self, basis: str, n: int, r: int, coeffs: dict[RPartitePartition, int]):
+        set_field(self, "basis", basis)
+        set_field(self, "n", n)
+        set_field(self, "r", r)
+        set_field(self, "coeffs", coeffs)
 
     def sorted_items(self) -> list[tuple[RPartitePartition, int]]:
         return sorted(self.coeffs.items())

@@ -7,6 +7,7 @@ fillings, ``shapes._raw_standard_test``, must accept exactly the fillings
 the tableau constructors accept."""
 
 from itertools import chain, combinations, product
+from operator import index
 
 from coloredsym import (
     AugmentedSubset,
@@ -31,8 +32,8 @@ from coloredsym.shapes import _raw_colored_zigzag, _raw_standard_test, _raw_zigz
 def reference_skew(outer, inner):
     """Normalized (outer, inner) of ``SkewShape``, validated in the order
     the constructor reports its errors."""
-    outer = tuple(int(x) for x in outer)
-    inner = tuple(int(x) for x in inner)
+    outer = tuple(map(index, outer))
+    inner = tuple(map(index, inner))
     if len(inner) > len(outer):
         if any(x != 0 for x in inner[len(outer) :]):
             raise ShapeError(f"inner exceeds outer: {inner!r} vs {outer!r}")
@@ -62,7 +63,7 @@ def reference_zigzag(shape, source):
 
 def reference_tableau(shape, rows):
     """Rows of ``StandardTableau`` after validation."""
-    rows = tuple(tuple(int(x) for x in row) for row in rows)
+    rows = tuple(tuple(map(index, row)) for row in rows)
     if len(rows) != shape.nrows or any(
         len(row) != shape.row_length(r) for r, row in enumerate(rows)
     ):
@@ -85,7 +86,7 @@ def reference_tableau(shape, rows):
 def reference_colored_set(n, r, pairs):
     """Pairs of ``ColoredSet`` after validation through a throwaway
     ``AugmentedSubset``."""
-    pairs = tuple((int(e), int(c)) for e, c in pairs)
+    pairs = tuple((index(e), index(c)) for e, c in pairs)
     AugmentedSubset(n, tuple(e for e, _ in pairs))
     if r < 1:
         raise ValueError(f"r must be at least 1, got {r}")
@@ -248,7 +249,7 @@ def test_colored_set_matches_reference_on_every_small_input():
         "elements must be strictly increasing in [n]",
         "r must be",  # "r must be at least 1", cut at " at " by kind
         *(f"colors must lie in 0..{r - 1}" for r in range(1, 3)),
-        "invalid literal for int() with base 10",
+        "'str' object cannot be interpreted as an integer",
     }
 
 
