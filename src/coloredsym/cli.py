@@ -9,8 +9,9 @@ rsk             apply the insertion correspondence to a colored permutation
 tableau-of      map a colored permutation to its r-partite standard filling
 verify          run one (or all) of the exhaustive identity suites
 
-Output is JSON by default (byte-deterministic), ``--format table`` renders a
-human-readable view.  Exit codes: 0 success, 1 verification failure, 2 bad
+Output is JSON by default (byte-deterministic: the bytes of
+``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, written by
+``_write_json``), ``--format table`` renders a human-readable view.  Exit codes: 0 success, 1 verification failure, 2 bad
 arguments or parse error.
 """
 
@@ -41,9 +42,112 @@ from .symfun import (
 )
 
 
+#: ``json``'s ASCII string escaper, in C where ``_json`` is built.
+_escape = json.encoder.encode_basestring_ascii
+
+
+class _Stream:
+    """A JSON array whose items are made while ``_emit`` writes them, so
+    the list of items is never held."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items):
+        self.items = items
+
+
+#: Pieces of text ``_write_json`` holds before an array hands them to stdout.
+_STREAM_CHUNKS = 8192
+
+
+def _write_json(obj, out: list, depth: int) -> None:
+    """Append to ``out`` the text of ``json.dumps(obj, indent=2,
+    sort_keys=True)`` as it reads nested ``depth`` levels deep.
+
+    ``json`` runs its pure-Python encoder whenever ``indent`` is set; this
+    writes the same bytes with the C string escaper and one join per list
+    of ints.  A value other than an exact str, int, bool, None, list, tuple
+    or str-keyed dict goes through ``json.dumps`` itself
+    (``_write_by_json``), so a float, a subclass or an unserializable
+    object reads, or fails, as it does there.
+    """
+    cls = obj.__class__
+    if cls is str:
+        out.append(_escape(obj))
+    elif cls is int:
+        out.append(int.__repr__(obj))
+    elif cls is list or cls is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        for item in obj:
+            if item.__class__ is not int:
+                _write_items(obj, out, depth)
+                return
+        inner = "\n" + "  " * (depth + 1)
+        ints = ("," + inner).join(map(int.__repr__, obj))
+        out.append("[" + inner + ints + "\n" + "  " * depth + "]")
+    elif cls is dict:
+        if not obj:
+            out.append("{}")
+            return
+        for key in obj:
+            if key.__class__ is not str:
+                _write_by_json(obj, out, depth)
+                return
+        inner = "\n" + "  " * (depth + 1)
+        sep = "{" + inner
+        for key in sorted(obj):
+            value = obj[key]
+            # the scalars of the CLI's objects are written in place
+            if value.__class__ is int:
+                out.append(sep + _escape(key) + ": " + int.__repr__(value))
+            elif value.__class__ is str:
+                out.append(sep + _escape(key) + ": " + _escape(value))
+            else:
+                out.append(sep + _escape(key) + ": ")
+                _write_json(value, out, depth + 1)
+            sep = "," + inner
+        out.append("\n" + "  " * depth + "}")
+    elif cls is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif cls is _Stream:
+        _write_items(obj.items, out, depth)
+    else:
+        _write_by_json(obj, out, depth)
+
+
+def _write_items(items, out: list, depth: int) -> None:
+    """``_write_json`` of a list of the items of an iterable.  Past
+    ``_STREAM_CHUNKS`` pieces the text so far goes to stdout, so a long
+    answer is never held as one text."""
+    inner = "\n" + "  " * (depth + 1)
+    sep = "[" + inner
+    for item in items:
+        out.append(sep)
+        _write_json(item, out, depth + 1)
+        sep = "," + inner
+        if len(out) > _STREAM_CHUNKS:
+            sys.stdout.write("".join(out))
+            out.clear()
+    out.append("[]" if sep[0] == "[" else "\n" + "  " * depth + "]")
+
+
+def _write_by_json(obj, out: list, depth: int) -> None:
+    """``_write_json`` of a value through ``json.dumps`` itself: its string
+    literals hold no newline, so each line break takes the depth's indent."""
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    out.append(text.replace("\n", "\n" + "  " * depth) if depth else text)
+
+
 def _emit(obj, fmt: str, table_renderer=None) -> None:
     if fmt == "json" or table_renderer is None:
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        out: list[str] = []
+        _write_json(obj, out, 0)
+        out.append("\n")
+        sys.stdout.write("".join(out))
     else:
         print(table_renderer(obj))
 
@@ -231,10 +335,10 @@ def _cmd_ribbon(args) -> int:
         poly = colored_ribbon(ce, widths)
         obj = {
             "expansion": obj,
-            "polynomial": [
+            "polynomial": _Stream(
                 {"exponents": [list(row) for row in mat], "coeff": c}
-                for mat, c in poly.term_items()
-            ],
+                for mat, c in poly.iter_term_items()
+            ),
             "widths": list(widths),
         }
     _emit(obj, args.format, _ribbon_table)

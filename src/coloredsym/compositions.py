@@ -191,7 +191,7 @@ class RainbowDecomposition(FrozenValue):
     """
 
     def __init__(self, blocks: tuple[tuple[Composition, int], ...]):
-        set_field(self, "blocks", blocks)
+        set_field(self, "blocks", tuple((comp, index(color)) for comp, color in blocks))
         self.__post_init__()
 
     def __post_init__(self):

@@ -237,8 +237,8 @@ class ColoredZigzagShape(FrozenValue):
     """Sequence of zigzag diagrams with colors, adjacent colors distinct."""
 
     def __init__(self, zigzags: tuple[ZigzagShape, ...], colors: tuple[int, ...]):
-        set_field(self, "zigzags", zigzags)
-        set_field(self, "colors", colors)
+        set_field(self, "zigzags", tuple(zigzags))
+        set_field(self, "colors", tuple(map(index, colors)))
         self.__post_init__()
 
     def __post_init__(self):
@@ -512,7 +512,7 @@ class RPartiteTableau(FrozenValue):
     """
 
     def __init__(self, components: tuple[StandardTableau, ...]):
-        set_field(self, "components", components)
+        set_field(self, "components", tuple(components))
         self.__post_init__()
 
     def __post_init__(self):

@@ -189,14 +189,14 @@ class MultiAlphabetPolynomial(FrozenValue):
 
     def term_items(self) -> list[tuple[tuple[tuple[int, ...], ...], int]]:
         """Terms as (per-alphabet exponent tuples, coeff), leading term first."""
-        offs = _offsets(self.widths)
-        out = []
-        for key in sorted(self.terms, reverse=True):
-            mat = tuple(
-                tuple(key[offs[j] : offs[j] + w]) for j, w in enumerate(self.widths)
-            )
-            out.append((mat, self.terms[key]))
-        return out
+        return list(self.iter_term_items())
+
+    def iter_term_items(self):
+        """The items of ``term_items``, in its order, made one at a time."""
+        slices = [slice(o, o + w) for o, w in zip(_offsets(self.widths), self.widths)]
+        terms = self.terms
+        for key in sorted(terms, reverse=True):
+            yield tuple(tuple(key[s]) for s in slices), terms[key]
 
 
 def zero(widths) -> MultiAlphabetPolynomial:

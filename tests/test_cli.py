@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from coloredsym import ColoredComposition, ribbon_schur_by_counting
+from coloredsym import cli
 from coloredsym.cli import main
 
 
@@ -179,6 +180,33 @@ def test_verify_golden_stdout(capsys, argv, golden):
     # report bytes and breakdown order of the shape and class suites, and
     # of every suite at its default range
     code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+_RIBBON_R3 = ("ribbon", "--comp", "2^0,1^1,2^2,1^1", "--r", "3", "--basis")
+_DESCENT_CLASS = ("descent-class", "--comp", "2^0,1^1,1^1", "--r", "2")
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        (("enum-comps", "--n", "4", "--r", "3"), "enum_comps_n4_r3.json"),
+        (_DESCENT_CLASS, "descent_class_2_1_1.json"),
+        ((*_DESCENT_CLASS, "--conj-inverse"), "descent_class_2_1_1_conj_inverse.json"),
+        (("rsk", "--perm", "3^1,5^0,1^2,4^0,2^1", "--r", "3"), "rsk_r3.json"),
+        (
+            ("tableau-of", "--perm", "2^0,3^0,7^1,10^1,5^1,6^3,1^1,8^1,9^1,4^2", "--r", "4"),
+            "tableau_of_running_example.json",
+        ),
+        ((*_RIBBON_R3, "schur"), "ribbon_schur_r3.json"),
+        ((*_RIBBON_R3, "h"), "ribbon_h_r3.json"),
+        ((*_RIBBON_R3, "f"), "ribbon_f_r3.json"),
+    ],
+)
+def test_point_query_golden_stdout(capsys, argv, golden):
+    # the bytes each subcommand wrote when json.dumps encoded its output
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
 
@@ -421,8 +449,18 @@ def test_readme_has_its_examples():
 
 
 @pytest.mark.parametrize("line", _readme_examples())
-def test_readme_example_exits_0_with_json(capsys, line):
+def test_readme_example_exits_0_with_json(capsys, monkeypatch, line):
+    # and its bytes are json.dumps(indent=2, sort_keys=True) of its object
+    emitted = []
+    emit = cli._emit
+
+    def recorded(obj, *args):
+        emitted.append(obj)
+        emit(obj, *args)
+
+    monkeypatch.setattr(cli, "_emit", recorded)
     argv = shlex.split(line, comments=True)[1:]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    json.loads(out)
+    [obj] = emitted
+    assert out == json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -1,8 +1,11 @@
 """The contract of the package's value classes, that of frozen
 dataclasses: keyword construction, equality, hashing, immutability and
-repr.  Integer fields refuse non-integers, and a cold import of the
-package loads no ``dataclasses`` (nor ``inspect``, ``ast`` or ``dis``)."""
+repr.  Integer fields refuse non-integers, sequence fields are stored as
+tuples, and a cold import of the package loads no ``dataclasses`` (nor
+``inspect``, ``ast`` or ``dis``) and no other module it did not load
+before."""
 
+import ast
 import copy
 import pickle
 import subprocess
@@ -264,6 +267,9 @@ class _Two:
         (SkewShape, ((2, 1), (1.0,))),
         (StandardTableau, (SkewShape((2,), ()), ((1, 2.0),))),
         (MultiAlphabetPolynomial, ((2.7,),)),
+        (ColoredZigzagShape, ((_ZZ,), (1.5,))),
+        (ColoredZigzagShape, ((_ZZ,), ("0",))),
+        (RainbowDecomposition, (((Composition((2,)), 1.5),),)),
     ],
     ids=lambda v: getattr(v, "__name__", None),
 )
@@ -281,22 +287,73 @@ def test_integer_fields_take_any_index_type_and_store_ints():
     assert Permutation((two, 1)).word == (2, 1)
     assert MultiAlphabetPolynomial((two,)).widths == (2,)
     assert ColoredSet(two, two, ((two, 1),)) == ColoredSet(2, 2, ((2, 1),))
+    czz = ColoredZigzagShape((_ZZ,), (two,))
+    assert czz.colors == (2,) and type(czz.colors[0]) is int
+    (_, color), = RainbowDecomposition(((Composition((1,)), two),)).blocks
+    assert type(color) is int and color == 2
+
+
+_C2, _C1 = Composition((2,)), Composition((1,))
+
+
+@pytest.mark.parametrize(
+    ("cls", "lists", "tuples"),
+    [
+        (ColoredZigzagShape, ([_ZZ, _ZZ], [0, 1]), ((_ZZ, _ZZ), (0, 1))),
+        (RainbowDecomposition, ([(_C2, 0), (_C1, 1)],), (((_C2, 0), (_C1, 1)),)),
+        (RainbowDecomposition, ([[_C2, 0], [_C1, 1]],), (((_C2, 0), (_C1, 1)),)),
+        (RPartiteTableau, ([_T1, _T2],), ((_T1, _T2),)),
+    ],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_sequence_fields_are_stored_as_tuples(cls, lists, tuples):
+    # built from lists, a value is still hashable and equal to the one
+    # built from tuples
+    obj, expected = cls(*lists), cls(*tuples)
+    assert _fields(obj, vars(obj)) == tuples
+    assert obj == expected and hash(obj) == hash(expected)
 
 
 COLD_IMPORT = """
 import sys
+before = set(sys.modules)
 sys.path.insert(0, sys.argv[1])
 import coloredsym, coloredsym.cli
-print(sorted(m for m in ("dataclasses", "inspect", "ast", "dis") if m in sys.modules))
+print(sorted(set(sys.modules) - before))
 """
 
+#: What ``import coloredsym, coloredsym.cli`` loads in a fresh ``python -S``
+#: under CPython 3.11, recorded before the CLI got its own JSON writer.
+COLD_IMPORT_MODULES = {
+    "__future__", "_bisect", "_collections", "_collections_abc", "_functools",
+    "_json", "_operator", "_sre", "_stat", "argparse", "bisect", "collections",
+    "collections.abc", "copyreg", "enum", "functools", "genericpath", "gettext",
+    "itertools", "json", "json.decoder", "json.encoder", "json.scanner",
+    "keyword", "math", "operator", "os", "os.path", "posixpath", "re",
+    "re._casefix", "re._compiler", "re._constants", "re._parser", "reprlib",
+    "stat", "types", "warnings",
+}
 
-def test_cold_import_loads_no_dataclasses_inspect_ast_or_dis():
-    # dataclasses imports inspect, which imports ast and dis: together
-    # about a third of the package's cold import time
+
+def _cold_import_modules() -> set:
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", COLD_IMPORT, str(src)],
         capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    return set(ast.literal_eval(proc.stdout))
+
+
+def test_cold_import_loads_no_dataclasses_inspect_ast_or_dis():
+    # dataclasses imports inspect, which imports ast and dis: together
+    # about a third of the package's cold import time
+    assert not _cold_import_modules() & {"dataclasses", "inspect", "ast", "dis"}
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="the module set is CPython 3.11's"
+)
+def test_cold_import_loads_no_new_standard_module():
+    # every module a cold import loads is time in perfbench's setup_s
+    loaded = {m for m in _cold_import_modules() if m.partition(".")[0] != "coloredsym"}
+    assert loaded <= COLD_IMPORT_MODULES
