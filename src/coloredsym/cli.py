@@ -9,6 +9,12 @@ rsk             apply the insertion correspondence to a colored permutation
 tableau-of      map a colored permutation to its r-partite standard filling
 verify          run one (or all) of the exhaustive identity suites
 
+Each subcommand and its options are described once, in ``COMMANDS``.  A
+well-formed command line (the subcommand, then its exact long options with
+their values) is parsed from that table by ``_parse``; ``argparse`` is
+imported and its parser built only for help, errors and the less common
+spellings (``--n=3``, abbreviations, negative numbers, ``--``).
+
 Output is JSON by default (byte-deterministic: the bytes of
 ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, written by
 ``_write_json``), ``--format table`` renders a human-readable view.  Exit codes: 0 success, 1 verification failure, 2 bad
@@ -17,9 +23,9 @@ arguments or parse error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .bijections import (
     colored_class_to_tableau,
@@ -27,7 +33,7 @@ from .bijections import (
     conj_inverse_descent_class,
     descent_class,
 )
-from .compositions import enumerate_colored_compositions, parse_colored_composition
+from .compositions import _raw_colored_composition_list, parse_colored_composition
 from .errors import ResourceLimitError
 from .identities import IDENTITY_REGISTRY, run_identity
 from .permutations import colored_descent_composition, parse_colored_permutation
@@ -152,118 +158,96 @@ def _emit(obj, fmt: str, table_renderer=None) -> None:
         print(table_renderer(obj))
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("json", "table"), default="json", help="output format"
-    )
+def _option(flag, kind=str, default=None, choices=None, required=False, help=None):
+    """One row of the option table: ``(flag, dest, kind, default, choices,
+    required, help)``, with the dest argparse gives a long flag.  ``kind`` is
+    ``int``, ``str`` or ``bool``, and a ``bool`` option is a store-true flag."""
+    if kind is bool:
+        default = False
+    return (flag, flag[2:].replace("-", "_"), kind, default, choices, required, help)
 
 
-def _help_formatter(prog: str) -> argparse.HelpFormatter:
-    """argparse's formatter at the width it uses when stdout is not a
-    terminal: with no width given it imports ``shutil`` to read the terminal
-    size, and argparse builds a formatter for every argument it adds."""
-    return argparse.HelpFormatter(prog, width=78)
+_FORMAT = _option("--format", choices=("json", "table"), default="json", help="output format")
+
+#: Each subcommand once: its help and its options in order.  ``build_parser``
+#: builds argparse's parser from it, and ``_parse`` reads well-formed argv by it.
+COMMANDS = {
+    "enum-comps": ("enumerate colored compositions", (
+        _option("--n", int, required=True),
+        _option("--r", int, required=True),
+        _FORMAT,
+    )),
+    "descent-class": ("list a colored descent class", (
+        _option("--comp", required=True, help='caret form, e.g. "2^0,2^1,1^1"'),
+        _option("--r", int),
+        _option("--conj-inverse", bool, help="list the conjugate-inverse descent class instead"),
+        _FORMAT,
+    )),
+    "ribbon": ("expand a colored ribbon element", (
+        _option("--comp", required=True),
+        _option("--r", int),
+        _option("--basis", choices=("schur", "h", "f"), default="schur"),
+        _option("--via-poly", bool, help="force the polynomial peeling path for the schur basis"),
+        _option("--dump-poly", bool, help="also emit the full ribbon polynomial"),
+        _option("--widths", help="comma-separated per-alphabet widths (default: n per alphabet)"),
+        _FORMAT,
+    )),
+    "rsk": ("insertion correspondence", (
+        _option("--perm", required=True, help='window form, e.g. "2^0,3^0,1^1"'),
+        _option("--r", int),
+        _FORMAT,
+    )),
+    "tableau-of": ("descent class to r-partite filling", (
+        _option("--perm", required=True),
+        _option("--r", int),
+        _FORMAT,
+    )),
+    "verify": ("run exhaustive identity suites", (
+        _option("--identity", choices=(*sorted(IDENTITY_REGISTRY), "all"), default="all"),
+        _option("--max-n", int),
+        _option("--max-r", int),
+        # kept so that scripts passing `--jobs 1` still run; any other value exits 2
+        _option("--jobs", int, default=1, help="accepted only as 1: suites run in-process"),
+        _FORMAT,
+    )),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The ``argparse.ArgumentParser`` of ``COMMANDS``.  ``main`` builds it
+    only for the argv that ``_parse`` leaves to it: help, errors and the
+    less common spellings."""
+    import argparse
+
+    def formatter(prog: str):
+        # argparse's formatter at the width it uses when stdout is not a
+        # terminal: with no width given it imports ``shutil`` to read the
+        # terminal size, and argparse builds a formatter for every argument
+        return argparse.HelpFormatter(prog, width=78)
+
     parser = argparse.ArgumentParser(
         prog="coloredsym",
         description="colored descent combinatorics and exact symmetric-function identities",
-        formatter_class=_help_formatter,
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "enum-comps",
-        help="enumerate colored compositions",
-        formatter_class=_help_formatter,
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    _add_format(p)
-
-    p = sub.add_parser(
-        "descent-class",
-        help="list a colored descent class",
-        formatter_class=_help_formatter,
-    )
-    p.add_argument("--comp", required=True, help='caret form, e.g. "2^0,2^1,1^1"')
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument(
-        "--conj-inverse",
-        action="store_true",
-        help="list the conjugate-inverse descent class instead",
-    )
-    _add_format(p)
-
-    p = sub.add_parser(
-        "ribbon",
-        help="expand a colored ribbon element",
-        formatter_class=_help_formatter,
-    )
-    p.add_argument("--comp", required=True)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--basis", choices=("schur", "h", "f"), default="schur")
-    p.add_argument(
-        "--via-poly",
-        action="store_true",
-        help="force the polynomial peeling path for the schur basis",
-    )
-    p.add_argument(
-        "--dump-poly",
-        action="store_true",
-        help="also emit the full ribbon polynomial",
-    )
-    p.add_argument(
-        "--widths",
-        default=None,
-        help="comma-separated per-alphabet widths (default: n per alphabet)",
-    )
-    _add_format(p)
-
-    p = sub.add_parser(
-        "rsk",
-        help="insertion correspondence",
-        formatter_class=_help_formatter,
-    )
-    p.add_argument("--perm", required=True, help='window form, e.g. "2^0,3^0,1^1"')
-    p.add_argument("--r", type=int, default=None)
-    _add_format(p)
-
-    p = sub.add_parser(
-        "tableau-of",
-        help="descent class to r-partite filling",
-        formatter_class=_help_formatter,
-    )
-    p.add_argument("--perm", required=True)
-    p.add_argument("--r", type=int, default=None)
-    _add_format(p)
-
-    p = sub.add_parser(
-        "verify",
-        help="run exhaustive identity suites",
-        formatter_class=_help_formatter,
-    )
-    p.add_argument(
-        "--identity",
-        default="all",
-        choices=sorted(IDENTITY_REGISTRY) + ["all"],
-    )
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--max-r", type=int, default=None)
-    # kept so that scripts passing `--jobs 1` still run; any other value exits 2
-    p.add_argument(
-        "--jobs", type=int, default=1, help="accepted only as 1: suites run in-process"
-    )
-    _add_format(p)
-
+    for name, (summary, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary, formatter_class=formatter)
+        for flag, dest, kind, default, choices, required, text in options:
+            if kind is bool:
+                p.add_argument(flag, dest=dest, action="store_true", help=text)
+            else:
+                p.add_argument(
+                    flag, dest=dest, type=int if kind is int else None, default=default,
+                    choices=choices, required=required, help=text,
+                )
     return parser
 
 
-_PARSER: argparse.ArgumentParser | None = None
+_PARSER = None
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The parser of ``main``, built on first use: parsing keeps no state
     in it, and building it costs more than most point queries."""
     global _PARSER
@@ -272,15 +256,76 @@ def _parser() -> argparse.ArgumentParser:
     return _PARSER
 
 
+#: subcommand -> (flag -> (dest, kind, choices), defaults by dest, required
+#: dests): ``COMMANDS`` as ``_parse`` reads it.
+_SPECS = {
+    name: (
+        {flag: (dest, kind, choices) for flag, dest, kind, _, choices, _, _ in options},
+        {dest: default for _, dest, _, default, _, _, _ in options},
+        [dest for _, dest, _, _, _, required, _ in options if required],
+    )
+    for name, (_, options) in COMMANDS.items()
+}
+
+
+def _parse(argv):
+    """``build_parser().parse_args(argv)`` for a well-formed argv, else None.
+
+    Well-formed: a subcommand, then exact long options of it, each value a
+    token that does not start with ``-``, converts as argparse converts it
+    and is among its choices, with every required option given.  Any other
+    argv (``-h``, an error, ``--n=3``, an abbreviation, a negative number,
+    ``--``) is argparse's, which alone writes help and error messages.
+    """
+    if not argv:
+        return None
+    spec = _SPECS.get(argv[0])
+    if spec is None:
+        return None
+    flags, defaults, required = spec
+    values = dict(defaults, command=argv[0])
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option = flags.get(token)
+        if option is None:
+            return None
+        dest, kind, choices = option
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value.__class__ is not str or value[:1] == "-":
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    for dest in required:
+        # a given value is a str or an int, never the default None
+        if values[dest] is None:
+            return None
+    return SimpleNamespace(**values)
+
+
 def _cmd_enum_comps(args) -> int:
-    items = enumerate_colored_compositions(args.n, args.r)
+    n, r = args.n, args.r
+    pairs = _raw_colored_composition_list(n, r)
     obj = {
-        "n": args.n,
-        "r": args.r,
-        "count": len(items),
-        "items": [ce.to_json() for ce in items],
+        "n": n,
+        "r": r,
+        "count": len(pairs),
+        "items": [
+            {"n": n, "r": r, "parts": list(parts), "colors": list(colors)}
+            for parts, colors in pairs
+        ],
     }
-    _emit(obj, args.format, lambda o: "\n".join(ce.text() for ce in items))
+    _emit(obj, args.format, lambda o: "\n".join(
+        ",".join(f"{p}^{c}" for p, c in zip(parts, colors)) for parts, colors in pairs
+    ))
     return 0
 
 
@@ -417,10 +462,14 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     handlers = {
         "enum-comps": _cmd_enum_comps,
         "descent-class": _cmd_descent_class,

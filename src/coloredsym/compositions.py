@@ -301,16 +301,16 @@ def _raw_compositions(n: int):
 def enumerate_colored_compositions(n: int, r: int) -> list[ColoredComposition]:
     """All r(r+1)^(n-1) colored compositions of n, ordered lexicographically
     by (extended color vector, part sequence)."""
-    if r < 1:
-        raise ValueError("r must be positive")
-    if n < 1:
-        raise ValueError("n must be positive")
     return [ColoredComposition(*pair, r) for pair in _raw_colored_composition_list(n, r)]
 
 
 def _raw_colored_composition_list(n: int, r: int) -> list:
     """The (parts, colors) pairs of ``enumerate_colored_compositions(n, r)``,
-    in its order."""
+    in its order; n and r below 1 raise its errors."""
+    if r < 1:
+        raise ValueError("r must be positive")
+    if n < 1:
+        raise ValueError("n must be positive")
     return sorted(_raw_colored_compositions(n, r), key=lambda p: (_raw_extended_colors(*p), p[0]))
 
 

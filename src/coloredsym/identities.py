@@ -587,7 +587,14 @@ def verify_colored_rsk(max_n: int = 4, max_r: int = 3) -> VerificationReport:
     descent set of the word and the insertion side that of its
     conjugate-inverse; shape counting squares to the group order.  Both
     sides are checked standard on the straight shapes of the insertion
-    side's row lengths, so they share one shape, before the round trip."""
+    side's row lengths, so they share one shape, before the round trip.
+
+    The pairs are counted, not kept.  An element passes only if
+    ``_raw_rsk_inverse(p, q)`` gives it back, and the inverse is a
+    function, so two passing elements never share a pair.  The group
+    stream is checked strictly increasing, its lexicographic order, so no
+    element is met twice; a stream that repeated one element and dropped
+    another would otherwise pass every per-element check."""
     b = _Builder(
         "rsk",
         max_n,
@@ -600,16 +607,18 @@ def verify_colored_rsk(max_n: int = 4, max_r: int = 3) -> VerificationReport:
     )
     for n in range(1, max_n + 1):
         for r in range(1, max_r + 1):
-            seen, standard_on = set(), {}
+            distinct, previous, standard_on = 0, (), {}
             for w in _raw_group(n, r):
                 b.case(n, r)
+                increasing, previous = w > previous, w
                 p, q = _raw_rsk(*w, r)
                 shape = tuple(tuple(map(len, rows)) for rows in p)
                 standard = standard_on.get(shape)
                 if standard is None:
                     standard = standard_on[shape] = _straight_standard_test(shape)
                 ok = (
-                    standard(p)
+                    increasing
+                    and standard(p)
                     and standard(q)
                     and _raw_rpartite_descent_set(q) == _raw_colored_descent_set(*w)
                     and _raw_rpartite_descent_set(p)
@@ -620,7 +629,7 @@ def verify_colored_rsk(max_n: int = 4, max_r: int = 3) -> VerificationReport:
                     word = ColoredPermutation(Permutation(w[0]), w[1], r)
                     b.fail({"n": n, "r": r, "word": word.to_json()})
                     continue
-                seen.add((p, q))
+                distinct += 1
             order = factorial(n) * r**n
             square_sum = 0
             for bll in enumerate_rpartite_partitions(n, r):
@@ -628,12 +637,12 @@ def verify_colored_rsk(max_n: int = 4, max_r: int = 3) -> VerificationReport:
                 for part in bll:
                     count *= hook_length_count(part)
                 square_sum += count * count
-            if len(seen) != order or square_sum != order:
+            if distinct != order or square_sum != order:
                 b.fail(
                     {
                         "n": n,
                         "r": r,
-                        "distinct_pairs": len(seen),
+                        "distinct_pairs": distinct,
                         "square_sum": square_sum,
                         "group_order": order,
                     }

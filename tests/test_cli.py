@@ -91,33 +91,35 @@ def test_ribbon_dump_poly(capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize(
-    "flags,golden",
-    [
-        (("--dump-poly", "--widths", "2,5"), "ribbon_dump_poly_widths_2_5.json"),
-        (("--dump-poly",), "ribbon_dump_poly.json"),
-        (("--via-poly", "--widths", "4,6"), "ribbon_via_poly_widths_4_6.json"),
-    ],
-)
+_RIBBON_R2 = ("ribbon", "--comp", "2^0,1^1,1^0", "--r", "2")
+RIBBON_R2_GOLDENS = [
+    (("--dump-poly", "--widths", "2,5"), "ribbon_dump_poly_widths_2_5.json"),
+    (("--dump-poly",), "ribbon_dump_poly.json"),
+    (("--via-poly", "--widths", "4,6"), "ribbon_via_poly_widths_4_6.json"),
+]
+
+
+@pytest.mark.parametrize("flags,golden", RIBBON_R2_GOLDENS)
 def test_ribbon_polynomial_golden_stdout(capsys, flags, golden):
     # placement on uneven widths is where packed and full polynomials meet
-    code, out, _ = run_cli(capsys, "ribbon", "--comp", "2^0,1^1,1^0", "--r", "2", *flags)
+    code, out, _ = run_cli(capsys, *_RIBBON_R2, *flags)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
 
 
-@pytest.mark.parametrize(
-    "flags,golden",
-    [
-        (("--dump-poly", "--widths", "3,2,4"), "ribbon_dump_poly_r3_widths_3_2_4.json"),
-        (("--dump-poly", "--widths", "3,0,4"), "ribbon_dump_poly_r3_widths_3_0_4.json"),
-        (("--via-poly", "--widths", "5,6,5"), "ribbon_via_poly_r3_widths_5_6_5.json"),
-    ],
-)
+_RIBBON_R3_POLY = ("ribbon", "--comp", "2^0,1^1,2^2", "--r", "3")
+RIBBON_R3_GOLDENS = [
+    (("--dump-poly", "--widths", "3,2,4"), "ribbon_dump_poly_r3_widths_3_2_4.json"),
+    (("--dump-poly", "--widths", "3,0,4"), "ribbon_dump_poly_r3_widths_3_0_4.json"),
+    (("--via-poly", "--widths", "5,6,5"), "ribbon_via_poly_r3_widths_5_6_5.json"),
+]
+
+
+@pytest.mark.parametrize("flags,golden", RIBBON_R3_GOLDENS)
 def test_three_color_ribbon_polynomial_golden_stdout(capsys, flags, golden):
     # widths below n truncate each alphabet on its own, and a zero width
     # truncates the ribbon to zero
-    code, out, _ = run_cli(capsys, "ribbon", "--comp", "2^0,1^1,2^2", "--r", "3", *flags)
+    code, out, _ = run_cli(capsys, *_RIBBON_R3_POLY, *flags)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
 
@@ -154,28 +156,28 @@ def test_descent_class_cells_are_bounded_by_the_class_size_only(capsys):
         assert payload["members"] == [",".join(f"{i}^0" for i in range(1, n + 1))]
 
 
-@pytest.mark.parametrize(
-    "argv,golden",
-    [
-        (
-            ("--identity", "zigzag-count", "--max-n", "4", "--max-r", "3"),
-            "verify_zigzag_count_n4_r3.json",
-        ),
-        (
-            ("--identity", "class-tableau", "--max-n", "3", "--max-r", "2"),
-            "verify_class_tableau_n3_r2.json",
-        ),
-        (
-            ("--identity", "class-tableau", "--max-n", "4", "--max-r", "2"),
-            "verify_class_tableau_n4_r2.json",
-        ),
-        (
-            ("--identity", "reading-word", "--max-n", "6"),
-            "verify_reading_word_n6.json",
-        ),
-        (("--identity", "all"), "verify_all.json"),
-    ],
-)
+VERIFY_GOLDENS = [
+    (
+        ("--identity", "zigzag-count", "--max-n", "4", "--max-r", "3"),
+        "verify_zigzag_count_n4_r3.json",
+    ),
+    (
+        ("--identity", "class-tableau", "--max-n", "3", "--max-r", "2"),
+        "verify_class_tableau_n3_r2.json",
+    ),
+    (
+        ("--identity", "class-tableau", "--max-n", "4", "--max-r", "2"),
+        "verify_class_tableau_n4_r2.json",
+    ),
+    (
+        ("--identity", "reading-word", "--max-n", "6"),
+        "verify_reading_word_n6.json",
+    ),
+    (("--identity", "all"), "verify_all.json"),
+]
+
+
+@pytest.mark.parametrize("argv,golden", VERIFY_GOLDENS)
 def test_verify_golden_stdout(capsys, argv, golden):
     # report bytes and breakdown order of the shape and class suites, and
     # of every suite at its default range
@@ -188,22 +190,22 @@ _RIBBON_R3 = ("ribbon", "--comp", "2^0,1^1,2^2,1^1", "--r", "3", "--basis")
 _DESCENT_CLASS = ("descent-class", "--comp", "2^0,1^1,1^1", "--r", "2")
 
 
-@pytest.mark.parametrize(
-    "argv,golden",
-    [
-        (("enum-comps", "--n", "4", "--r", "3"), "enum_comps_n4_r3.json"),
-        (_DESCENT_CLASS, "descent_class_2_1_1.json"),
-        ((*_DESCENT_CLASS, "--conj-inverse"), "descent_class_2_1_1_conj_inverse.json"),
-        (("rsk", "--perm", "3^1,5^0,1^2,4^0,2^1", "--r", "3"), "rsk_r3.json"),
-        (
-            ("tableau-of", "--perm", "2^0,3^0,7^1,10^1,5^1,6^3,1^1,8^1,9^1,4^2", "--r", "4"),
-            "tableau_of_running_example.json",
-        ),
-        ((*_RIBBON_R3, "schur"), "ribbon_schur_r3.json"),
-        ((*_RIBBON_R3, "h"), "ribbon_h_r3.json"),
-        ((*_RIBBON_R3, "f"), "ribbon_f_r3.json"),
-    ],
-)
+POINT_QUERY_GOLDENS = [
+    (("enum-comps", "--n", "4", "--r", "3"), "enum_comps_n4_r3.json"),
+    (_DESCENT_CLASS, "descent_class_2_1_1.json"),
+    ((*_DESCENT_CLASS, "--conj-inverse"), "descent_class_2_1_1_conj_inverse.json"),
+    (("rsk", "--perm", "3^1,5^0,1^2,4^0,2^1", "--r", "3"), "rsk_r3.json"),
+    (
+        ("tableau-of", "--perm", "2^0,3^0,7^1,10^1,5^1,6^3,1^1,8^1,9^1,4^2", "--r", "4"),
+        "tableau_of_running_example.json",
+    ),
+    ((*_RIBBON_R3, "schur"), "ribbon_schur_r3.json"),
+    ((*_RIBBON_R3, "h"), "ribbon_h_r3.json"),
+    ((*_RIBBON_R3, "f"), "ribbon_f_r3.json"),
+]
+
+
+@pytest.mark.parametrize("argv,golden", POINT_QUERY_GOLDENS)
 def test_point_query_golden_stdout(capsys, argv, golden):
     # the bytes each subcommand wrote when json.dumps encoded its output
     code, out, _ = run_cli(capsys, *argv)
@@ -434,6 +436,41 @@ def test_cold_cli_call_does_not_import_shutil():
     )
     assert proc.stdout.splitlines()[-1] == "[0, 2] [False, False]"
     assert "error: argument --n: invalid int value: 'x'" in proc.stderr
+
+
+COLD_WELL_FORMED_CALL = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import coloredsym, coloredsym.cli
+from coloredsym.cli import main
+loaded = [sorted({"argparse", "gettext", "locale"} & set(sys.modules))]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["verify", "--identity", "ribbon-h", "--max-n", "1"])]
+loaded.append(sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+help_out = io.StringIO()
+with contextlib.redirect_stdout(help_out):
+    codes.append(main(["enum-comps", "--help"]))
+usage_err = io.StringIO()
+with contextlib.redirect_stderr(usage_err):
+    codes.append(main(["enum-comps", "--n", "x"]))
+print(json.dumps([codes, loaded, help_out.getvalue(), usage_err.getvalue()]))
+"""
+
+
+def test_cold_well_formed_call_does_not_import_argparse(monkeypatch):
+    # argparse with gettext and locale is most of a cold import and of a
+    # first call; it is built only for help and errors, which read as before
+    monkeypatch.delenv("COLUMNS", raising=False)
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", COLD_WELL_FORMED_CALL, str(src)],
+        capture_output=True, text=True, check=True,
+    )
+    codes, loaded, help_out, usage_err = json.loads(proc.stdout)
+    assert codes == [0, 0, 2]
+    assert loaded == [[], []]
+    assert help_out == (GOLDEN / "help_enum-comps.txt").read_text()
+    assert usage_err == (GOLDEN / "usage_enum_comps_n_x.txt").read_text()
 
 
 def _readme_examples():

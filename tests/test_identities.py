@@ -29,6 +29,7 @@ from coloredsym import (
     bijections,
     compositions,
     identities,
+    permutations,
     shapes,
     symfun,
 )
@@ -708,6 +709,58 @@ def test_planted_swapped_column_fails_rsk(monkeypatch):
     report = run_identity("rsk", 3, 2)
     assert not report.passed
     assert {w["n"] for w in report.failures} == {2, 3}
+
+
+def _cell_witness(report, n, r):
+    [witness] = [w for w in report.failures if "distinct_pairs" in w and (w["n"], w["r"]) == (n, r)]
+    return witness
+
+
+def test_planted_insertion_of_two_words_to_one_pair_fails_rsk(monkeypatch):
+    # the second word gets the pair of the first; the two agree on both
+    # colored descent sets, so only the round trip sees it, and the cell's
+    # count of distinct pairs falls by one
+    group = list(identities._raw_group(3, 2))
+    key = {
+        w: (identities._raw_colored_descent_set(*w),
+            identities._raw_colored_descent_set(*identities._raw_conj_inverse(*w)))
+        for w in group
+    }
+    first, second = next(
+        (a, b) for i, a in enumerate(group) for b in group[i + 1:] if key[a] == key[b]
+    )
+
+    def rsk(word, colors, r):
+        if (word, colors) == second:
+            word, colors = first
+        return bijections._raw_rsk(word, colors, r)
+
+    monkeypatch.setattr(identities, "_raw_rsk", rsk)
+    report = run_identity("rsk", 3, 2)
+    assert not report.passed
+    assert report.failure_count == 2
+    assert report.failures[0]["word"] == {
+        "n": 3, "r": 2, "word": list(second[0]), "colors": list(second[1]),
+    }
+    assert _cell_witness(report, 3, 2)["distinct_pairs"] == 47
+
+
+def test_planted_repeat_in_the_group_stream_fails_rsk(monkeypatch):
+    # one element met twice and its successor never: every element the
+    # stream yields passes its own checks and the case count holds
+    def group(n, r):
+        elements = list(permutations._raw_group(n, r))
+        if (n, r) == (3, 2):
+            elements[10] = elements[9]
+        return iter(elements)
+
+    monkeypatch.setattr(identities, "_raw_group", group)
+    report = run_identity("rsk", 3, 2)
+    assert not report.passed
+    assert report.cases_checked == report.expected_cases
+    assert report.failure_count == 2
+    assert report.failures[0]["word"]["word"] == list(list(permutations._raw_group(3, 2))[9][0])
+    assert _cell_witness(report, 3, 2)["distinct_pairs"] == 47
 
 
 # Planted faults in zigzag-count.  The first three change the raw key of

@@ -323,15 +323,16 @@ print(sorted(set(sys.modules) - before))
 """
 
 #: What ``import coloredsym, coloredsym.cli`` loads in a fresh ``python -S``
-#: under CPython 3.11, recorded before the CLI got its own JSON writer.
+#: under CPython 3.11: the CLI imports ``argparse`` (and with it ``gettext``
+#: and ``warnings``) only when it builds its parser for help or an error.
 COLD_IMPORT_MODULES = {
     "__future__", "_bisect", "_collections", "_collections_abc", "_functools",
-    "_json", "_operator", "_sre", "_stat", "argparse", "bisect", "collections",
-    "collections.abc", "copyreg", "enum", "functools", "genericpath", "gettext",
+    "_json", "_operator", "_sre", "_stat", "bisect", "collections",
+    "collections.abc", "copyreg", "enum", "functools", "genericpath",
     "itertools", "json", "json.decoder", "json.encoder", "json.scanner",
     "keyword", "math", "operator", "os", "os.path", "posixpath", "re",
     "re._casefix", "re._compiler", "re._constants", "re._parser", "reprlib",
-    "stat", "types", "warnings",
+    "stat", "types",
 }
 
 
