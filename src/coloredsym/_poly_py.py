@@ -9,8 +9,14 @@ exponent above 255 in a product raises ``ValueError`` (from ``bytes``); it
 never carries into the next variable.
 """
 
+from functools import lru_cache
 from itertools import chain
-from operator import add
+from operator import add, itemgetter
+
+#: Bound of the compiled quasi-shuffle patterns, one entry per (p, q,
+#: width, r); ``verify --identity all``, with the colored ribbon suites at
+#: n <= 6, r <= 3, fills 97, so it never evicts.
+PATTERN_MEMO_SIZE = 256
 
 
 def _columns(key: bytes, r: int) -> tuple[int, list[bytes]]:
@@ -36,6 +42,35 @@ def _quasi_shuffles(p: int, q: int) -> list[list[tuple[int, int]]]:
     )
 
 
+def _getter(indices: list[int]) -> itemgetter:
+    # itemgetter of one index returns the item, not a 1-tuple, and of none
+    # raises, so those two read a slice
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
+
+
+@lru_cache(maxsize=PATTERN_MEMO_SIZE)
+def _patterns(p: int, q: int, width: int, r: int) -> tuple[itemgetter, ...]:
+    """Every quasi-shuffle of p left and q right columns into keys of
+    ``width`` columns over r alphabets, each compiled into a getter of the
+    key's bytes from the per-pair list ``[0, left columns, right columns,
+    pairwise column sums]``.  The vector of left column i starts at
+    1 + i*r, that of right column j at 1 + (p + j)*r and their sum at
+    1 + (p + q + i*q + j)*r; the columns past the shuffle read the 0."""
+    getters = []
+    for pairs in _quasi_shuffles(p, q):
+        starts = [
+            1 + (p + j) * r if i < 0 else 1 + i * r if j < 0 else 1 + (p + q + i * q + j) * r
+            for i, j in pairs
+        ]
+        pad = [0] * (width - len(starts))
+        # alphabet-major rows, padded to the product width
+        rows = [[s + a for s in starts] + pad for a in range(r)]
+        getters.append(_getter(list(chain.from_iterable(rows))))
+    return tuple(getters)
+
+
 def mul_terms(a, b, r=1):
     """Quasi-shuffle product of two packed term maps over r alphabets, as a
     new dict (zero coefficients dropped).  Keys of widths wa and wb give
@@ -43,24 +78,21 @@ def mul_terms(a, b, r=1):
     out = {}
     if not a or not b:
         return out
-    zero = bytes(r)
-    right = [(*_columns(kb, r), cb) for kb, cb in b.items()]
-    shuffles = {}
+    right = []
+    for kb, cb in b.items():
+        wb, cols = _columns(kb, r)
+        right.append((wb, len(cols), b"".join(cols), cb))
     for ka, ca in a.items():
         wa, left = _columns(ka, r)
-        for wb, cols, cb in right:
-            p, q = len(left), len(cols)
-            if (p, q) not in shuffles:
-                shuffles[p, q] = _quasi_shuffles(p, q)
-            pad = [zero] * (wa + wb)
+        head = [0, *b"".join(left)]
+        for wb, q, flat, cb in right:
+            vals = head + list(flat)
+            for col in left:
+                # column col plus each right column, alphabet by alphabet
+                vals += map(add, col * q, flat)
             c = ca * cb
-            for pairs in shuffles[p, q]:
-                columns = [
-                    cols[j] if i < 0 else left[i] if j < 0 else bytes(map(add, left[i], cols[j]))
-                    for i, j in pairs
-                ]
-                # back to alphabet-major rows, padded to the product width
-                key = bytes(chain.from_iterable(zip(*columns, *pad[len(columns) :])))
+            for getter in _patterns(len(left), q, wa + wb, r):
+                key = bytes(getter(vals))
                 cur = out.get(key)
                 if cur is None:
                     out[key] = c

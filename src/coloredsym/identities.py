@@ -23,7 +23,8 @@ zigzag constructors.
 Every suite runs in-process.  The ribbon and h elements are per-alphabet
 symmetric, so ``colored-ribbon-h`` compares them in tensor coordinates
 (one one-alphabet key per alphabet, see ``symfun``), and the Schur peel
-peels each one-alphabet factor of the ribbon.  The colored F-sum is only
+peels each distinct one-alphabet factor of the ribbons once, in a memo
+keyed by its blocks.  The colored F-sum is only
 colored quasisymmetric, so ``colored-ribbon-schur`` compares it with the
 packed ribbon, the quasi-shuffle of the same factors, which the sweep
 keeps for one (n, r) cell only.  The two colored ribbon verifiers share
@@ -493,8 +494,8 @@ def _conj_inverse_f_counters(n: int, r: int) -> dict[tuple, Counter]:
 def _ribbon_schur_case(parts, colors, r: int, counter: Counter, ribbons: dict) -> dict | None:
     # the F-sum is colored quasisymmetric, so it is compared with the packed
     # ribbon, kept in ``ribbons`` by the blocks of its r-partite shape,
-    # which fix n and r; the peel reads the ribbon's one-alphabet factors,
-    # the Schur elements of the same blocks
+    # which fix n and r; the peel multiplies the memoized expansions of the
+    # ribbon's one-alphabet factors, the Schur elements of the same blocks
     blocks = _ribbon_blocks(parts, colors, r)
     ribbon = ribbons.get(blocks)
     if ribbon is None:
@@ -507,7 +508,7 @@ def _ribbon_schur_case(parts, colors, r: int, counter: Counter, ribbons: dict) -
             "reason": "generating function differs from ribbon element",
             "diff": _term_diff(ribbon, acc),
         }
-    expansion = _peel_factors(tuple(map(_schur_terms, blocks)))
+    expansion = _peel_factors(blocks)
     if any(c <= 0 for c in expansion.coeffs.values()):
         return {"reason": "negative coefficient", "expansion": expansion.to_json()}
     counted = _raw_ribbon_schur_by_counting(parts, colors, r)

@@ -26,7 +26,8 @@ coefficient is the product of theirs, with no quasi-shuffle.  A factor's
 keys have its degree as length, so among elements of one multidegree a key
 splits one way only.  The ribbon/h comparison reads these coordinates, and
 the Schur peel peels each factor as a one-alphabet polynomial: the
-expansion of a product is the product of the expansions of its factors.
+expansion of a product is the product of the expansions of its factors,
+and ``_peeled`` keeps the expansion of each factor by its blocks.
 
 Packed colored coordinates are built only where they are needed:
 ``_colored_F_terms`` gives colored F and F, which are not per-alphabet
@@ -74,10 +75,12 @@ from .shapes import (
 )
 
 
-#: Bounds of the colored F and one-alphabet factor memos.  The first holds
-#: one key per colored composition, 4,886 with n <= 6, r <= 3; ``verify
-#: --identity all`` fills 424 of the second, at its defaults and with the
-#: colored ribbon suites at n <= 6, r <= 3.  Neither range evicts.
+#: Bounds of the colored F and one-alphabet factor memos; the second also
+#: bounds the memo of their Schur peels, whose keys are factor keys.  The
+#: first holds one key per colored composition, 4,886 with n <= 6, r <= 3;
+#: ``verify --identity all`` fills 424 of the second, at its defaults and
+#: with the colored ribbon suites at n <= 6, r <= 3, and 82 and 120 of the
+#: peel memo.  Neither range evicts.
 F_MEMO_SIZE, SCHUR_MEMO_SIZE = 8192, 1024
 
 
@@ -581,23 +584,33 @@ def ribbon_schur_by_peeling(ce: ColoredComposition) -> Expansion:
     """Schur expansion of the colored ribbon element: each one-alphabet
     factor is peeled from its packed coordinates, so no choice of widths is
     involved, and the expansion is the product of theirs."""
-    return _peel_factors(_ribbon_factors(ce.parts, ce.colors, ce.r))
+    return _peel_factors(_ribbon_blocks(ce.parts, ce.colors, ce.r))
 
 
-def _peel_factors(factors) -> Expansion:
-    """Schur expansion of the product of one-alphabet packed elements, factor
-    j in alphabet j: the product of their expansions, each factor peeled at
-    its degree, the length of its keys."""
-    degrees = [len(next(iter(terms))) for terms in factors]
+@lru_cache(maxsize=SCHUR_MEMO_SIZE)
+def _peeled(blocks) -> dict[RPartitePartition, int]:
+    """Schur expansion of the one-alphabet factor ``_schur_terms(blocks)``,
+    peeled at its degree, the length of its keys.  The memo hands the same
+    dict to every caller, so no caller may change it."""
+    terms = _schur_terms(blocks)
+    return _peel(
+        terms,
+        (len(next(iter(terms))),),
+        lambda bll: _schur_terms(_blocks(bll[0], (0,) * len(bll[0]))),
+    )
+
+
+def _peel_factors(components) -> Expansion:
+    """Schur expansion of the product of the one-alphabet factors of
+    ``components`` (blocks of ``_schur_terms``), factor j in alphabet j: the
+    product of their memoized expansions."""
     coeffs: dict[RPartitePartition, int] = {(): 1}
-    for terms, degree in zip(factors, degrees):
-        peeled = _peel(
-            terms, (degree,), lambda bll: _schur_terms(_blocks(bll[0], (0,) * len(bll[0])))
-        )
+    for peeled in map(_peeled, components):
         coeffs = {
             index + part: c * d for index, c in coeffs.items() for part, d in peeled.items()
         }
-    return Expansion("schur", sum(degrees), len(degrees), coeffs)
+    n = sum(sum(outer) - sum(inner) for blocks in components for outer, inner in blocks)
+    return Expansion("schur", n, len(components), coeffs)
 
 
 def ribbon_schur_by_counting(ce: ColoredComposition) -> Expansion:

@@ -1,5 +1,6 @@
 """Report plumbing and reduced-range runs of every identity suite."""
 
+import functools
 import inspect
 import json
 from collections import Counter
@@ -27,6 +28,7 @@ from coloredsym import (
 from coloredsym import (
     SkewShape,
     bijections,
+    cli,
     compositions,
     identities,
     permutations,
@@ -35,9 +37,11 @@ from coloredsym import (
 )
 from coloredsym.permutations import _raw_inverse
 from coloredsym.shapes import _raw_colored_composition_shape
+from coloredsym._poly_py import _patterns
 from coloredsym.symfun import (
     _colored_F_terms,
     _h_factors,
+    _peeled,
     _raw_ribbon_h_expansion,
     _schur_terms,
 )
@@ -181,8 +185,11 @@ def _constructions(monkeypatch, cls):
     return built
 
 
+POLYNOMIAL_MEMOS = (_colored_F_terms, _schur_terms, _peeled, _patterns)
+
+
 def _clear_memos():
-    for memo in (_colored_F_terms, _schur_terms):
+    for memo in POLYNOMIAL_MEMOS:
         memo.cache_clear()
 
 
@@ -860,32 +867,37 @@ def test_block_memos_are_bounded_and_never_evict_at_the_default_range():
 
 
 def test_polynomial_memos_are_bounded_and_never_evict_at_the_raised_range():
-    # the suites of ``verify --identity all`` that read the colored F and
-    # one-alphabet factor memos, the colored ribbon suites at n <= 6, r <= 3
-    # (which hold every case of their defaults): every miss is kept, and the
-    # colored F memo holds one key per colored composition of the range
+    # the suites of ``verify --identity all`` that read the colored F,
+    # one-alphabet factor, peel and quasi-shuffle pattern memos, the colored
+    # ribbon suites at n <= 6, r <= 3 (which hold every case of their
+    # defaults): every miss is kept, and the colored F memo holds one key
+    # per colored composition of the range
     _clear_memos()
     for name in ("skew-schur-f", "ribbon-schur", "ribbon-h"):
         assert run_identity(name).passed
     for name in ("colored-ribbon-schur", "colored-ribbon-h"):
         assert run_identity(name, 6, 3).passed
-    for memo in (_colored_F_terms, _schur_terms):
+    for memo in POLYNOMIAL_MEMOS:
         info = memo.cache_info()
         assert info.maxsize is not None
         assert info.misses == info.currsize <= info.maxsize
-    assert _colored_F_terms.cache_info().currsize == 4886
+    sizes = [memo.cache_info().currsize for memo in POLYNOMIAL_MEMOS]
+    assert sizes == [4886, 424, 120, 97]
 
 
 def test_ribbon_schur_builds_each_ribbon_once(monkeypatch):
     # each case builds the r-partite shape of its raw (parts, colors, r)
     # once: its blocks key the packed ribbon, for the F-sum, and give the
     # one-alphabet factors that the peel reads; the packed ribbon of each
-    # distinct blocks is built once
+    # distinct blocks is built once, and each distinct factor is peeled
+    # once per process, across runs
+    _clear_memos()
     calls = {}
     for module, name in (
         (identities, "_ribbon_blocks"),
         (symfun, "_raw_colored_composition_shape"),
         (identities, "_colored_schur_terms"),
+        (symfun, "_peel"),
     ):
         build = getattr(symfun, name)
 
@@ -902,6 +914,63 @@ def test_ribbon_schur_builds_each_ribbon_once(monkeypatch):
     built = [args[0] for args in calls["_colored_schur_terms"]]
     assert len(built) == len(set(built)) < 33
     assert set(built) == {symfun._ribbon_blocks(*ce) for ce in cases}
+    factors = {blocks for ce in cases for blocks in symfun._ribbon_blocks(*ce)}
+    peels = calls["_peel"]
+    assert len(peels) == len(factors) < 33
+    assert run_identity("colored-ribbon-schur", 4, 3).passed
+    assert len(peels) == 21
+    assert run_identity("colored-ribbon-schur", 3, 2).passed
+    assert len(peels) == _peeled.cache_info().currsize == 21
+
+
+def test_verify_all_builds_each_factor_once_across_the_colored_ribbon_suites(
+    monkeypatch, capsys
+):
+    # both colored ribbon suites read the factors of every ribbon of their
+    # common default range, and the h suites the products of rows; within
+    # one ``verify --identity all`` each distinct block tuple is built once
+    built = []
+    build = _schur_terms.__wrapped__
+
+    def counted(blocks):
+        built.append(blocks)
+        return build(blocks)
+
+    memo = functools.lru_cache(maxsize=symfun.SCHUR_MEMO_SIZE)(counted)
+    for module in (symfun, identities):
+        monkeypatch.setattr(module, "_schur_terms", memo)
+    _clear_memos()
+    assert cli.main(["verify", "--identity", "all"]) == 0
+    capsys.readouterr()
+    assert len(built) == len(set(built)) == 424
+    max_n, max_r = IDENTITY_REGISTRY["colored-ribbon-schur"][1]
+    assert IDENTITY_REGISTRY["colored-ribbon-h"][1] == (max_n, max_r)
+    assert {
+        blocks
+        for n in range(1, max_n + 1)
+        for r in range(1, max_r + 1)
+        for ce in compositions._raw_colored_compositions(n, r)
+        for blocks in symfun._ribbon_blocks(*ce, r)
+    } <= set(built)
+
+
+def test_a_changed_memoized_peel_fails_the_tableau_count():
+    # the product of the peels reads the memo and never writes it, so one
+    # wrong coefficient planted there reaches every case with that factor
+    # and fails it against the tableau counts
+    _clear_memos()
+    peeled = _peeled(symfun._ribbon_blocks((2, 1), (0, 1), 2)[0])
+    part = next(iter(peeled))
+    peeled[part] += 1
+    try:
+        report = run_identity("colored-ribbon-schur", 3, 2)
+    finally:
+        _clear_memos()
+    assert report.failure_count > 0
+    assert {w["reason"] for w in report.failures} == {
+        "tableau counts differ from peeled coefficients"
+    }
+    assert run_identity("colored-ribbon-schur", 3, 2).passed
 
 
 @pytest.mark.parametrize(

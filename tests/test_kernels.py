@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from coloredsym._poly_py import add_terms, mul_terms
+import kernel_reference as ref
+from coloredsym._poly_py import PATTERN_MEMO_SIZE, _patterns, add_terms, mul_terms
 
 
 def packed_key(columns, r, pad=0):
@@ -76,6 +77,52 @@ def test_exponent_overflow_raises():
     }
     with pytest.raises(ValueError):
         mul_terms({bytes((200, 0)): 1}, {bytes((56, 0)): 1})
+
+
+@given(st.data(), st.integers(1, 3))
+def test_compiled_patterns_match_the_per_pattern_reference(data, r):
+    # widths 0-3 on each side, so products of widths 0-6
+    a, b = data.draw(packed_maps(r)), data.draw(packed_maps(r))
+    assert mul_terms(a, b, r) == ref.mul_terms(a, b, r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_compiled_patterns_at_zero_and_one_index(r):
+    # a product of width 0 reads no index, and one of width 1 at r = 1 one
+    # index, where itemgetter would raise or return the bare item
+    unit, x = {b"": 1}, {packed_key([(1,) * r], r): 3}
+    for a, b in ((unit, unit), (unit, x), (x, unit)):
+        assert mul_terms(a, b, r) == ref.mul_terms(a, b, r) == (x if x in (a, b) else unit)
+    assert mul_terms({b"": 1}, {b"\x01": 1}) == {b"\x01": 1}
+    assert mul_terms({b"": 2}, {b"": -3}, r) == {b"": -6}
+
+
+def test_compiled_patterns_keep_255_and_raise_above():
+    # each joint column is summed once per pair and read through bytes,
+    # which takes 200 + 55 and refuses 200 + 56 in both orders and alphabets
+    for r, rest in ((1, ()), (2, (0,)), (2, (3,))):
+        for hi, lo in ((200, 55), (55, 200)):
+            a = {packed_key([(hi, *rest)], r): 1}
+            b = {packed_key([(lo, *rest)], r): 1}
+            product = mul_terms(a, b, r)
+            assert product == ref.mul_terms(a, b, r)
+            assert packed_key([(255, *(2 * e for e in rest))], r, pad=1) in product
+            with pytest.raises(ValueError):
+                mul_terms(a, {packed_key([(lo + 1, *rest)], r): 1}, r)
+
+
+def test_pattern_memo_is_keyed_by_shape_and_bounded():
+    # one entry per (p, q, width, r): keys of one and two used indices
+    # give the four (p, q) of width 4, each compiled on its first pair only,
+    # into the Delannoy number of p and q getters
+    _patterns.cache_clear()
+    m = {bytes((1, 0)): 1, bytes((2, 1)): 1}
+    mul_terms(m, m)
+    mul_terms(m, m)
+    info = _patterns.cache_info()
+    assert info.maxsize == PATTERN_MEMO_SIZE
+    assert info.misses == info.currsize == info.hits == 4
+    assert [len(_patterns(p, q, 4, 1)) for p, q in ((1, 1), (1, 2), (2, 2))] == [3, 5, 13]
 
 
 def test_add_cancellation():

@@ -12,12 +12,14 @@ the packed elements and the packed peel.
 
 from functools import reduce
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 import truncated_reference as ref
 from coloredsym import (
+    ColoredComposition,
     MultiAlphabetPolynomial,
     colored_F,
     colored_h,
@@ -37,6 +39,7 @@ from coloredsym.symfun import (
     _blocks,
     _colored_schur_terms,
     _h_factors,
+    _peeled,
     _place,
     _ribbon_blocks,
     _ribbon_factors,
@@ -213,3 +216,22 @@ def test_placed_factors_are_the_placed_packed_ribbon_of_the_f_sum(n, r):
 def test_per_factor_peel_matches_the_packed_peel(n, r):
     for ce in enumerate_colored_compositions(n, r):
         assert ribbon_schur_by_peeling(ce).coeffs == ref.packed_peel(ce)
+
+
+def test_memoized_peels_are_never_changed_by_the_product():
+    # two color-0 zigzags and one cell each of colors 1 and 2, whose
+    # factors share one memo entry; each peel of the ribbon multiplies the
+    # memoized expansions of its factors, which stay equal to an unmemoized
+    # peel of the same factor
+    ce = ColoredComposition((2, 1, 1, 1), (0, 1, 0, 2), 3)
+    components = _ribbon_blocks(ce.parts, ce.colors, ce.r)
+    _peeled.cache_clear()
+    first, second = ribbon_schur_by_peeling(ce), ribbon_schur_by_peeling(ce)
+    fresh = [_peeled.__wrapped__(blocks) for blocks in components]
+    assert [_peeled(blocks) for blocks in components] == fresh
+    want = {
+        index: prod(fresh[j][(part,)] for j, part in enumerate(index))
+        for index in product(*[[part for (part,) in f] for f in fresh])
+    }
+    assert first.coeffs == second.coeffs == want == ref.packed_peel(ce)
+    assert _peeled.cache_info().misses == len(set(components)) == 2
