@@ -23,7 +23,10 @@
 The row reading, the class/tableau map and the insertion correspondence
 each have a raw form, ``_raw_*``, on (word, colors) pairs and on fillings
 given as one tuple of row tuples per component; the public functions wrap
-them and build validated objects.
+them and build validated objects.  The CLI's point queries (``rsk``,
+``tableau-of``, ``descent-class``) serialize the raw results through the
+writers that the objects' ``text`` and ``to_json`` use, so they build
+objects only for their parsed input.
 """
 
 from __future__ import annotations

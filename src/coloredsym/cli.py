@@ -25,23 +25,28 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import starmap
 from types import SimpleNamespace
 
-from .bijections import (
-    colored_class_to_tableau,
-    colored_rsk,
-    conj_inverse_descent_class,
-    descent_class,
+from .bijections import _raw_class_to_tableau, _raw_descent_class, _raw_rsk
+from .compositions import (
+    _raw_colored_composition_list,
+    _raw_text,
+    parse_colored_composition,
 )
-from .compositions import _raw_colored_composition_list, parse_colored_composition
 from .errors import ResourceLimitError
 from .identities import IDENTITY_REGISTRY, run_identity
-from .permutations import colored_descent_composition, parse_colored_permutation
-from .shapes import rpartite_descent_set
+from .permutations import _raw_conj_inverse, parse_colored_permutation
+from .shapes import (
+    _raw_colored_composition_shape,
+    _raw_filling_json,
+    _raw_rpartite_descent_set,
+    _raw_shape_json,
+)
 from .symfun import (
+    _raw_ribbon_f_counts,
     colored_ribbon,
     expand_in_colored_schur,
-    ribbon_f_expansion,
     ribbon_h_expansion,
     ribbon_schur_by_counting,
     ribbon_schur_by_peeling,
@@ -311,8 +316,33 @@ def _parse(argv):
     return SimpleNamespace(**values)
 
 
+#: Most colored compositions that ``enum-comps`` lists: every n <= 8 at
+#: r = 4 (312,500 items), none at n = 9 (1,562,500).
+MAX_ENUM_ITEMS = 2**20
+
+
+def _check_enum_size(n: int, r: int) -> None:
+    """Refuse an ``enum-comps`` answer of more than ``MAX_ENUM_ITEMS``
+    items, r(r+1)^(n-1) of them, before any is built; the product stops
+    once it passes the bound.  An n or r below 1 is left to the enumerator,
+    which refuses it."""
+    if n < 1 or r < 1:
+        return
+    count = r
+    for _ in range(n - 1):
+        if count > MAX_ENUM_ITEMS:
+            break
+        count *= r + 1
+    if count > MAX_ENUM_ITEMS:
+        raise ResourceLimitError(
+            f"there are more than {MAX_ENUM_ITEMS} colored compositions of "
+            f"n={n} with r={r} colors, over the bound of enum-comps"
+        )
+
+
 def _cmd_enum_comps(args) -> int:
     n, r = args.n, args.r
+    _check_enum_size(n, r)
     pairs = _raw_colored_composition_list(n, r)
     obj = {
         "n": n,
@@ -323,24 +353,23 @@ def _cmd_enum_comps(args) -> int:
             for parts, colors in pairs
         ],
     }
-    _emit(obj, args.format, lambda o: "\n".join(
-        ",".join(f"{p}^{c}" for p, c in zip(parts, colors)) for parts, colors in pairs
-    ))
+    _emit(obj, args.format, lambda o: "\n".join(starmap(_raw_text, pairs)))
     return 0
 
 
 def _cmd_descent_class(args) -> int:
     ce = parse_colored_composition(args.comp, args.r)
-    members = (
-        conj_inverse_descent_class(ce) if args.conj_inverse else descent_class(ce)
-    )
+    members = _raw_descent_class(ce)
+    if args.conj_inverse:
+        members = list(starmap(_raw_conj_inverse, members))
+    members.sort()
     obj = {
         "n": ce.n,
         "r": ce.r,
         "composition": ce.text(),
         "conj_inverse": bool(args.conj_inverse),
         "count": len(members),
-        "members": [a.text() for a in members],
+        "members": list(starmap(_raw_text, members)),
     }
     _emit(obj, args.format, lambda o: "\n".join(o["members"]))
     return 0
@@ -364,16 +393,14 @@ def _cmd_ribbon(args) -> int:
     elif args.basis == "h":
         obj = ribbon_h_expansion(ce).to_json()
     else:
-        counts = ribbon_f_expansion(ce)
+        counts = _raw_ribbon_f_counts(ce.parts, ce.colors, ce.r)
         obj = {
             "n": ce.n,
             "r": ce.r,
             "basis": "f",
             "terms": [
-                {"parts": list(c.parts), "colors": list(c.colors), "coeff": mult}
-                for c, mult in sorted(
-                    counts.items(), key=lambda kv: (kv[0].parts, kv[0].colors)
-                )
+                {"parts": list(parts), "colors": list(colors), "coeff": mult}
+                for (parts, colors), mult in sorted(counts.items())
             ],
         }
     if args.dump_poly:
@@ -406,23 +433,22 @@ def _ribbon_table(obj) -> str:
                 ",".join(map(str, part)) if part else "-" for part in t["index"]
             )
         else:
-            label = ",".join(
-                f"{p}^{c}" for p, c in zip(t["parts"], t["colors"])
-            )
+            label = _raw_text(t["parts"], t["colors"])
         lines.append(f"{t['coeff']:+d}  {label}")
     return "\n".join(lines)
 
 
 def _cmd_rsk(args) -> int:
     w = parse_colored_permutation(args.perm, args.r)
-    p, q = colored_rsk(w)
+    p, q = _raw_rsk(w.word, w.colors, w.r)
     obj = {
         "n": w.n,
         "r": w.r,
         "word": w.text(),
-        "P": p.to_json(),
-        "Q": q.to_json(),
-        "shape": [shape.to_json() for shape in p.shape()],
+        "P": _raw_filling_json(p),
+        "Q": _raw_filling_json(q),
+        # each component of P is a straight shape of its row lengths
+        "shape": [_raw_shape_json(tuple(map(len, rows)), ()) for rows in p],
     }
     _emit(obj, args.format, lambda o: f"P = {o['P']}\nQ = {o['Q']}")
     return 0
@@ -430,16 +456,16 @@ def _cmd_rsk(args) -> int:
 
 def _cmd_tableau_of(args) -> int:
     w = parse_colored_permutation(args.perm, args.r)
-    bq = colored_class_to_tableau(w)
-    sdes = rpartite_descent_set(bq)
+    (parts, colors), filling = _raw_class_to_tableau(w.word, w.colors, w.r)
+    bounds = _raw_colored_composition_shape(parts, colors, w.r)
     obj = {
         "n": w.n,
         "r": w.r,
         "word": w.text(),
-        "descent_composition": colored_descent_composition(w).text(),
-        "components": bq.to_json(),
-        "shapes": [shape.to_json() for shape in bq.shape()],
-        "sdes": [list(pair) for pair in sdes.pairs],
+        "descent_composition": _raw_text(parts, colors),
+        "components": _raw_filling_json(filling),
+        "shapes": list(starmap(_raw_shape_json, bounds)),
+        "sdes": [list(pair) for pair in _raw_rpartite_descent_set(filling)],
     }
     _emit(obj, args.format, lambda o: f"components = {o['components']}")
     return 0

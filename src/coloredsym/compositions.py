@@ -144,7 +144,7 @@ class ColoredComposition(FrozenValue):
         return _raw_extended_colors(self.parts, self.colors)
 
     def text(self) -> str:
-        return ",".join(f"{p}^{c}" for p, c in zip(self.parts, self.colors))
+        return _raw_text(self.parts, self.colors)
 
     def to_json(self) -> dict:
         return {
@@ -366,6 +366,13 @@ def coarsening_covers(ce: ColoredComposition) -> list[ColoredComposition]:
             colors = ce.colors[:i] + ce.colors[i + 1 :]
             out.append(ColoredComposition(parts, colors, ce.r))
     return out
+
+
+def _raw_text(values, colors) -> str:
+    """The caret text form ``"v^c,..."`` of values with their colors: the
+    ``text()`` of a colored composition (its parts) and of a colored
+    permutation (its word), and the form the parsers read."""
+    return ",".join(map("{}^{}".format, values, colors))
 
 
 def _parse_tokens(text: str) -> list[tuple[int, int]]:

@@ -36,6 +36,7 @@ from .compositions import (
     _check_nonempty,
     _parse_tokens,
     _raw_set_to_comp,
+    _raw_text,
 )
 from .errors import DimensionMismatchError, ParseError
 
@@ -103,7 +104,7 @@ class ColoredPermutation(FrozenValue):
         return self.perm.word
 
     def text(self) -> str:
-        return ",".join(f"{v}^{c}" for v, c in zip(self.word, self.colors))
+        return _raw_text(self.word, self.colors)
 
     def to_json(self) -> dict:
         return {

@@ -160,10 +160,16 @@ class SkewShape(FrozenValue):
         return all(k >= 1 for k in self._overlaps()[first:])
 
     def to_json(self) -> dict:
-        inner = list(self.inner)
-        while inner and inner[-1] == 0:
-            inner.pop()
-        return {"outer": list(self.outer), "inner": inner}
+        return _raw_shape_json(self.outer, self.inner)
+
+
+def _raw_shape_json(outer, inner) -> dict:
+    """``SkewShape.to_json`` of the row bounds (outer, inner) in the form
+    ``SkewShape`` stores: inner loses its trailing zeros."""
+    inner = list(inner)
+    while inner and inner[-1] == 0:
+        inner.pop()
+    return {"outer": list(outer), "inner": inner}
 
 
 EMPTY_SHAPE = SkewShape((), ())
@@ -452,7 +458,18 @@ class StandardTableau(FrozenValue):
         return tuple(sorted(x for row in self.rows for x in row))
 
     def to_json(self) -> list:
-        return [list(row) for row in self.rows]
+        return _raw_rows_json(self.rows)
+
+
+def _raw_rows_json(rows) -> list:
+    """``StandardTableau.to_json`` of rows given as tuples."""
+    return [list(row) for row in rows]
+
+
+def _raw_filling_json(filling) -> list:
+    """``RPartiteTableau.to_json`` of a filling given as one tuple of row
+    tuples per component."""
+    return [_raw_rows_json(rows) for rows in filling]
 
 
 def _raw_standard_test(bounds):
@@ -542,7 +559,7 @@ class RPartiteTableau(FrozenValue):
         return tuple(q.shape for q in self.components)
 
     def to_json(self) -> list:
-        return [q.to_json() for q in self.components]
+        return _raw_filling_json(q.rows for q in self.components)
 
 
 def rpartite_color_vector(bq: RPartiteTableau) -> tuple[int, ...]:

@@ -700,12 +700,17 @@ def ribbon_f_expansion(ce: ColoredComposition) -> dict[ColoredComposition, int]:
     """Multiplicities of the colored fundamental elements in the colored
     ribbon element: the distribution of the colored descent composition over
     standard fillings of the attached r-partite skew shape."""
-    bounds = _raw_colored_composition_shape(ce.parts, ce.colors, ce.r)
-    counter = Counter(map(_raw_rpartite_descent_composition, _raw_fillings(bounds)))
     return {
         ColoredComposition(parts, colors, ce.r): count
-        for (parts, colors), count in counter.items()
+        for (parts, colors), count in _raw_ribbon_f_counts(ce.parts, ce.colors, ce.r).items()
     }
+
+
+def _raw_ribbon_f_counts(parts, colors, r: int) -> Counter:
+    """``ribbon_f_expansion`` of the colored composition (parts, colors),
+    keyed by the (parts, colors) of each colored descent composition."""
+    bounds = _raw_colored_composition_shape(parts, colors, r)
+    return Counter(map(_raw_rpartite_descent_composition, _raw_fillings(bounds)))
 
 
 def is_symmetric_per_alphabet(p: MultiAlphabetPolynomial) -> bool:

@@ -27,6 +27,26 @@ def test_enum_comps(capsys):
     assert [item["colors"] for item in payload["items"]] == [[0], [1], [2]]
 
 
+def test_enum_comps_bound_is_the_item_count(capsys, monkeypatch):
+    # n = 8 at r = 4 lists 4 * 5^7 = 312,500 items and n = 9 lists
+    # 1,562,500; the count is checked before anything is built
+    cli._check_enum_size(8, 4)
+    for n, r in ((9, 4), (2, 99999999999), (10**12, 2)):
+        code, out, err = run_cli(capsys, "enum-comps", "--n", str(n), "--r", str(r))
+        assert code == 2 and out == ""
+        assert f"more than {cli.MAX_ENUM_ITEMS} colored compositions of n={n}" in err
+    # both sides of the bound at a size that runs: 3 * 4 = 12 items
+    monkeypatch.setattr(cli, "MAX_ENUM_ITEMS", 12)
+    code, out, _ = run_cli(capsys, "enum-comps", "--n", "2", "--r", "3")
+    assert code == 0 and json.loads(out)["count"] == 12
+    code, out, _ = run_cli(capsys, "enum-comps", "--n", "2", "--r", "4")
+    assert code == 2 and out == ""
+    # n or r below 1 keeps the enumerator's own error
+    for n, r, message in ((0, 99999999999, "n must be positive"), (2, 0, "r must be positive")):
+        code, _, err = run_cli(capsys, "enum-comps", "--n", str(n), "--r", str(r))
+        assert code == 2 and message in err
+
+
 def test_ribbon_schur_matches_library_bytes(capsys):
     code, out, _ = run_cli(
         capsys, "ribbon", "--comp", "2^0,2^0", "--r", "1", "--basis", "schur"
@@ -177,7 +197,10 @@ VERIFY_GOLDENS = [
 ]
 
 
-@pytest.mark.parametrize("argv,golden", VERIFY_GOLDENS)
+@pytest.mark.parametrize("argv,golden", [
+    pytest.param(*case, marks=pytest.mark.slow) if case[0] == ("--identity", "all") else case
+    for case in VERIFY_GOLDENS
+])
 def test_verify_golden_stdout(capsys, argv, golden):
     # report bytes and breakdown order of the shape and class suites, and
     # of every suite at its default range
@@ -211,6 +234,14 @@ def test_point_query_golden_stdout(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("argv,golden", POINT_QUERY_GOLDENS)
+def test_point_query_golden_table_stdout(capsys, argv, golden):
+    # the table renderers read the same objects as the JSON writer
+    code, out, _ = run_cli(capsys, *argv, "--format", "table")
+    assert code == 0
+    assert out == (GOLDEN / golden.replace(".json", "_table.txt")).read_text()
 
 
 def test_rsk_round_trip_schema(capsys):
@@ -485,7 +516,10 @@ def test_readme_has_its_examples():
     assert len(_readme_examples()) == 10
 
 
-@pytest.mark.parametrize("line", _readme_examples())
+@pytest.mark.parametrize("line", [
+    pytest.param(line, marks=pytest.mark.slow) if line.endswith("--identity all") else line
+    for line in _readme_examples()
+])
 def test_readme_example_exits_0_with_json(capsys, monkeypatch, line):
     # and its bytes are json.dumps(indent=2, sort_keys=True) of its object
     emitted = []

@@ -866,6 +866,7 @@ def test_block_memos_are_bounded_and_never_evict_at_the_default_range():
         assert info.misses == info.currsize == 2**7 - 1 <= info.maxsize
 
 
+@pytest.mark.slow
 def test_polynomial_memos_are_bounded_and_never_evict_at_the_raised_range():
     # the suites of ``verify --identity all`` that read the colored F,
     # one-alphabet factor, peel and quasi-shuffle pattern memos, the colored
@@ -923,6 +924,7 @@ def test_ribbon_schur_builds_each_ribbon_once(monkeypatch):
     assert len(peels) == _peeled.cache_info().currsize == 21
 
 
+@pytest.mark.slow
 def test_verify_all_builds_each_factor_once_across_the_colored_ribbon_suites(
     monkeypatch, capsys
 ):

@@ -1,7 +1,7 @@
 """Quasi-shuffle laws and edge cases of the term-map kernels."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import kernel_reference as ref
 from coloredsym._poly_py import PATTERN_MEMO_SIZE, _patterns, add_terms, mul_terms
@@ -18,8 +18,10 @@ def packed_key(columns, r, pad=0):
 @st.composite
 def packed_maps(draw, r, max_terms=4):
     """Packed term maps over r alphabets whose keys share one width, so
-    that no monomial has two keys."""
-    width = draw(st.integers(0, 3))
+    that no monomial has two keys.  Widths 0 and 1 are drawn most often,
+    so that at every r many pairs multiply a width-0 map by a width-1 map,
+    whose patterns read one index per alphabet."""
+    width = draw(st.one_of(st.integers(0, 1), st.integers(0, 3)))
     vector = st.tuples(*[st.integers(0, 4)] * r).filter(any)
     key = st.lists(vector, max_size=width).map(
         lambda cols: packed_key(cols, r, width - len(cols))
@@ -79,10 +81,22 @@ def test_exponent_overflow_raises():
         mul_terms({bytes((200, 0)): 1}, {bytes((56, 0)): 1})
 
 
-@given(st.data(), st.integers(1, 3))
-def test_compiled_patterns_match_the_per_pattern_reference(data, r):
-    # widths 0-3 on each side, so products of widths 0-6
-    a, b = data.draw(packed_maps(r)), data.draw(packed_maps(r))
+#: A width-1 map of each r: the one index carries x^1 in every alphabet.
+WIDTH_ONE = {r: {packed_key([(1,) * r], r): 1} for r in (1, 2, 3)}
+
+
+@given(st.integers(1, 3).flatmap(lambda r: st.tuples(st.just(r), packed_maps(r), packed_maps(r))))
+@example((1, {b"": 1}, WIDTH_ONE[1]))
+@example((1, WIDTH_ONE[1], {b"": 1}))
+@example((1, {b"": 1}, {b"\x00": 2}))
+@example((2, {b"": 1}, WIDTH_ONE[2]))
+@example((2, WIDTH_ONE[2], {b"": 1}))
+@example((3, {b"": 1}, WIDTH_ONE[3]))
+@example((3, WIDTH_ONE[3], {b"": 1}))
+def test_compiled_patterns_match_the_per_pattern_reference(drawn):
+    # widths 0-3 on each side, so products of widths 0-6; the examples
+    # multiply width 0 by width 1 at every r, where r = 1 reads one index
+    r, a, b = drawn
     assert mul_terms(a, b, r) == ref.mul_terms(a, b, r)
 
 

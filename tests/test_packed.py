@@ -50,7 +50,13 @@ from test_kernels import packed_maps
 CELLS = [(n, r) for n in range(1, 6) for r in (1, 2, 3)] + [(6, 1), (7, 1)]
 
 
-@pytest.mark.parametrize("n,r", CELLS)
+def slow_at(cells, *slow):
+    """The (n, r) cells, those in ``slow`` marked slow."""
+    mark = pytest.mark.slow
+    return [pytest.param(*cell, marks=mark) if cell in slow else cell for cell in cells]
+
+
+@pytest.mark.parametrize("n,r", slow_at(CELLS, (5, 3), (7, 1)))
 def test_placed_elements_match_truncated_reference(n, r):
     widths = (n,) * r
     for ce in enumerate_colored_compositions(n, r):
@@ -68,7 +74,7 @@ def _uneven(n, r):
     return [ws for ws in product((0, n - 1, n + 1), repeat=r) if len(set(ws)) > 1 or r == 1]
 
 
-@pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 5) for r in (1, 2, 3)])
+@pytest.mark.parametrize("n,r", slow_at([(n, r) for n in range(1, 5) for r in (1, 2, 3)], (4, 3)))
 def test_uneven_widths_match_truncated_reference(n, r):
     for widths in _uneven(n, r):
         for ce in enumerate_colored_compositions(n, r):
@@ -197,7 +203,7 @@ def test_tensor_coordinates_are_the_block_diagonal_of_the_packed_elements(n, r):
         assert tensor == block_diagonal(ref.quasi_shuffle_h_terms(bll), degrees)
 
 
-@pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 6) for r in (1, 2, 3)])
+@pytest.mark.parametrize("n,r", slow_at([(n, r) for n in range(1, 6) for r in (1, 2, 3)], (5, 3)))
 def test_placed_factors_are_the_placed_packed_ribbon_of_the_f_sum(n, r):
     # the public ribbon places each one-alphabet factor on its own; the
     # colored F-sum statement compares the packed ribbon of the same

@@ -9,6 +9,8 @@ the tableau constructors accept."""
 from itertools import chain, combinations, product
 from operator import index
 
+import pytest
+
 from coloredsym import (
     AugmentedSubset,
     ColoredSet,
@@ -121,6 +123,7 @@ def built_rpartite(shape, rows):
     return RPartiteTableau((StandardTableau(shape, rows),))
 
 
+@pytest.mark.slow
 def test_skew_shape_matches_reference_on_every_small_pair():
     # every outer/inner pair of length <= 4 with entries in -1..4; the loop
     # is inlined, as it runs 1555^2 times
@@ -416,6 +419,7 @@ def mutated_zigzag_keys(key):
             yield put(j, (left, tuple(x - 1 for x in inner[:k]) + inner[k:])), colors
 
 
+@pytest.mark.slow
 def test_per_block_zigzag_test_matches_the_multi_block_one():
     # every colored composition with n <= 5, r <= 3, under its own key, the
     # keys of the other compositions of its cell and mutated keys: the key
