@@ -44,6 +44,16 @@ def _check_colors(colors, r: int, shown) -> None:
         raise ValueError(f"colors must lie in 0..{r - 1}: {shown!r}")
 
 
+def _check_augmented(n: int, elems: tuple[int, ...]) -> None:
+    """Raise unless ``elems`` strictly increase in [n] and end at n >= 1."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if not elems or elems[-1] != n:
+        raise ValueError(f"augmented subset must contain n={n}: {elems!r}")
+    if any(e < 1 for e in elems) or any(a >= b for a, b in zip(elems, elems[1:])):
+        raise ValueError(f"elements must be strictly increasing in [n]: {elems!r}")
+
+
 class Composition(FrozenValue):
     """Sequence of positive integer parts; ``n`` is their sum."""
 
@@ -55,14 +65,6 @@ class Composition(FrozenValue):
         parts = self.parts
         if not parts or min(parts) < 1:
             raise ValueError(f"composition parts must be positive: {parts!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
 
     @property
     def n(self) -> int:
@@ -87,21 +89,7 @@ class AugmentedSubset(FrozenValue):
         self.__post_init__()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        elems = self.elements
-        if not elems or elems[-1] != self.n:
-            raise ValueError(f"augmented subset must contain n={self.n}: {elems!r}")
-        if any(e < 1 for e in elems) or any(a >= b for a, b in zip(elems, elems[1:])):
-            raise ValueError(f"elements must be strictly increasing in [n]: {elems!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.elements) == (other.n, other.elements)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.elements))
+        _check_augmented(self.n, self.elements)
 
 
 class ColoredComposition(FrozenValue):
@@ -120,14 +108,6 @@ class ColoredComposition(FrozenValue):
         if len(parts) != len(colors):
             raise ValueError("parts and colors must have equal length")
         _check_colors(colors, r, colors)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.parts, self.colors, self.r) == (other.parts, other.colors, other.r)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts, self.colors, self.r))
 
     @property
     def n(self) -> int:
@@ -165,16 +145,8 @@ class ColoredSet(FrozenValue):
         self.__post_init__()
 
     def __post_init__(self):
-        AugmentedSubset(self.n, self.elements())
+        _check_augmented(self.n, self.elements())
         _check_colors((c for _, c in self.pairs), self.r, self.pairs)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.r, self.pairs) == (other.n, other.r, other.pairs)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.r, self.pairs))
 
     def elements(self) -> tuple[int, ...]:
         return tuple(e for e, _ in self.pairs)
@@ -200,14 +172,6 @@ class RainbowDecomposition(FrozenValue):
         colors = [c for _, c in self.blocks]
         if any(a == b for a, b in zip(colors, colors[1:])):
             raise ValueError("adjacent block colors must differ")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.blocks == other.blocks
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.blocks,))
 
     def colored_composition(self, r: int) -> ColoredComposition:
         pairs = [(p, color) for comp, color in self.blocks for p in comp.parts]

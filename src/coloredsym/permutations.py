@@ -52,14 +52,6 @@ class Permutation(FrozenValue):
         if sorted(self.word) != list(range(1, len(self.word) + 1)):
             raise ValueError(f"not a permutation of [n]: {self.word!r}")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.word == other.word
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.word,))
-
     @property
     def n(self) -> int:
         return len(self.word)
@@ -86,14 +78,6 @@ class ColoredPermutation(FrozenValue):
         if len(self.colors) != self.perm.n:
             raise ValueError("colors must have length n")
         _check_colors(self.colors, self.r, self.colors)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.perm, self.colors, self.r) == (other.perm, other.colors, other.r)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.perm, self.colors, self.r))
 
     @property
     def n(self) -> int:

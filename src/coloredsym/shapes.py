@@ -115,14 +115,6 @@ class SkewShape(FrozenValue):
         set_field(self, "outer", outer)
         set_field(self, "inner", inner)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.outer, self.inner) == (other.outer, other.inner)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.outer, self.inner))
-
     @property
     def ncells(self) -> int:
         return sum(self.outer) - sum(self.inner)
@@ -199,16 +191,10 @@ class ZigzagShape(FrozenValue):
     def __post_init__(self):
         if self.shape.row_profile_bottom_to_top() != self.source.parts:
             raise ShapeError("row profile does not match the source composition")
-        if not self.shape.is_connected() or self.shape.contains_2x2():
+        # every row is nonempty now, so connected and 2x2-free means that
+        # each row shares exactly one column with the row below it
+        if _raw_ribbon_rows((self.shape.outer, self.shape.inner)) is None:
             raise ShapeError("a zigzag diagram must be connected and 2x2-free")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.shape, self.source) == (other.shape, other.source)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.source))
 
     @property
     def ncells(self) -> int:
@@ -252,14 +238,6 @@ class ColoredZigzagShape(FrozenValue):
             raise ShapeError("need one color per zigzag")
         if any(a == b for a, b in zip(self.colors, self.colors[1:])):
             raise ShapeError("adjacent zigzag colors must differ")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.zigzags, self.colors) == (other.zigzags, other.colors)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.zigzags, self.colors))
 
     @property
     def ncells(self) -> int:
@@ -442,14 +420,6 @@ class StandardTableau(FrozenValue):
                 c = inner[r - 1] + list(map(ge, rows[r - 1], below)).index(True)
                 raise ShapeError(f"column not strictly increasing at {(r, c)}")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.shape, self.rows) == (other.shape, other.rows)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.rows))
-
     @property
     def ncells(self) -> int:
         return self.shape.ncells
@@ -538,14 +508,6 @@ class RPartiteTableau(FrozenValue):
         )
         if entries != list(range(1, len(entries) + 1)):
             raise ShapeError("entries must be exactly 1..n across components")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.components == other.components
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.components,))
 
     @property
     def r(self) -> int:

@@ -7,13 +7,16 @@ before."""
 
 import ast
 import copy
+import importlib
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import coloredsym
 from coloredsym import (
     AugmentedSubset,
     ColoredComposition,
@@ -30,6 +33,7 @@ from coloredsym import (
     VerificationReport,
     ZigzagShape,
 )
+from coloredsym._value import FrozenValue, Value
 from coloredsym.compositions import RainbowDecomposition
 
 _T1 = StandardTableau(SkewShape((2, 1), ()), ((1, 3), (4,)))
@@ -240,6 +244,32 @@ def test_construction_calls_the_class_own_post_init(cls, monkeypatch):
     monkeypatch.setattr(cls, "__post_init__", counted)
     obj = cls(**kwargs)
     assert calls and calls[-1] is obj
+
+
+def _value_classes():
+    """Every ``Value`` subclass defined in a module of ``coloredsym``."""
+    modules = [
+        importlib.import_module(f"coloredsym.{info.name}")
+        for info in pkgutil.iter_modules(coloredsym.__path__)
+    ]
+    return {
+        cls
+        for m in modules
+        for cls in vars(m).values()
+        if isinstance(cls, type) and issubclass(cls, Value) and cls.__module__ == m.__name__
+    } - {Value, FrozenValue}
+
+
+def test_every_value_class_is_under_the_contract():
+    # equality, hashing and repr are the bases' rules over the __init__
+    # parameters; only a class whose fields cannot be hashed as they are
+    # says how it hashes
+    classes = _value_classes()
+    assert classes == {cls for cls, _, _ in SAMPLES}
+    assert not [cls for cls in classes if "__eq__" in vars(cls)]
+    assert {cls for cls in classes if "__hash__" in vars(cls)} == {
+        MultiAlphabetPolynomial, Expansion,
+    }
 
 
 class _Two:
