@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import sys
 from itertools import starmap
+from math import comb
 from types import SimpleNamespace
 
 from .bijections import _raw_class_to_tableau, _raw_descent_class, _raw_rsk
@@ -45,6 +46,7 @@ from .shapes import (
 )
 from .symfun import (
     _raw_ribbon_f_counts,
+    _ribbon_factors,
     colored_ribbon,
     expand_in_colored_schur,
     ribbon_h_expansion,
@@ -375,16 +377,47 @@ def _cmd_descent_class(args) -> int:
     return 0
 
 
+#: Most terms of a ribbon polynomial that ``ribbon`` places (with
+#: ``--dump-poly``, or ``--via-poly --widths``): ``6^0,6^1`` has 462^2 =
+#: 213,444 terms at widths 6,6, and 12,376^2 = 153,165,376 at its default
+#: widths 12,12; ``7^0,7^1`` has 1,716^2 = 2,944,656 at widths 7,7.
+MAX_POLY_TERMS = 2**20
+
+
+def _check_poly_size(ce, widths) -> None:
+    """Refuse a placed ribbon polynomial of more than ``MAX_POLY_TERMS``
+    terms before it is built.  Factor j places each of its packed keys on
+    C(w_j, l) choices of indices, l the indices the key uses, and the
+    placements of the factors join as a product.  Widths that
+    ``colored_ribbon`` refuses are left to it."""
+    if len(widths) != ce.r or min(widths) < 0:
+        return
+    size = 1
+    for factor, w in zip(_ribbon_factors(ce.parts, ce.colors, ce.r), widths):
+        size *= sum(comb(w, len(key) - key.count(0)) for key in factor)
+    if size > MAX_POLY_TERMS:
+        raise ResourceLimitError(
+            f"the ribbon polynomial of {ce.text()} at widths "
+            f"{','.join(map(str, widths))} has {size} terms, over the bound "
+            f"of {MAX_POLY_TERMS}"
+        )
+
+
 def _cmd_ribbon(args) -> int:
     ce = parse_colored_composition(args.comp, args.r)
     if args.widths is not None and not (args.via_poly or args.dump_poly):
         raise ValueError("--widths applies only with --via-poly or --dump-poly")
     if args.via_poly and args.basis != "schur":
         raise ValueError("--via-poly applies only with --basis schur")
+    if args.dump_poly and args.format != "json":
+        raise ValueError("--dump-poly applies only with --format json")
     widths = _parse_widths(args.widths) if args.widths is not None else (ce.n,) * ce.r
+    if args.dump_poly or (args.via_poly and args.widths is not None):
+        _check_poly_size(ce, widths)
+        poly = colored_ribbon(ce, widths)
     if args.basis == "schur":
         if args.via_poly and args.widths is not None:
-            expansion = expand_in_colored_schur(colored_ribbon(ce, widths), ce.n)
+            expansion = expand_in_colored_schur(poly, ce.n)
         elif args.via_poly:
             expansion = ribbon_schur_by_peeling(ce)
         else:
@@ -404,7 +437,6 @@ def _cmd_ribbon(args) -> int:
             ],
         }
     if args.dump_poly:
-        poly = colored_ribbon(ce, widths)
         obj = {
             "expansion": obj,
             "polynomial": _Stream(
@@ -425,9 +457,8 @@ def _parse_widths(text: str) -> tuple[int, ...]:
 
 
 def _ribbon_table(obj) -> str:
-    terms = obj.get("expansion", obj).get("terms", [])
     lines = []
-    for t in terms:
+    for t in obj["terms"]:
         if "index" in t:
             label = " | ".join(
                 ",".join(map(str, part)) if part else "-" for part in t["index"]

@@ -36,6 +36,12 @@ def _check_nonempty(n: int) -> None:
         raise ValueError(f"n must be at least 1, got {n}")
 
 
+def _check_parts(parts) -> None:
+    """Raise unless there is a part and every part is positive."""
+    if not parts or min(parts) < 1:
+        raise ValueError(f"composition parts must be positive: {parts!r}")
+
+
 def _check_colors(colors, r: int, shown) -> None:
     """Raise unless r >= 1 and each color lies in 0..r-1, showing ``shown``."""
     if r < 1:
@@ -62,9 +68,7 @@ class Composition(FrozenValue):
         self.__post_init__()
 
     def __post_init__(self):
-        parts = self.parts
-        if not parts or min(parts) < 1:
-            raise ValueError(f"composition parts must be positive: {parts!r}")
+        _check_parts(self.parts)
 
     @property
     def n(self) -> int:
@@ -102,12 +106,10 @@ class ColoredComposition(FrozenValue):
         self.__post_init__()
 
     def __post_init__(self):
-        parts, colors, r = self.parts, self.colors, self.r
-        if not parts or min(parts) < 1:
-            raise ValueError(f"composition parts must be positive: {parts!r}")
-        if len(parts) != len(colors):
+        _check_parts(self.parts)
+        if len(self.parts) != len(self.colors):
             raise ValueError("parts and colors must have equal length")
-        _check_colors(colors, r, colors)
+        _check_colors(self.colors, self.r, self.colors)
 
     @property
     def n(self) -> int:

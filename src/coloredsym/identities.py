@@ -16,9 +16,9 @@ the memo keys and the group pass, and a shape is its (outer, inner) row
 bounds.  Objects are built only as the skew shapes ``skew-schur-f``
 enumerates, for the paper-route oracle of the class sweep (one colored
 composition and its shapes per case), and for witnesses.  Every raw filling a
-sweep reads is checked standard with the checks the public tableau
-constructors make, and every raw colored zigzag with the checks of the
-zigzag constructors.
+sweep reads is checked standard by the rule ``StandardTableau`` reads,
+``shapes._raw_cell_pairs``, and every raw colored zigzag by the block and
+color rules of the zigzag constructors.
 
 Every suite runs in-process.  The ribbon and h elements are per-alphabet
 symmetric, so ``colored-ribbon-h`` compares them in tensor coordinates

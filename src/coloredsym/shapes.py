@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, product
 from math import factorial
-from operator import eq, ge, gt, index, lt, ne, sub
+from operator import eq, gt, index, lt, sub
 
 from ._value import FrozenValue, set_field
 from .compositions import (
@@ -193,8 +193,7 @@ class ZigzagShape(FrozenValue):
             raise ShapeError("row profile does not match the source composition")
         # every row is nonempty now, so connected and 2x2-free means that
         # each row shares exactly one column with the row below it
-        if _raw_ribbon_rows((self.shape.outer, self.shape.inner)) is None:
-            raise ShapeError("a zigzag diagram must be connected and 2x2-free")
+        _raw_ribbon_rows((self.shape.outer, self.shape.inner))
 
     @property
     def ncells(self) -> int:
@@ -234,10 +233,7 @@ class ColoredZigzagShape(FrozenValue):
         self.__post_init__()
 
     def __post_init__(self):
-        if len(self.zigzags) != len(self.colors) or not self.zigzags:
-            raise ShapeError("need one color per zigzag")
-        if any(a == b for a, b in zip(self.colors, self.colors[1:])):
-            raise ShapeError("adjacent zigzag colors must differ")
+        _check_block_colors(self.zigzags, self.colors)
 
     @property
     def ncells(self) -> int:
@@ -249,6 +245,14 @@ class ColoredZigzagShape(FrozenValue):
             tuple((z.shape.outer, z.shape.inner) for z in self.zigzags),
             self.colors,
         )
+
+
+def _check_block_colors(blocks, colors) -> None:
+    """Raise unless the blocks have one color each and adjacent ones differ."""
+    if len(blocks) != len(colors) or not blocks:
+        raise ShapeError("need one color per zigzag")
+    if any(map(eq, colors, colors[1:])):
+        raise ShapeError("adjacent zigzag colors must differ")
 
 
 def colored_zigzag_of(ce: ColoredComposition) -> ColoredZigzagShape:
@@ -283,46 +287,39 @@ def _raw_colored_zigzag(parts, colors):
 def _raw_zigzag_test(key, parts, colors) -> bool:
     """Whether ``key``, a diagram key (one (outer, inner) per block, and
     the block colors), is one that ``ColoredZigzagShape`` of ``ZigzagShape``
-    of ``SkewShape`` blocks accepts and stores as given, and whose left
-    inverse is the colored composition (parts, colors): each block's rows
-    read bottom to top, with the block's color.
-
-    The key is checked here for one color per block and adjacent colors
-    distinct; each block is checked on its own by ``_raw_ribbon_rows``,
-    which is memoized, as blocks repeat across keys.  As the colors read
-    back are those of a colored composition, they lie in 0..r-1."""
+    of ``SkewShape`` blocks accepts and stores as given, by their rules
+    ``_check_block_colors`` and, memoized per block, ``_raw_ribbon_rows``,
+    and whose left inverse is the colored composition (parts, colors):
+    each block's rows read bottom to top, with the block's color, which
+    therefore lies in 0..r-1."""
     blocks, block_colors = key
-    if len(blocks) != len(block_colors) or any(map(eq, block_colors, block_colors[1:])):
+    read_parts, read_colors = [], []
+    try:
+        _check_block_colors(blocks, block_colors)
+        for block, c in zip(blocks, block_colors):
+            rows = _raw_ribbon_rows(block)
+            read_parts += rows
+            read_colors += (c,) * len(rows)
+    except ShapeError:
         return False
-    read_parts: list[int] = []
-    read_colors: list[int] = []
-    for block, c in zip(blocks, block_colors):
-        rows = _raw_ribbon_rows(block)
-        if rows is None:
-            return False
-        read_parts += rows
-        read_colors += (c,) * len(rows)
     return tuple(read_parts) == parts and tuple(read_colors) == colors
 
 
 @lru_cache(maxsize=BLOCK_MEMO_SIZE)
-def _raw_ribbon_rows(block) -> tuple[int, ...] | None:
+def _raw_ribbon_rows(block) -> tuple[int, ...]:
     """The row lengths, bottom to top, of the block (outer, inner) of a
-    diagram key, or None when it is no ribbon block.
-
-    In a ribbon block each row above another starts one column left of the
-    end of the row below (the two share exactly one column), and the
-    bottom row starts at a column >= 0.  Once ``_raw_zigzag_test`` has
-    read the rows back as parts of a colored composition, every row is
-    nonempty, so no row is a trailing empty one, and outer and inner
-    weakly decrease with inner inside outer: the constructors accept the
-    block as given."""
+    diagram key; a ``ShapeError`` when it is no ribbon block: each row
+    above another starts one column left of the end of the row below, and
+    the bottom row at a column >= 0.  Once ``_raw_zigzag_test`` has read
+    the rows back as parts of a colored composition, every row is
+    nonempty, so outer and inner weakly decrease with inner inside outer
+    and no empty bottom row: the constructors accept the block as given."""
     outer, inner = block
     k = len(outer)
-    if not k or len(inner) != k or inner[-1] < 0:
-        return None
-    if tuple(map(sub, outer[1:], inner)) != (1,) * (k - 1):
-        return None
+    if not k or len(inner) != k or inner[-1] < 0 or (
+        tuple(map(sub, outer[1:], inner)) != (1,) * (k - 1)
+    ):
+        raise ShapeError("a zigzag diagram must be connected and 2x2-free")
     return tuple(map(sub, outer[::-1], inner[::-1]))
 
 
@@ -392,8 +389,9 @@ def _raw_colored_composition_shape(parts, colors, r: int):
 
 
 class StandardTableau(FrozenValue):
-    """Filling of a skew shape by distinct positive integers, strictly
-    increasing along rows and down columns."""
+    """Filling of a skew shape by distinct integers that increase strictly
+    along each row and down each column (``_raw_cell_pairs``).  Entries
+    exactly 1..n are the rule of ``RPartiteTableau``, across components."""
 
     def __init__(self, shape: SkewShape, rows: tuple[tuple[int, ...], ...]):
         set_field(self, "shape", shape)
@@ -401,24 +399,17 @@ class StandardTableau(FrozenValue):
         self.__post_init__()
 
     def __post_init__(self):
-        rows = self.rows
-        outer, inner = self.shape.outer, self.shape.inner
-        if len(rows) != len(outer) or any(
-            map(ne, map(len, rows), map(sub, outer, inner))
-        ):
+        rows, outer, inner = self.rows, self.shape.outer, self.shape.inner
+        if tuple(map(len, rows)) != tuple(map(sub, outer, inner)):
             raise ShapeError("rows do not match the shape")
-        entries = list(chain.from_iterable(rows))
+        entries = tuple(chain.from_iterable(rows))
         if len(set(entries)) != len(entries):
             raise ShapeError("entries must be distinct")
-        for row in rows:
-            if any(map(ge, row, row[1:])):
-                raise ShapeError(f"row not strictly increasing: {row!r}")
-        for r in range(1, len(rows)):
-            # row r starts at or left of row r-1; compare shared columns only
-            below = rows[r][inner[r - 1] - inner[r] :]
-            if any(map(ge, rows[r - 1], below)):
-                c = inner[r - 1] + list(map(ge, rows[r - 1], below)).index(True)
-                raise ShapeError(f"column not strictly increasing at {(r, c)}")
+        for left, right, at in _raw_cell_pairs(outer, inner):
+            if entries[left] >= entries[right]:
+                if at.__class__ is int:
+                    raise ShapeError(f"row not strictly increasing: {rows[at]!r}")
+                raise ShapeError(f"column not strictly increasing at {at}")
 
     @property
     def ncells(self) -> int:
@@ -442,31 +433,38 @@ def _raw_filling_json(filling) -> list:
     return [_raw_rows_json(rows) for rows in filling]
 
 
+def _raw_cell_pairs(outer, inner, start: int = 0) -> list:
+    """The rule of a standard filling of the shape (outer, inner): the
+    adjacent cells that must increase, as (left, right, at), their flat
+    positions from ``start``; first along each row, ``at`` the row, then
+    down each column, ``at`` the (r, c) of the lower cell."""
+    along, down = [], []
+    for r, (o, i) in enumerate(zip(outer, inner)):
+        for x in range(start, start + o - i - 1):
+            along.append((x, x + 1, r))
+        if r:
+            # the flat reading of row r - 1 ends at start
+            for c in range(inner[r - 1], min(o, outer[r - 1])):
+                down.append((start - outer[r - 1] + c, start - i + c, (r, c)))
+        start += o - i
+    return along + down
+
+
 def _raw_standard_test(bounds):
     """The test the sweeps apply to raw fillings on the shapes whose
     (outer, inner) row bounds are ``bounds``: whether a filling, given as
     one tuple of row tuples per component, is one that ``RPartiteTableau``
     of ``StandardTableau`` components accepts.  The row lengths must match
-    the shapes, the entries must be exactly 1..n, and every pair of cells
-    adjacent along a row or down a column must increase; those pairs are
-    listed once, as positions in the flat reading of the rows."""
+    the shapes, the entries must be exactly 1..n, and each component's
+    ``_raw_cell_pairs`` must increase, read once as flat positions."""
     nrows = tuple(len(outer) for outer, _ in bounds)
-    lengths, left, right = [], [], []
+    lengths = tuple(o - i for outer, inner in bounds for o, i in zip(outer, inner))
+    pairs, start = [], 0
     for outer, inner in bounds:
-        above = None
-        for o, i in zip(outer, inner):
-            start = sum(lengths)
-            left += range(start, start + o - i - 1)
-            right += range(start + 1, start + o - i)
-            if above is not None:
-                a_start, a_inner, a_outer = above
-                for c in range(max(i, a_inner), min(o, a_outer)):
-                    left.append(a_start + c - a_inner)
-                    right.append(start + c - i)
-            above = (start, i, o)
-            lengths.append(o - i)
-    lengths = tuple(lengths)
-    entries = list(range(1, sum(lengths) + 1))
+        pairs += _raw_cell_pairs(outer, inner, start)
+        start += sum(outer) - sum(inner)
+    left, right, _ = zip(*pairs) if pairs else ((), (), ())
+    entries = list(range(1, start + 1))
 
     def test(filling) -> bool:
         if tuple(map(len, filling)) != nrows:

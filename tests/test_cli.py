@@ -4,13 +4,20 @@ import json
 import shlex
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from coloredsym import ColoredComposition, ribbon_schur_by_counting
+from coloredsym import (
+    ColoredComposition,
+    colored_ribbon,
+    enumerate_colored_compositions,
+    ribbon_schur_by_counting,
+)
 from coloredsym import cli
 from coloredsym.cli import main
+from coloredsym.errors import ResourceLimitError
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +52,76 @@ def test_enum_comps_bound_is_the_item_count(capsys, monkeypatch):
     for n, r, message in ((0, 99999999999, "n must be positive"), (2, 0, "r must be positive")):
         code, _, err = run_cli(capsys, "enum-comps", "--n", str(n), "--r", str(r))
         assert code == 2 and message in err
+
+
+def test_ribbon_polynomial_bound_is_the_term_count(capsys, monkeypatch):
+    # each factor h_k of k^0,k^1 places its packed keys, one per
+    # composition of k, on C(w, l) index choices, l the key's parts: 12,376
+    # for h_6 at its default width 12 and 1,716 for h_7 at width 7; the
+    # count is checked before anything is placed
+    for comp, flags, size in (
+        ("6^0,6^1", ("--dump-poly",), 12376**2),
+        ("7^0,7^1", ("--dump-poly", "--widths", "7,7"), 1716**2),
+        ("6^0,6^1", ("--via-poly", "--widths", "12,12"), 12376**2),
+    ):
+        code, out, err = run_cli(capsys, "ribbon", "--comp", comp, *flags)
+        assert code == 2 and out == ""
+        assert f"has {size} terms, over the bound of {cli.MAX_POLY_TERMS}" in err
+    # both sides of the bound at a size that runs: 3 * 3 = 9 terms, as h_2
+    # places to 3 monomials at width 2 and e_2, the column of 1^1,1^1, to
+    # C(3, 2) = 3 at width 3
+    monkeypatch.setattr(cli, "MAX_POLY_TERMS", 9)
+    args = ("ribbon", "--comp", "2^0,1^1,1^1", "--r", "2", "--widths", "2,3")
+    code, out, _ = run_cli(capsys, *args, "--dump-poly")
+    assert code == 0 and len(json.loads(out)["polynomial"]) == 9
+    monkeypatch.setattr(cli, "MAX_POLY_TERMS", 8)
+    code, out, err = run_cli(capsys, *args, "--dump-poly")
+    assert code == 2 and out == "" and "has 9 terms" in err
+    # widths the constructor refuses keep its own error
+    for widths, message in (("2", "need 2 alphabet widths"), ("2,-1", "nonnegative")):
+        code, _, err = run_cli(capsys, *args[:-1], widths, "--dump-poly")
+        assert code == 2 and message in err
+
+
+def test_ribbon_polynomial_bound_reads_the_exact_term_count(monkeypatch):
+    # every colored composition with n <= 3, r <= 2 at every width in 0..3:
+    # a bound of the number of placed terms admits it, and one below refuses
+    for n in range(1, 4):
+        for r in (1, 2):
+            for ce in enumerate_colored_compositions(n, r):
+                for widths in product(range(4), repeat=r):
+                    size = len(colored_ribbon(ce, widths).terms)
+                    monkeypatch.setattr(cli, "MAX_POLY_TERMS", size)
+                    cli._check_poly_size(ce, widths)
+                    monkeypatch.setattr(cli, "MAX_POLY_TERMS", size - 1)
+                    with pytest.raises(ResourceLimitError, match=f"has {size} terms"):
+                        cli._check_poly_size(ce, widths)
+
+
+def test_ribbon_polynomial_is_built_once(capsys, monkeypatch):
+    built = []
+
+    def counted(ce, widths):
+        built.append(widths)
+        return colored_ribbon(ce, widths)
+
+    monkeypatch.setattr(cli, "colored_ribbon", counted)
+    args = ("ribbon", "--comp", "2^0,1^1,1^0", "--r", "2", "--via-poly", "--widths", "4,6")
+    code, out, _ = run_cli(capsys, *args, "--dump-poly")
+    assert code == 0 and built == [(4, 6)]
+    assert json.loads(out)["expansion"] == json.loads(
+        (GOLDEN / "ribbon_via_poly_widths_4_6.json").read_text()
+    )
+
+
+def test_ribbon_dump_poly_needs_json(capsys):
+    # the table view shows only the expansion, so the polynomial would be
+    # built for nothing
+    code, out, err = run_cli(
+        capsys, "ribbon", "--comp", "2^0", "--dump-poly", "--format", "table"
+    )
+    assert code == 2 and out == ""
+    assert "--dump-poly applies only with --format json" in err
 
 
 def test_ribbon_schur_matches_library_bytes(capsys):

@@ -1,13 +1,18 @@
 """Report plumbing and reduced-range runs of every identity suite."""
 
 import functools
+import importlib
 import inspect
 import json
+import pkgutil
+import re
 from collections import Counter
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 
+import coloredsym
 from coloredsym import (
     IDENTITY_REGISTRY,
     ColoredComposition,
@@ -35,6 +40,7 @@ from coloredsym import (
     shapes,
     symfun,
 )
+from coloredsym.errors import ShapeError
 from coloredsym.permutations import _raw_inverse
 from coloredsym.shapes import _raw_colored_composition_shape
 from coloredsym._poly_py import _patterns
@@ -640,6 +646,68 @@ def test_planted_nonstandard_filling_fails_skew_schur_f_at_its_shape(monkeypatch
     assert report.failures[0]["shape"] == target.to_json()
 
 
+def _plant_cell_pairs(monkeypatch, change):
+    """The shared tableau rule ``shapes._raw_cell_pairs`` with each column
+    pair (tagged with its lower cell) passed through ``change``, which
+    returns the pairs to keep in its place."""
+    cell_pairs = shapes._raw_cell_pairs
+
+    def planted(outer, inner, start=0):
+        return [
+            new
+            for pair in cell_pairs(outer, inner, start)
+            for new in (change(pair) if isinstance(pair[2], tuple) else (pair,))
+        ]
+
+    monkeypatch.setattr(shapes, "_raw_cell_pairs", planted)
+
+
+DECREASING_COLUMN = ((1, 1), (0, 0)), ((2,), (1,))
+
+
+def test_dropped_column_pairs_pass_constructor_and_raw_test_alike(monkeypatch):
+    # the constructor and the sweeps' raw test read one rule: without its
+    # column pairs both accept a column that decreases
+    bounds, rows = DECREASING_COLUMN
+    with pytest.raises(ShapeError, match=r"column not strictly increasing at \(1, 0\)"):
+        shapes.StandardTableau(SkewShape(*bounds), rows)
+    assert not shapes._raw_standard_test([bounds])((rows,))
+    _plant_cell_pairs(monkeypatch, lambda pair: ())
+    assert shapes.StandardTableau(SkewShape(*bounds), rows).rows == rows
+    assert shapes._raw_standard_test([bounds])((rows,))
+
+
+def test_upside_down_column_pairs_fail_class_tableau_where_a_column_is(monkeypatch):
+    # read upside down, the column rule accepts the decreasing column in
+    # the constructor and refuses every standard filling with a column in
+    # the sweep: the classes of the compositions whose shape has one fail
+    bounds, rows = DECREASING_COLUMN
+    _plant_cell_pairs(monkeypatch, lambda pair: ((pair[1], pair[0], pair[2]),))
+    assert shapes.StandardTableau(SkewShape(*bounds), rows).rows == rows
+    report = run_identity("class-tableau", 2, 2)
+    assert not report.passed
+    failed = {
+        (w["n"], w["r"], tuple(w["composition"]["parts"]), tuple(w["composition"]["colors"]))
+        for w in report.failures
+    }
+    assert failed == {(2, 1, (1, 1), (0, 0)), (2, 2, (1, 1), (0, 0)), (2, 2, (1, 1), (1, 1))}
+    assert report.failure_count == 3
+
+
+def test_block_color_rule_is_shared_by_constructor_and_raw_zigzag_test(monkeypatch):
+    # two blocks of one color read back as a composition with that color:
+    # both sides refuse the key, and both accept it once the rule is gone
+    block = shapes._raw_zigzag((1,))
+    key, parts, colors = ((block, block), (0, 0)), (1, 1), (0, 0)
+    zigzags = (zigzag_of(Composition((1,))),) * 2
+    with pytest.raises(ShapeError, match="adjacent zigzag colors must differ"):
+        shapes.ColoredZigzagShape(zigzags, (0, 0))
+    assert not shapes._raw_zigzag_test(key, parts, colors)
+    monkeypatch.setattr(shapes, "_check_block_colors", lambda blocks, colors: None)
+    assert shapes.ColoredZigzagShape(zigzags, (0, 0)).colors == (0, 0)
+    assert shapes._raw_zigzag_test(key, parts, colors)
+
+
 def _rows_reversed(p):
     return tuple(tuple(row[::-1] for row in rows) for rows in p)
 
@@ -864,6 +932,26 @@ def test_block_memos_are_bounded_and_never_evict_at_the_default_range():
     for memo in memos:
         info = memo.cache_info()
         assert info.misses == info.currsize == 2**7 - 1 <= info.maxsize
+
+
+def test_every_memo_is_bounded_and_listed_in_the_readme():
+    # every function or method of the package with ``cache_info()``, found
+    # in the module that defines it, is an ``lru_cache`` with a maxsize,
+    # and the set of them is the one README "Memos" names
+    found = {}
+    for info in pkgutil.iter_modules(coloredsym.__path__):
+        module = importlib.import_module(f"coloredsym.{info.name}")
+        owners = [module, *(v for v in vars(module).values() if isinstance(v, type))]
+        for owner in owners:
+            for name, obj in vars(owner).items():
+                if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                    found[f"{info.name}.{name}"] = obj.cache_info().maxsize
+    assert None not in found.values(), found
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Memos", 1)[1].split("\n## ", 1)[0]
+    assert section.lstrip().startswith("Six memos")
+    assert set(re.findall(r"`(\w+\._\w+)`", section)) == set(found)
+    assert len(found) == 6
 
 
 @pytest.mark.slow
