@@ -45,6 +45,7 @@ from .shapes import (
     _raw_shape_json,
 )
 from .symfun import (
+    _check_peel_widths,
     _raw_ribbon_f_counts,
     _ribbon_factors,
     colored_ribbon,
@@ -390,7 +391,7 @@ def _check_poly_size(ce, widths) -> None:
     C(w_j, l) choices of indices, l the indices the key uses, and the
     placements of the factors join as a product.  Widths that
     ``colored_ribbon`` refuses are left to it."""
-    if len(widths) != ce.r or min(widths) < 0:
+    if not _placeable(ce, widths):
         return
     size = 1
     for factor, w in zip(_ribbon_factors(ce.parts, ce.colors, ce.r), widths):
@@ -403,6 +404,12 @@ def _check_poly_size(ce, widths) -> None:
         )
 
 
+def _placeable(ce, widths) -> bool:
+    """Whether ``colored_ribbon`` accepts ``widths``: r of them, none
+    negative."""
+    return len(widths) == ce.r and min(widths) >= 0
+
+
 def _cmd_ribbon(args) -> int:
     ce = parse_colored_composition(args.comp, args.r)
     if args.widths is not None and not (args.via_poly or args.dump_poly):
@@ -412,11 +419,15 @@ def _cmd_ribbon(args) -> int:
     if args.dump_poly and args.format != "json":
         raise ValueError("--dump-poly applies only with --format json")
     widths = _parse_widths(args.widths) if args.widths is not None else (ce.n,) * ce.r
-    if args.dump_poly or (args.via_poly and args.widths is not None):
+    peel_poly = args.via_poly and args.widths is not None
+    if args.dump_poly or peel_poly:
         _check_poly_size(ce, widths)
+        if peel_poly and _placeable(ce, widths):
+            # the peel's own refusal, before the polynomial is built
+            _check_peel_widths(widths, ce.n)
         poly = colored_ribbon(ce, widths)
     if args.basis == "schur":
-        if args.via_poly and args.widths is not None:
+        if peel_poly:
             expansion = expand_in_colored_schur(poly, ce.n)
         elif args.via_poly:
             expansion = ribbon_schur_by_peeling(ce)

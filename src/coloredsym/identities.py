@@ -18,7 +18,9 @@ enumerates, for the paper-route oracle of the class sweep (one colored
 composition and its shapes per case), and for witnesses.  Every raw filling a
 sweep reads is checked standard by the rule ``StandardTableau`` reads,
 ``shapes._raw_cell_pairs``, and every raw colored zigzag by the block and
-color rules of the zigzag constructors.
+color rules of the zigzag constructors.  The group pass and ``rsk`` read
+the colored descent sets of the group's elements from one generator,
+``_group_keys``, as int keys.
 
 Every suite runs in-process.  The ribbon and h elements are per-alphabet
 symmetric, so ``colored-ribbon-h`` compares them in tensor coordinates
@@ -75,6 +77,7 @@ from .shapes import (
     _raw_fillings,
     _raw_standard_test,
     _raw_rpartite_descent_composition,
+    _raw_rpartite_descent_key,
     _raw_rpartite_descent_set,
     _raw_zigzag_test,
     colored_zigzag_of,
@@ -434,60 +437,69 @@ def verify_reading_word_bijection(max_n: int = 6) -> VerificationReport:
     return _class_tableau_sweep("reading-word", max_n, None)
 
 
-def _conj_inverse_f_counters(n: int, r: int) -> dict[tuple, Counter]:
-    """For each colored composition, the multiset of colored descent
-    compositions over its conjugate-inverse descent class, as raw pairs.
+def _group_keys(n: int, r: int):
+    """(w, key, conj_inverse_key) for each element w of ``_raw_group(n,
+    r)``, in its order: the colored descent sets of w and of its
+    conjugate-inverse, each packed in one int.
 
-    The group pass runs on raw (word, colors) pairs and computes each
-    element's parts once: per word its inverse, the descent masks of both
-    and the index permutation of the conjugate-inverse colors (read from
-    ``_raw_conj_inverse`` of the positions), and per coloring its mask of
-    equal adjacent colors.  A colored descent composition breaks where the
-    colors differ or the word descends, so it is in bijection with the key
-    (colors, descent mask & equal-color mask), which is packed in one int
-    as the coloring's index above the mask bits.  Each distinct key is
-    decoded once, by ``_raw_colored_descent_composition`` of an element
-    with that key."""
+    A colored descent set breaks where the colors differ or the word
+    descends, so it is in bijection with (colors, descent mask &
+    equal-color mask), packed as the coloring's index in
+    ``product(range(r), repeat=n)`` above n mask bits
+    (``shapes._raw_rpartite_descent_key`` packs a filling's set alike).
+    Per word the pass computes its inverse, the descent masks of both and
+    the index permutation of the conjugate-inverse colors, read from
+    ``_raw_conj_inverse`` of the positions; per coloring it looks up the
+    index and equal-color mask of the colors and of their permutation."""
     bits = [1 << i for i in range(n)]
 
     def mask(seq, rel) -> int:
         # bit i - 1 set for each i in 1..len(seq)-1 with rel(seq[i-1], seq[i])
         return sum(compress(bits, map(rel, seq, seq[1:])))
 
-    colorings = list(product(range(r), repeat=n))
+    colorings = product(range(r), repeat=n)
     # coloring -> (its index shifted above the mask bits, its equal-color mask)
     coded = {z: (i << n, mask(z, eq)) for i, z in enumerate(colorings)}
-    span = len(colorings) << n  # every key lies in range(span)
     positions = tuple(range(n))
-    word_of_mask: dict[int, tuple[int, ...]] = {}
+    word = None
+    for w in _raw_group(n, r):
+        if w[0] is not word:
+            word = w[0]
+            inv, perm = _raw_conj_inverse(word, positions)
+            des, inv_des = mask(word, gt), mask(inv, gt)
+            # itemgetter of one index returns the item, not a 1-tuple
+            permute = itemgetter(*perm) if n > 1 else tuple
+        index, equal = coded[w[1]]
+        inv_index, inv_equal = coded[permute(w[1])]
+        yield w, index | (des & equal), inv_index | (inv_des & inv_equal)
 
-    def pair_codes():
-        # key of the conjugate-inverse * span + key of the element, per element
-        word = None
-        for w, colors in _raw_group(n, r):
-            if w is not word:
-                word = w
-                inv, perm = _raw_conj_inverse(word, positions)
-                des, inv_des = mask(word, gt), mask(inv, gt)
-                word_of_mask.setdefault(des, word)
-                # itemgetter of one index returns the item, not a 1-tuple
-                permute = itemgetter(*perm) if n > 1 else tuple
-            index, equal = coded[colors]
-            inv_index, inv_equal = coded[permute(colors)]
-            yield (inv_index | (inv_des & inv_equal)) * span + (index | (des & equal))
+
+def _conj_inverse_f_counters(n: int, r: int) -> dict[tuple, Counter]:
+    """For each colored composition, the multiset of colored descent
+    compositions over its conjugate-inverse descent class, as raw pairs.
+
+    The group pass counts the pairs of ``_group_keys`` and decodes each
+    distinct key once, by ``_raw_colored_descent_composition`` of an
+    element with that key: the key's coloring, and the identity word with
+    each maximal run of masked positions reversed, which descends at
+    exactly those positions."""
+    colorings = list(product(range(r), repeat=n))
 
     def decode(key: int) -> tuple:
         index, masked = divmod(key, 1 << n)
-        # every subset of [n-1] is the descent mask of some word
-        return _raw_colored_descent_composition(word_of_mask[masked], colorings[index])
+        word, start = [], 1
+        for i in range(1, n + 1):
+            if not masked >> (i - 1) & 1:
+                word += range(i, start - 1, -1)
+                start = i + 1
+        return _raw_colored_descent_composition(tuple(word), colorings[index])
 
-    counts = Counter(pair_codes())
-    keys = {key for code in counts for key in divmod(code, span)}
-    comp = {key: decode(key) for key in keys}
+    # (key, conj_inverse_key) -> the number of elements with that pair
+    counts = Counter(map(itemgetter(1, 2), _group_keys(n, r)))
+    comp = {key: decode(key) for key in {key for pair in counts for key in pair}}
     out: dict[tuple, Counter] = defaultdict(Counter)
-    for code, mult in counts.items():
-        key, member = divmod(code, span)
-        out[comp[key]][comp[member]] = mult
+    for (key, conj_inverse_key), mult in counts.items():
+        out[comp[conj_inverse_key]][comp[key]] = mult
     return out
 
 
@@ -586,9 +598,15 @@ def verify_colored_rsk(max_n: int = 4, max_r: int = 3) -> VerificationReport:
     """The insertion correspondence is a bijection onto equal-shape pairs of
     r-partite standard fillings, the recording side carries the colored
     descent set of the word and the insertion side that of its
-    conjugate-inverse; shape counting squares to the group order.  Both
-    sides are checked standard on the straight shapes of the insertion
-    side's row lengths, so they share one shape, before the round trip.
+    conjugate-inverse; shape counting squares to the group order.
+
+    Per element: the insertion, the descent keys of the word and of its
+    conjugate-inverse from ``_group_keys``, and the round trip.  Once per
+    distinct tableau of an (n, r) cell, in a dict dropped with the cell
+    (``_TableauChecks``): the standard test on the straight shapes of its
+    own row lengths, and then its shape and its r-partite descent key.  An
+    element passes only if P and Q pass that check with one shape, Q's key
+    is the word's and P's key the conjugate-inverse's.
 
     The pairs are counted, not kept.  An element passes only if
     ``_raw_rsk_inverse(p, q)`` gives it back, and the inverse is a
@@ -608,22 +626,17 @@ def verify_colored_rsk(max_n: int = 4, max_r: int = 3) -> VerificationReport:
     )
     for n in range(1, max_n + 1):
         for r in range(1, max_r + 1):
-            distinct, previous, standard_on = 0, (), {}
-            for w in _raw_group(n, r):
+            distinct, previous, checks = 0, (), _TableauChecks()
+            for w, key, conj_inverse_key in _group_keys(n, r):
                 b.case(n, r)
                 increasing, previous = w > previous, w
                 p, q = _raw_rsk(*w, r)
-                shape = tuple(tuple(map(len, rows)) for rows in p)
-                standard = standard_on.get(shape)
-                if standard is None:
-                    standard = standard_on[shape] = _straight_standard_test(shape)
+                checked = checks[p]
                 ok = (
                     increasing
-                    and standard(p)
-                    and standard(q)
-                    and _raw_rpartite_descent_set(q) == _raw_colored_descent_set(*w)
-                    and _raw_rpartite_descent_set(p)
-                    == _raw_colored_descent_set(*_raw_conj_inverse(*w))
+                    and checked is not None
+                    and checks[q] == (checked[0], key)
+                    and checked[1] == conj_inverse_key
                     and _raw_rsk_inverse(p, q) == w
                 )
                 if not ok:
@@ -649,6 +662,27 @@ def verify_colored_rsk(max_n: int = 4, max_r: int = 3) -> VerificationReport:
                     }
                 )
     return b.report()
+
+
+class _TableauChecks(dict):
+    """The check of each distinct tableau of one ``rsk`` cell, given as one
+    tuple of row tuples per component and made when it is first met: None
+    unless it is standard on the straight shapes of its own row lengths,
+    else (those lengths, its ``_raw_rpartite_descent_key``)."""
+
+    def __init__(self):
+        super().__init__()
+        self.standard_on: dict = {}
+
+    def __missing__(self, tableau):
+        shape = tuple(tuple(map(len, rows)) for rows in tableau)
+        standard = self.standard_on.get(shape)
+        if standard is None:
+            standard = self.standard_on[shape] = _straight_standard_test(shape)
+        check = self[tableau] = (
+            (shape, _raw_rpartite_descent_key(tableau)) if standard(tableau) else None
+        )
+        return check
 
 
 def _straight_standard_test(shape: tuple[tuple[int, ...], ...]):

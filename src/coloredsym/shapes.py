@@ -540,9 +540,10 @@ def rpartite_descent_set(bq: RPartiteTableau) -> ColoredSet:
     )
 
 
-def _raw_rpartite_descent_set(filling) -> tuple[tuple[int, int], ...]:
-    """The pairs of ``rpartite_descent_set`` of a filling given as one tuple
-    of row tuples per component."""
+def _raw_entry_places(filling) -> tuple[list[int], list[int]]:
+    """The component and the row of each entry 1..n of a filling given as
+    one tuple of row tuples per component, as two lists indexed by the
+    entry minus 1."""
     n = sum(map(len, chain.from_iterable(filling)))
     color = [0] * n
     row_of = [0] * n
@@ -551,11 +552,41 @@ def _raw_rpartite_descent_set(filling) -> tuple[tuple[int, int], ...]:
             for x in row:
                 color[x - 1] = j
                 row_of[x - 1] = k
+    return color, row_of
+
+
+def _raw_rpartite_descent_set(filling) -> tuple[tuple[int, int], ...]:
+    """The pairs of ``rpartite_descent_set`` of a filling given as one tuple
+    of row tuples per component."""
+    color, row_of = _raw_entry_places(filling)
+    n = len(color)
     return tuple(
         (i, color[i - 1])
         for i in range(1, n + 1)
         if i == n or color[i - 1] != color[i] or row_of[i] > row_of[i - 1]
     )
+
+
+def _raw_rpartite_descent_key(filling) -> int:
+    """``_raw_rpartite_descent_set`` of a filling given as one tuple of row
+    tuples per component, packed in one int as the group pass packs a
+    colored descent set: the index of the color vector in
+    ``product(range(r), repeat=n)``, r the number of components, above n
+    mask bits, bit i - 1 set for each i in 1..n-1 whose successor lies in
+    the same component and a lower row.  The set breaks where the color
+    changes, which the index fixes, or where the mask says, so distinct
+    sets have distinct keys."""
+    color, row_of = _raw_entry_places(filling)
+    r, n = len(filling), len(color)
+    index = 0
+    for c in color:
+        index = index * r + c
+    mask = sum(
+        1 << (i - 1)
+        for i in range(1, n)
+        if color[i - 1] == color[i] and row_of[i] > row_of[i - 1]
+    )
+    return index << n | mask
 
 
 def _raw_rpartite_descent_composition(filling) -> tuple[tuple[int, ...], tuple[int, ...]]:

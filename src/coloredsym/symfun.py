@@ -548,6 +548,14 @@ def _peel(
     return out
 
 
+def _check_peel_widths(widths: tuple[int, ...], degree: int) -> None:
+    """Refuse to peel an element of ``degree`` at ``widths`` below it."""
+    if any(w < degree for w in widths):
+        raise ValueError(
+            f"peeling needs widths >= degree {degree} in every alphabet: {widths!r}"
+        )
+
+
 def expand_in_colored_schur(
     p: MultiAlphabetPolynomial, n: int | None = None
 ) -> Expansion:
@@ -570,10 +578,7 @@ def expand_in_colored_schur(
         degree = degrees.pop()
         if n is not None and n != degree:
             raise NotInSchurSpanError(f"degree {degree} differs from declared {n}")
-    if any(w < degree for w in widths):
-        raise ValueError(
-            f"peeling needs widths >= degree {degree} in every alphabet: {widths!r}"
-        )
+    _check_peel_widths(widths, degree)
     coeffs = _peel(p.terms, widths, lambda bll: colored_schur(bll, widths).terms)
     return Expansion("schur", degree, p.r, coeffs)
 

@@ -114,6 +114,20 @@ def test_ribbon_polynomial_is_built_once(capsys, monkeypatch):
     )
 
 
+def test_ribbon_refuses_peel_widths_below_n_before_building(capsys, monkeypatch):
+    # the peel's own message and exit code, from the parsed widths alone
+    def refused(ce, widths):
+        raise AssertionError("the placed polynomial was built")
+
+    monkeypatch.setattr(cli, "colored_ribbon", refused)
+    for flags in ((), ("--dump-poly",)):
+        code, out, err = run_cli(
+            capsys, "ribbon", "--comp", "6^0,6^1", "--via-poly", "--widths", "6,6", *flags
+        )
+        assert code == 2 and out == ""
+        assert err == "error: peeling needs widths >= degree 12 in every alphabet: (6, 6)\n"
+
+
 def test_ribbon_dump_poly_needs_json(capsys):
     # the table view shows only the expansion, so the polynomial would be
     # built for nothing

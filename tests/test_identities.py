@@ -838,6 +838,152 @@ def test_planted_repeat_in_the_group_stream_fails_rsk(monkeypatch):
     assert _cell_witness(report, 3, 2)["distinct_pairs"] == 47
 
 
+def _encoded(pairs, n, r):
+    """A colored descent set, given as its (i, color) pairs, packed as both
+    key functions pack it: the index of its color vector in
+    product(range(r), repeat=n) above n mask bits, bit i - 1 for each i < n
+    in the set whose color the next position keeps."""
+    colors, start = [], 0
+    for i, c in pairs:
+        colors += [c] * (i - start)
+        start = i
+    index = 0
+    for c in colors:
+        index = index * r + c
+    return index << n | sum(1 << (i - 1) for i, c in pairs[:-1] if colors[i] == c)
+
+
+def test_group_keys_pack_the_colored_descent_sets():
+    # every element with n <= 5, r <= 3, and the conjugate-inverse of each;
+    # a key never stands for two sets
+    set_of_key, elements = {}, 0
+    for n in range(1, 6):
+        for r in (1, 2, 3):
+            group = list(identities._group_keys(n, r))
+            assert [w for w, _, _ in group] == list(permutations._raw_group(n, r))
+            for w, key, conj_inverse_key in group:
+                for v, k in ((w, key), (permutations._raw_conj_inverse(*w), conj_inverse_key)):
+                    pairs = permutations._raw_colored_descent_set(*v)
+                    assert k == _encoded(pairs, n, r)
+                    assert set_of_key.setdefault((n, r, k), pairs) == pairs
+            elements += len(group)
+    assert elements == 35722
+
+
+def test_tableau_keys_pack_the_rpartite_descent_sets():
+    # every standard filling of every straight r-partite shape with
+    # n <= 5, r <= 3; a key never stands for two sets
+    set_of_key, fillings = {}, Counter()
+    for n in range(1, 6):
+        for r in (1, 2, 3):
+            for bll in shapes.enumerate_rpartite_partitions(n, r):
+                bounds = tuple((part, (0,) * len(part)) for part in bll)
+                for filling in shapes._raw_fillings(bounds):
+                    pairs = shapes._raw_rpartite_descent_set(filling)
+                    key = shapes._raw_rpartite_descent_key(filling)
+                    assert key == _encoded(pairs, n, r)
+                    assert set_of_key.setdefault((n, r, key), pairs) == pairs
+                    fillings[n, r] += 1
+    assert fillings[4, 2] == 76 and fillings[5, 3] == 1458
+
+
+def _standard_rpartite_count(n, r):
+    total = 0
+    for bll in shapes.enumerate_rpartite_partitions(n, r):
+        count = identities._multinomial(n, tuple(map(sum, bll)))
+        for part in bll:
+            count *= shapes.hook_length_count(part)
+        total += count
+    return total
+
+
+def test_rsk_keys_each_distinct_tableau_once_and_builds_no_descent_set(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a descent set was built as a tuple")
+
+    for module in (identities, permutations, shapes):
+        for name in ("_raw_colored_descent_set", "_raw_rpartite_descent_set"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    keyed = Counter()
+    key = shapes._raw_rpartite_descent_key
+
+    def counted(filling):
+        keyed[len(filling)] += 1
+        return key(filling)
+
+    monkeypatch.setattr(identities, "_raw_rpartite_descent_key", counted)
+    assert run_identity("rsk", 4, 3).passed
+    # every standard r-partite filling of size n is the P of some element
+    # of its cell, so each cell keys all of them, once
+    assert keyed == {
+        r: sum(_standard_rpartite_count(n, r) for n in range(1, 5)) for r in (1, 2, 3)
+    }
+
+
+def _one_row_in_component_1(filling):
+    return tuple(
+        (tuple(sorted(x for row in rows for x in row)),) if j == 1 and rows else rows
+        for j, rows in enumerate(filling)
+    )
+
+
+def test_planted_key_without_the_row_rule_in_one_component_fails_rsk_only(monkeypatch):
+    # component 1 read as one row loses its descents from the tableau-side
+    # key: every element whose P or Q has one fails, and one distinct-pair
+    # count per cell that has such elements; the ribbon Schur pass reads
+    # only word-side keys
+    key = shapes._raw_rpartite_descent_key
+    monkeypatch.setattr(
+        identities, "_raw_rpartite_descent_key", lambda f: key(_one_row_in_component_1(f))
+    )
+    changed = {
+        (n, r): sum(
+            any(key(_one_row_in_component_1(t)) != key(t) for t in bijections._raw_rsk(*w, r))
+            for w in permutations._raw_group(n, r)
+        )
+        for n in range(1, 4)
+        for r in (1, 2)
+    }
+    report = run_identity("rsk", 3, 2)
+    assert report.failure_count == sum(changed.values()) + sum(1 for k in changed.values() if k)
+    assert {(w["n"], w["r"]) for w in report.failures} == {c for c, k in changed.items() if k}
+    assert {c for c, k in changed.items() if k} == {(2, 2), (3, 2)}
+    assert run_identity("colored-ribbon-schur", 3, 2).passed
+
+
+def test_planted_tableau_checks_keyed_by_shape_fail_rsk(monkeypatch):
+    # the first tableau met of each shape answers for all of that shape
+    class ByShape(identities._TableauChecks):
+        def __getitem__(self, tableau):
+            shape = tuple(tuple(map(len, rows)) for rows in tableau)
+            if shape not in self:
+                self[shape] = self.__missing__(tableau)
+            return dict.__getitem__(self, shape)
+
+    monkeypatch.setattr(identities, "_TableauChecks", ByShape)
+    # at n <= 2, r = 1 each shape has one standard filling
+    assert run_identity("rsk", 2, 1).passed
+    report = run_identity("rsk", 3, 2)
+    assert not report.passed
+    assert {(w["n"], w["r"]) for w in report.failures} == {(2, 2), (3, 1), (3, 2)}
+
+
+def test_planted_conj_inverse_mask_of_the_word_fails_rsk_and_ribbon_schur(monkeypatch):
+    # the inverse read as the word, the colors still permuted: the
+    # conjugate-inverse key takes the word's descents, which differ from
+    # the inverse's only off the involutions, so first at n = 3
+    monkeypatch.setattr(
+        identities,
+        "_raw_conj_inverse",
+        lambda word, colors: (word, permutations._raw_conj_inverse(word, colors)[1]),
+    )
+    for name in ("rsk", "colored-ribbon-schur"):
+        report = run_identity(name, 3, 2)
+        assert not report.passed
+        assert {w["n"] for w in report.failures} == {3}
+
+
 # Planted faults in zigzag-count.  The first three change the raw key of
 # one colored composition, the first time it is met, so at its r = 2 cell
 # only: each key fails the zigzag test, and lies outside the generated set.
