@@ -54,7 +54,8 @@ from .shapes import (
     colored_composition_shape,
 )
 
-#: Largest descent class that ``descent_class`` lists.
+#: Largest descent class that ``descent_class`` lists, and whose fillings
+#: ``ribbon --basis f`` reads.
 MAX_CLASS_SIZE = factorial(8)
 
 
@@ -178,15 +179,22 @@ def conj_inverse_descent_class(ce: ColoredComposition) -> list[ColoredPermutatio
     )
 
 
-def _raw_descent_class(ce: ColoredComposition):
-    """The (word, colors) of each member of the descent class of ``ce``,
-    once its size is checked against ``MAX_CLASS_SIZE``."""
+def _check_class_size(ce: ColoredComposition) -> None:
+    """Refuse a descent class of more than ``MAX_CLASS_SIZE`` members, its
+    exact size counted by ``descent_class_size``, before any filling of its
+    shape is built."""
     size = descent_class_size(ce)
     if size > MAX_CLASS_SIZE:
         raise ResourceLimitError(
             f"the descent class has {size} members for n={ce.n}, r={ce.r}, "
             f"over the bound {MAX_CLASS_SIZE}"
         )
+
+
+def _raw_descent_class(ce: ColoredComposition):
+    """The (word, colors) of each member of the descent class of ``ce``,
+    once its size is checked by ``_check_class_size``."""
+    _check_class_size(ce)
     bounds = _raw_colored_composition_shape(ce.parts, ce.colors, ce.r)
     return [_raw_read_rows(filling, ce.parts, ce.colors) for filling in _raw_fillings(bounds)]
 

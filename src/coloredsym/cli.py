@@ -29,7 +29,12 @@ from itertools import starmap
 from math import comb
 from types import SimpleNamespace
 
-from .bijections import _raw_class_to_tableau, _raw_descent_class, _raw_rsk
+from .bijections import (
+    _check_class_size,
+    _raw_class_to_tableau,
+    _raw_descent_class,
+    _raw_rsk,
+)
 from .compositions import (
     _raw_colored_composition_list,
     _raw_text,
@@ -385,6 +390,38 @@ def _cmd_descent_class(args) -> int:
 MAX_POLY_TERMS = 2**20
 
 
+#: Most packed keys of a one-alphabet ribbon factor that ``ribbon`` builds
+#: (with ``--via-poly`` or ``--dump-poly``), as ``_check_factor_size``
+#: bounds them: the row ``16^0`` has 2^15 keys and ``18^0`` 2^17.
+MAX_FACTOR_KEYS = 2**16
+
+
+def _check_factor_size(ce) -> None:
+    """Refuse a ribbon with a one-alphabet factor of possibly more than
+    ``MAX_FACTOR_KEYS`` packed keys before any factor is built.  A key of
+    factor j lists the strip sizes of a semistandard filling of component
+    j, a composition of its m cells; equal entries lie in distinct columns,
+    so no part exceeds the c columns the component spans.  The compositions
+    of m with parts at most c bound the keys: 2^(m-1) for a row, 1 for a
+    column."""
+    for outer, inner in _raw_colored_composition_shape(ce.parts, ce.colors, ce.r):
+        if not outer:
+            continue
+        m, c = sum(outer) - sum(inner), outer[0] - inner[-1]
+        # ways[k] counts the compositions of k with parts at most c, which
+        # never falls as k grows, so the count stops once it passes the bound
+        ways = [1]
+        for k in range(1, m + 1):
+            ways.append(sum(ways[max(0, k - c):]))
+            if ways[k] > MAX_FACTOR_KEYS:
+                raise ResourceLimitError(
+                    f"a one-alphabet factor of the ribbon of {ce.text()} "
+                    f"({m} cells in {c} columns) may have more than "
+                    f"{MAX_FACTOR_KEYS} packed keys, over the bound of "
+                    f"--via-poly and --dump-poly"
+                )
+
+
 def _check_poly_size(ce, widths) -> None:
     """Refuse a placed ribbon polynomial of more than ``MAX_POLY_TERMS``
     terms before it is built.  Factor j places each of its packed keys on
@@ -419,6 +456,10 @@ def _cmd_ribbon(args) -> int:
     if args.dump_poly and args.format != "json":
         raise ValueError("--dump-poly applies only with --format json")
     widths = _parse_widths(args.widths) if args.widths is not None else (ce.n,) * ce.r
+    if args.basis == "f":
+        _check_class_size(ce)
+    if args.via_poly or args.dump_poly:
+        _check_factor_size(ce)
     peel_poly = args.via_poly and args.widths is not None
     if args.dump_poly or peel_poly:
         _check_poly_size(ce, widths)

@@ -15,7 +15,7 @@ from coloredsym import (
     enumerate_colored_compositions,
     ribbon_schur_by_counting,
 )
-from coloredsym import cli
+from coloredsym import bijections, cli, symfun
 from coloredsym.cli import main
 from coloredsym.errors import ResourceLimitError
 
@@ -186,6 +186,70 @@ def test_ribbon_f_basis_has_no_cell_bound(capsys):
     assert json.loads(out)["terms"] == [{"parts": [13], "colors": [0], "coeff": 1}]
 
 
+def test_ribbon_f_basis_is_bounded_by_the_class_size(capsys, monkeypatch):
+    # the class of 2^0,1^1 has 3 members: both sides of the bound
+    args = ("ribbon", "--comp", "2^0,1^1", "--r", "2", "--basis", "f")
+    monkeypatch.setattr(bijections, "MAX_CLASS_SIZE", 3)
+    assert run_cli(capsys, *args)[0] == 0
+    monkeypatch.setattr(bijections, "MAX_CLASS_SIZE", 2)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "") and "3 members" in err
+    # at the real bound, the 9! members of the alternating class are
+    # refused by both commands before any filling is built
+    monkeypatch.undo()
+
+    def refused(bounds):
+        raise AssertionError("a filling was built")
+
+    for module in (bijections, symfun):
+        monkeypatch.setattr(module, "_raw_fillings", refused)
+    alternating = ",".join(["1^0", "1^1"] * 4 + ["1^0"])
+    for argv in (("ribbon", "--basis", "f"), ("descent-class",)):
+        code, out, err = run_cli(capsys, *argv, "--comp", alternating, "--r", "2")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the descent class has 362880 members for n=9, r=2, "
+            f"over the bound {bijections.MAX_CLASS_SIZE}\n"
+        )
+
+
+def test_ribbon_factor_bound_is_checked_before_any_factor_is_built(capsys, monkeypatch):
+    # a row of m cells has 2^(m-1) packed keys: 17^0 has 2^16 and is
+    # accepted, 18^0 and 20^0 are refused on both polynomial paths
+    def refused(blocks):
+        raise AssertionError("a one-alphabet factor was built")
+
+    monkeypatch.setattr(symfun, "_schur_terms", refused)
+    cli._check_factor_size(ColoredComposition((17,), (0,), 1))
+    for comp, flag in (("18^0", "--dump-poly"), ("20^0", "--via-poly"), ("18^0", "--via-poly")):
+        code, out, err = run_cli(capsys, "ribbon", "--comp", comp, "--r", "1", flag)
+        assert (code, out) == (2, "")
+        assert f"may have more than {cli.MAX_FACTOR_KEYS} packed keys" in err
+    monkeypatch.undo()
+    # both sides of the bound at a size that runs: the row 3^0 has 4 keys
+    monkeypatch.setattr(cli, "MAX_FACTOR_KEYS", 4)
+    assert run_cli(capsys, "ribbon", "--comp", "3^0", "--r", "1", "--via-poly")[0] == 0
+    code, out, err = run_cli(capsys, "ribbon", "--comp", "4^0", "--r", "1", "--dump-poly")
+    assert (code, out) == (2, "") and "(4 cells in 4 columns)" in err
+
+
+def test_ribbon_factor_bound_holds_on_every_small_ribbon(monkeypatch):
+    # every colored composition with n <= 5, r <= 3: a bound below its
+    # largest factor's key count refuses it, and a row of n cells, with
+    # exactly 2^(n-1) keys, passes at that bound
+    for n in range(1, 6):
+        for r in (1, 2, 3):
+            for ce in enumerate_colored_compositions(n, r):
+                size = max(map(len, symfun._ribbon_factors(ce.parts, ce.colors, r)))
+                monkeypatch.setattr(cli, "MAX_FACTOR_KEYS", size - 1)
+                with pytest.raises(ResourceLimitError, match="may have more than"):
+                    cli._check_factor_size(ce)
+                if ce.parts == (n,):
+                    assert size == 2 ** (n - 1)
+                    monkeypatch.setattr(cli, "MAX_FACTOR_KEYS", size)
+                    cli._check_factor_size(ce)
+
+
 def test_ribbon_dump_poly(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -292,10 +356,14 @@ VERIFY_GOLDENS = [
     pytest.param(*case, marks=pytest.mark.slow) if case[0] == ("--identity", "all") else case
     for case in VERIFY_GOLDENS
 ])
-def test_verify_golden_stdout(capsys, argv, golden):
+def test_verify_golden_stdout(capsys, request, argv, golden):
     # report bytes and breakdown order of the shape and class suites, and
-    # of every suite at its default range
-    code, out, _ = run_cli(capsys, "verify", *argv)
+    # of every suite at its default range, from the shared run
+    if argv == ("--identity", "all"):
+        run = request.getfixturevalue("verify_all")
+        code, out = run.code, run.out
+    else:
+        code, out, _ = run_cli(capsys, "verify", *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
 
@@ -611,18 +679,23 @@ def test_readme_has_its_examples():
     pytest.param(line, marks=pytest.mark.slow) if line.endswith("--identity all") else line
     for line in _readme_examples()
 ])
-def test_readme_example_exits_0_with_json(capsys, monkeypatch, line):
-    # and its bytes are json.dumps(indent=2, sort_keys=True) of its object
-    emitted = []
-    emit = cli._emit
-
-    def recorded(obj, *args):
-        emitted.append(obj)
-        emit(obj, *args)
-
-    monkeypatch.setattr(cli, "_emit", recorded)
+def test_readme_example_exits_0_with_json(capsys, monkeypatch, request, line):
+    # and its bytes are json.dumps(indent=2, sort_keys=True) of its object;
+    # the default verify-all is the shared run
     argv = shlex.split(line, comments=True)[1:]
-    code, out, _ = run_cli(capsys, *argv)
+    if argv == ["verify", "--identity", "all"]:
+        run = request.getfixturevalue("verify_all")
+        code, out, emitted = run.code, run.out, run.emitted
+    else:
+        emitted = []
+        emit = cli._emit
+
+        def recorded(obj, *args):
+            emitted.append(obj)
+            emit(obj, *args)
+
+        monkeypatch.setattr(cli, "_emit", recorded)
+        code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     [obj] = emitted
     assert out == json.dumps(obj, indent=2, sort_keys=True) + "\n"
