@@ -45,7 +45,7 @@ from __future__ import annotations
 import time
 from collections import Counter, defaultdict
 from itertools import accumulate, compress, product
-from math import factorial
+from math import factorial, prod
 from operator import eq, gt, itemgetter
 
 from ._poly_py import add_terms
@@ -257,7 +257,9 @@ def verify_skew_schur_f_expansion(max_n: int = 6) -> VerificationReport:
     every skew shape of at most ``max_n`` cells.  Each distinct descent
     composition, read from the raw rows, adds its F once with its
     multiplicity.  Only the fillings that pass the standard test are
-    counted, so a nonstandard one leaves its F out and fails the case."""
+    counted, so a nonstandard one leaves its F out and fails the case.
+    The cases are the swept shapes, and each size fails once more unless
+    they are distinct and as many as ``_skew_shape_count`` gives."""
     shape_lists = {m: enumerate_skew_shapes(m) for m in range(1, max_n + 1)}
     expected = sum(len(v) for v in shape_lists.values())
     b = _Builder("skew-schur-f", max_n, None, expected, unit="cells")
@@ -282,7 +284,18 @@ def verify_skew_schur_f_expansion(max_n: int = 6) -> VerificationReport:
                         "diff": _term_diff(lhs, acc),
                     }
                 )
+        formula = _skew_shape_count(m)
+        counts = {"swept_shapes": len(shapes), "distinct_shapes": len(set(shapes))}
+        if set(counts.values()) != {formula}:
+            b.fail({"cells": m, **counts, "formula": formula})
     return b.report()
+
+
+def _skew_shape_count(m: int) -> int:
+    """The number of skew shapes of m cells with no empty row or column, up
+    to translation: for row lengths c, a composition of m, each row starts
+    at one of min(c_i, c_(i+1)) + 1 places against the row below it."""
+    return sum(prod(min(a, b) + 1 for a, b in zip(c, c[1:])) for c in _raw_compositions(m))
 
 
 def verify_colored_zigzag_count(max_n: int = 7, max_r: int = 4) -> VerificationReport:

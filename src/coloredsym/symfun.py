@@ -60,7 +60,7 @@ from types import MappingProxyType
 
 from ._poly_py import add_terms, mul_terms
 from ._value import FrozenValue, set_field
-from .compositions import ColoredComposition, Composition, _raw_coarsenings, _raw_extended_colors
+from .compositions import ColoredComposition, Composition, _raw_extended_colors
 from .errors import DimensionMismatchError, NotInSchurSpanError
 from .permutations import _raw_colored_descent_composition
 from .shapes import (
@@ -264,32 +264,32 @@ def _ssyt_terms(outer: tuple[int, ...], inner: tuple[int, ...]) -> dict[bytes, i
     the length of outer) with entries exactly 1..k, as one-alphabet packed
     terms: the cells holding i form a nonempty horizontal strip, so each
     filling is a chain of strips from the inner shape to the outer one,
-    keyed by the strip sizes."""
-    chains: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-
-    def grow(inner: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        if inner == outer:
-            return {(): 1}
-        got = chains.get(inner)
-        if got is None:
-            got = {}
+    keyed by the strip sizes.  The shapes reachable from the inner one are
+    listed, each with those one strip above it, and the chains from each
+    are summed from the largest shape down, with no recursion."""
+    above: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    todo = [inner]
+    while todo:
+        shape = todo.pop()
+        if shape not in above:
             # a horizontal strip adds to row i only columns that row i-1
             # already covered
             ranges = [
-                range(inner[i], min(outer[i], inner[i - 1] if i else outer[0]) + 1)
+                range(shape[i], min(outer[i], shape[i - 1] if i else outer[0]) + 1)
                 for i in range(len(outer))
             ]
-            for nxt in product(*ranges):
-                size = sum(nxt) - sum(inner)
-                if size:
-                    for sizes, c in grow(nxt).items():
-                        key = (size,) + sizes
-                        got[key] = got.get(key, 0) + c
-            chains[inner] = got
-        return got
-
+            above[shape] = [nxt for nxt in product(*ranges) if nxt != shape]
+            todo += above[shape]
+    chains: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for shape in sorted(above, key=sum, reverse=True):
+        got = chains[shape] = {(): 1} if shape == outer else {}
+        for nxt in above[shape]:
+            size = sum(nxt) - sum(shape)
+            for sizes, c in chains[nxt].items():
+                key = (size,) + sizes
+                got[key] = got.get(key, 0) + c
     m = sum(outer) - sum(inner)
-    return {bytes(sizes) + bytes(m - len(sizes)): c for sizes, c in grow(inner).items()}
+    return {bytes(sizes) + bytes(m - len(sizes)): c for sizes, c in chains[inner].items()}
 
 
 @lru_cache(maxsize=F_MEMO_SIZE)
@@ -463,14 +463,8 @@ def colored_h(bll: RPartitePartition, widths) -> MultiAlphabetPolynomial:
 
 def h_index_of_colored_comp(ce: ColoredComposition) -> RPartitePartition:
     """Split the parts by color and sort each class decreasingly."""
-    return _raw_h_index(ce.parts, ce.colors, ce.r)
-
-
-def _raw_h_index(parts, colors, r: int) -> RPartitePartition:
-    """``h_index_of_colored_comp`` of the colored composition (parts,
-    colors) with r colors."""
-    classes: list[list[int]] = [[] for _ in range(r)]
-    for p, c in zip(parts, colors):
+    classes: list[list[int]] = [[] for _ in range(ce.r)]
+    for p, c in zip(ce.parts, ce.colors):
         classes[c].append(p)
     return tuple(tuple(sorted(cls, reverse=True)) for cls in classes)
 
@@ -628,55 +622,36 @@ def _raw_ribbon_schur_by_counting(parts, colors, r: int) -> Expansion:
 
     A filling counted there puts entry i in the component of the extended
     color at i, in a strictly lower row than entry i-1 of the same
-    component exactly when i-1 ends a part.  One search grows all shapes
-    at once, placing entry i at any addable row that obeys this, a new
-    bottom row included.  Row 0 or a new bottom row always qualifies, so
-    no branch dies and the search costs O(n) per counted filling.  It
-    keeps an explicit stack, so n is not bounded by the recursion limit.
+    component exactly when i-1 ends a part, and in no lower row otherwise.
+    One forward pass places entry i at every addable row that obeys this,
+    a new bottom row included.  Partial fillings in the same state
+    continue alike, so each state is extended once and carries its count:
+    the pass costs the number of states, not of fillings.
     """
     ext = _raw_extended_colors(parts, colors)
     n, ends = len(ext), set(accumulate(parts))
-    rows: list[list[int]] = [[] for _ in range(r)]
-    coeffs: dict[RPartitePartition, int] = {}
-
-    def choices(i: int, prev: int):
-        """Rows open to entry i, given the row ``prev`` of entry i - 1."""
-        lengths = rows[ext[i - 1]]
-        lo, hi = 0, len(lengths)
-        if i > 1 and ext[i - 2] == ext[i - 1]:
-            lo, hi = (prev + 1, hi) if i - 1 in ends else (0, prev)
-        return iter([
-            t for t in range(lo, hi + 1)
-            if t == len(lengths) or t == 0 or lengths[t - 1] > lengths[t]
-        ])
-
-    # stack[i - 1] holds the rows left to try for entry i, and placed[i - 1]
-    # the row entry i sits in now
-    stack = [choices(1, -1)]
-    placed: list[int] = []
-    while stack:
-        i = len(stack)
-        lengths = rows[ext[i - 1]]
-        if len(placed) == i:
-            t = placed.pop()
-            lengths[t] -= 1
-            if not lengths[t]:
-                lengths.pop()
-        t = next(stack[-1], None)
-        if t is None:
-            stack.pop()
-            continue
-        if t == len(lengths):
-            lengths.append(1)
-        else:
-            lengths[t] += 1
-        placed.append(t)
-        if i == n:
-            bll = tuple(tuple(part) for part in rows)
-            coeffs[bll] = coeffs.get(bll, 0) + 1
-        else:
-            stack.append(choices(i + 1, t))
-    return Expansion("schur", n, r, coeffs)
+    # (row of the last entry if the next one shares its component, else -1;
+    # the row lengths of every component) -> number of partial fillings
+    states = {(-1, ((),) * r): 1}
+    for i, color in enumerate(ext, 1):
+        joins = i < n and ext[i] == color
+        grown: dict[tuple, int] = {}
+        for (prev, shape), count in states.items():
+            lengths = shape[color]
+            lo, hi = 0, len(lengths)
+            if prev >= 0:
+                lo, hi = (prev + 1, hi) if i - 1 in ends else (0, prev)
+            for t in range(lo, hi + 1):
+                if t == len(lengths):
+                    row = lengths + (1,)
+                elif t == 0 or lengths[t - 1] > lengths[t]:
+                    row = lengths[:t] + (lengths[t] + 1,) + lengths[t + 1 :]
+                else:
+                    continue
+                key = (t if joins else -1, shape[:color] + (row,) + shape[color + 1 :])
+                grown[key] = grown.get(key, 0) + count
+        states = grown
+    return Expansion("schur", n, r, {shape: count for (_, shape), count in states.items()})
 
 
 def ribbon_h_expansion(ce: ColoredComposition) -> Expansion:
@@ -686,17 +661,28 @@ def ribbon_h_expansion(ce: ColoredComposition) -> Expansion:
 
 
 def _raw_ribbon_h_expansion(parts, colors, r: int) -> Expansion:
-    """``ribbon_h_expansion`` of (parts, colors) with r colors."""
-    coeffs: dict[RPartitePartition, int] = {}
-    for coarse, coarse_colors in _raw_coarsenings(parts, colors):
-        sign = -1 if (len(parts) - len(coarse)) % 2 else 1
-        key = _raw_h_index(coarse, coarse_colors, r)
-        cur = coeffs.get(key, 0) + sign
-        if cur:
-            coeffs[key] = cur
-        else:
-            coeffs.pop(key, None)
-    return Expansion("h", sum(parts), r, coeffs)
+    """``ribbon_h_expansion`` of (parts, colors) with r colors.
+
+    One forward pass coarsens the parts in order: the open part closes or,
+    when the next part has its color, merges with it, which flips the
+    sign.  Each state is extended once and carries its signed count, so
+    the pass costs the number of states, not of coarsenings."""
+    # (the closed parts of each color, sorted decreasingly; the open part)
+    # -> signed number of coarsenings
+    states = {(((),) * r, parts[0]): 1}
+    for k, color in enumerate(colors, 1):
+        after = parts[k] if k < len(parts) else 0
+        merges = k < len(parts) and colors[k] == color
+        grown: dict[tuple, int] = {}
+        for (closed, open_), coeff in states.items():
+            shut = tuple(sorted(closed[color] + (open_,), reverse=True))
+            key = (closed[:color] + (shut,) + closed[color + 1 :], after)
+            grown[key] = grown.get(key, 0) + coeff
+            if merges:
+                key = (closed, open_ + after)
+                grown[key] = grown.get(key, 0) - coeff
+        states = grown
+    return Expansion("h", sum(parts), r, {closed: c for (closed, _), c in states.items() if c})
 
 
 def ribbon_f_expansion(ce: ColoredComposition) -> dict[ColoredComposition, int]:

@@ -250,6 +250,18 @@ def test_ribbon_factor_bound_holds_on_every_small_ribbon(monkeypatch):
                     cli._check_factor_size(ce)
 
 
+@pytest.mark.parametrize("flag", ["--via-poly", "--dump-poly"])
+def test_ribbon_polynomial_paths_take_a_column_past_the_recursion_limit(capsys, flag):
+    # the factor bound lets a column through, as its factor has one key,
+    # and that factor is a chain of more strips than the recursion limit
+    n = sys.getrecursionlimit() + 200
+    code, out, err = run_cli(capsys, "ribbon", "--comp", ",".join(["1^0"] * n), "--r", "1", flag)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    expansion = payload["expansion"] if flag == "--dump-poly" else payload
+    assert expansion["terms"] == [{"coeff": 1, "index": [[1] * n]}]
+
+
 def test_ribbon_dump_poly(capsys):
     code, out, _ = run_cli(
         capsys,

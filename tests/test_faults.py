@@ -721,12 +721,17 @@ ROWS += [
             SkewShape(tuple(x + 1 for x in s.outer), tuple(x + 1 for x in s.inner)) for s in out
         ))),
         count=1, cells={(1, 1)}),
+    # the cases are the swept shapes, so only the count of each size sees
+    # a dropped one
     row("dropped-disconnected-shape@skew-schur-f", "skew-schur-f", 2, None,
         (identities, "enumerate_skew_shapes", _changed(_at(2), lambda out: [
             s for s in out if s.is_connected()
         ])),
-        xfail="skew-schur-f counts its cases from the list it sweeps, so a shape the "
-        "enumerator drops is never missed; zigzag-count sees only dropped zigzags"),
+        count=1, cells={2},
+        check=lambda w: (w["swept_shapes"], w["distinct_shapes"], w["formula"]) == (2, 2, 3)),
+    row("skew-shape-count-plus-one@skew-schur-f", "skew-schur-f", 3, None,
+        (identities, "_skew_shape_count", lambda count: lambda m: count(m) + (m == 2)),
+        count=1, cells={2}, check=lambda w: w["formula"] == 4),
     row("bumped-counted-coefficient@colored-ribbon-schur", "colored-ribbon-schur", 3, 2,
         (identities, "_raw_ribbon_schur_by_counting", _changed(_at((2, 1), (0, 1), 2), _bumped)),
         count=1, cells={(3, 2)}, check=COUNTS_DIFFER),

@@ -134,6 +134,12 @@ def test_rsk_square_sum_guard():
     assert report.breakdown["n=3,r=2"] == 48
 
 
+def test_skew_shape_count_is_the_enumerators_count():
+    counts = [identities._skew_shape_count(m) for m in range(1, 10)]
+    assert counts == [1, 3, 9, 28, 87, 272, 850, 2659, 8318]
+    assert counts == [len(set(shapes.enumerate_skew_shapes(m))) for m in range(1, 10)]
+
+
 def test_classical_ribbon_suites_are_the_r1_slices():
     for classical, colored in (("ribbon-schur", "colored-ribbon-schur"),
                                ("ribbon-h", "colored-ribbon-h")):

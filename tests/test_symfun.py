@@ -2,7 +2,9 @@
 
 import random
 import sys
+from collections import Counter
 from itertools import product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +18,7 @@ from coloredsym import (
     colored_h,
     colored_ribbon,
     colored_schur,
+    coarsenings,
     e_poly,
     enumerate_colored_compositions,
     enumerate_colored_permutations,
@@ -26,6 +29,7 @@ from coloredsym import (
     fundamental_F,
     h_index_of_colored_comp,
     h_poly,
+    hook_length_count,
     is_symmetric_per_alphabet,
     partitions,
     qsym_generating_function,
@@ -272,6 +276,13 @@ class TestSchurPolynomials:
 
     def test_zero_when_too_narrow(self):
         assert schur_poly((1, 1, 1), 0, (2,)).is_zero()
+
+    @pytest.mark.slow
+    def test_strip_chains_are_not_bounded_by_the_recursion_limit(self):
+        # a column's one filling is a chain of one strip per cell
+        n = 3 * sys.getrecursionlimit()
+        column = (((1,) * n, (0,) * n),)
+        assert symfun._schur_terms(column) == {bytes([1]) * n: 1}
 
     def test_symmetry(self):
         assert is_symmetric_per_alphabet(schur_poly((3, 1), 0, (4,)))
@@ -623,7 +634,7 @@ class TestTableauCounting:
                     assert coeffs.get(bll, 0) == brute
 
     @pytest.mark.parametrize(
-        "n,r", [(n, r) for n in range(1, 6) for r in (1, 2, 3)] + [(6, 1), (7, 1)]
+        "n,r", [(n, r) for n in range(1, 7) for r in (1, 2, 3)] + [(7, 1)]
     )
     def test_one_search_matches_per_shape_reference(self, n, r):
         for ce in enumerate_colored_compositions(n, r):
@@ -636,6 +647,16 @@ class TestTableauCounting:
         column = ColoredComposition((1,) * n, (0,) * n, 1)
         assert ribbon_schur_by_counting(row).coeffs == {((n,),): 1}
         assert ribbon_schur_by_counting(column).coeffs == {((1,) * n,): 1}
+
+    def test_alternating_single_cells_count_pairs_of_standard_fillings(self):
+        # (1^0, 1^1) ten times: each component is ten single cells, so the
+        # ribbon is s_1^10 in each alphabet and the coefficient of
+        # (lambda, mu) is f^lambda * f^mu, over 90,174,016 fillings in all
+        ce = parse_colored_composition(",".join(["1^0", "1^1"] * 10))
+        f = {la: hook_length_count(la) for la in partitions(10)}
+        want = {(la, mu): f[la] * f[mu] for la in f for mu in f}
+        assert ribbon_schur_by_counting(ce).coeffs == want
+        assert sum(want.values()) == 9496**2 == 90_174_016
 
     @pytest.mark.parametrize("text", ["7^0,7^1", "4^0,4^1,4^2", "1^0,1^1,1^0,1^1,1^0,1^1"])
     def test_peeling_matches_counting(self, text):
@@ -670,6 +691,27 @@ class TestRibbonExpansions:
             ((2, 2),): 1,
             ((4,),): -1,
         }
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 7) for r in (1, 2, 3)])
+    def test_h_expansion_is_the_signed_sum_over_coarsenings(self, n, r):
+        for ce in enumerate_colored_compositions(n, r):
+            want = Counter()
+            for beta in coarsenings(ce):
+                want[h_index_of_colored_comp(beta)] += (-1) ** (len(ce.parts) - len(beta.parts))
+            assert ribbon_h_expansion(ce).coeffs == {k: c for k, c in want.items() if c}
+
+    def test_h_expansion_of_a_long_column_is_e_in_the_h_basis(self):
+        # 30 parts 1^0 make e_30 = sum over mu of
+        # (-1)^(30 - l(mu)) l(mu)! / prod m_i(mu)! h_mu, over 2^29 coarsenings
+        ce = ColoredComposition((1,) * 30, (0,) * 30, 1)
+        want = {
+            (mu,): (-1) ** (30 - len(mu))
+            * factorial(len(mu))
+            // prod(map(factorial, Counter(mu).values()))
+            for mu in partitions(30)
+        }
+        assert len(want) == 5604
+        assert ribbon_h_expansion(ce).coeffs == want
 
     def test_h_expansion_single_part(self):
         ce = ColoredComposition((4,), (1,), 2)
