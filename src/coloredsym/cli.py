@@ -51,6 +51,8 @@ from .shapes import (
 )
 from .symfun import (
     _check_peel_widths,
+    _check_widths,
+    _checked_widths,
     _raw_ribbon_f_counts,
     _ribbon_factors,
     colored_ribbon,
@@ -427,9 +429,9 @@ def _check_poly_size(ce, widths) -> None:
     terms before it is built.  Factor j places each of its packed keys on
     C(w_j, l) choices of indices, l the indices the key uses, and the
     placements of the factors join as a product.  Widths that
-    ``colored_ribbon`` refuses are left to it."""
-    if not _placeable(ce, widths):
-        return
+    ``colored_ribbon`` refuses are refused first, by its own checks."""
+    _check_widths(ce.r, widths)
+    _checked_widths(widths)
     size = 1
     for factor, w in zip(_ribbon_factors(ce.parts, ce.colors, ce.r), widths):
         size *= sum(comb(w, len(key) - key.count(0)) for key in factor)
@@ -439,12 +441,6 @@ def _check_poly_size(ce, widths) -> None:
             f"{','.join(map(str, widths))} has {size} terms, over the bound "
             f"of {MAX_POLY_TERMS}"
         )
-
-
-def _placeable(ce, widths) -> bool:
-    """Whether ``colored_ribbon`` accepts ``widths``: r of them, none
-    negative."""
-    return len(widths) == ce.r and min(widths) >= 0
 
 
 def _cmd_ribbon(args) -> int:
@@ -463,7 +459,7 @@ def _cmd_ribbon(args) -> int:
     peel_poly = args.via_poly and args.widths is not None
     if args.dump_poly or peel_poly:
         _check_poly_size(ce, widths)
-        if peel_poly and _placeable(ce, widths):
+        if peel_poly:
             # the peel's own refusal, before the polynomial is built
             _check_peel_widths(widths, ce.n)
         poly = colored_ribbon(ce, widths)

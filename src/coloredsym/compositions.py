@@ -341,32 +341,30 @@ def _raw_text(values, colors) -> str:
     return ",".join(map("{}^{}".format, values, colors))
 
 
-def _parse_tokens(text: str) -> list[tuple[int, int]]:
-    compact = re.sub(r"\s+", "", text)
-    if not compact:
-        raise ParseError("empty input")
-    pairs = []
-    for token in compact.split(","):
-        m = _TOKEN_RE.match(token)
-        if m is None:
-            raise ParseError(f"cannot parse token {token!r}")
-        value = int(m.group(1))
-        color = int(m.group(2)) if m.group(2) is not None else 0
-        pairs.append((value, color))
-    return pairs
-
-
 def parse_colored_composition(text: str, r: int | None = None) -> ColoredComposition:
     """Parse the caret form ``"2^0,2^1,1^1"`` (color defaults to 0).
 
     When ``r`` is omitted it is taken as one more than the largest color.
     """
-    pairs = _parse_tokens(text)
-    parts = tuple(v for v, _ in pairs)
-    colors = tuple(c for _, c in pairs)
+    return _parse_colored(text, r, ColoredComposition)
+
+
+def _parse_colored(text: str, r: int | None, build):
+    """``build(values, colors, r)`` of the caret form ``text``, r defaulting
+    to one more than the largest color; its ValueError is a ParseError."""
+    compact = re.sub(r"\s+", "", text)
+    if not compact:
+        raise ParseError("empty input")
+    values, colors = [], []
+    for token in compact.split(","):
+        m = _TOKEN_RE.match(token)
+        if m is None:
+            raise ParseError(f"cannot parse token {token!r}")
+        values.append(int(m.group(1)))
+        colors.append(int(m.group(2)) if m.group(2) is not None else 0)
     if r is None:
         r = max(colors) + 1
     try:
-        return ColoredComposition(parts, colors, r)
+        return build(tuple(values), tuple(colors), r)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc

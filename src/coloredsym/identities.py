@@ -13,9 +13,10 @@ sweeps run on raw tuples from the private ``_raw_*`` cores of
 ``symfun``, which the public functions wrap and validate.  A colored
 composition is a (parts, colors) pair with r beside it, in the case lists,
 the memo keys and the group pass, and a shape is its (outer, inner) row
-bounds.  Objects are built only as the skew shapes ``skew-schur-f``
-enumerates, for the paper-route oracle of the class sweep (one colored
-composition and its shapes per case), and for witnesses.  Every raw filling a
+bounds.  Objects are built only as the skew shapes that ``skew-schur-f``
+and ``zigzag-count`` (in ``_zigzags``) enumerate, for the paper-route
+oracle of the class sweep (one colored composition and its shapes per
+case), and for witnesses.  Every raw filling a
 sweep reads is checked standard by the rule ``StandardTableau`` reads,
 ``shapes._raw_cell_pairs``, and every raw colored zigzag by the block and
 color rules of the zigzag constructors.  The group pass and ``rsk`` read
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter, defaultdict
+from functools import cache
 from itertools import accumulate, compress, product
 from math import factorial, prod
 from operator import eq, gt, itemgetter
@@ -139,18 +141,10 @@ class VerificationReport(Value):
         return self.failure_count == 0 and self.cases_checked == self.expected_cases
 
     def to_json(self) -> dict:
-        return {
-            "identity": self.identity,
-            "max_n": self.max_n,
-            "max_r": self.max_r,
-            "cases_checked": self.cases_checked,
-            "expected_cases": self.expected_cases,
-            "failure_count": self.failure_count,
-            "failures": self.failures,
-            "breakdown": self.breakdown,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        """The fields but ``wall_time``, and ``passed``."""
+        out = {name: getattr(self, name) for name in self._fields if name != "wall_time"}
+        out["passed"] = self.passed
+        return out
 
     def table(self) -> str:
         lines = [
@@ -356,17 +350,13 @@ def verify_colored_zigzag_count(max_n: int = 7, max_r: int = 4) -> VerificationR
 
 def _zigzags(m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(outer, inner) of every zigzag of m cells: the connected skew
-    shapes with no 2x2 square, each shifted so that its bottom row starts
-    at column 0, as ``zigzag_of`` places it."""
-    out = []
-    for shape in enumerate_skew_shapes(m):
-        if shape.is_connected() and not shape.contains_2x2():
-            shift = shape.inner[-1]
-            out.append((
-                tuple(o - shift for o in shape.outer),
-                tuple(i - shift for i in shape.inner),
-            ))
-    return out
+    shapes with no 2x2 square.  ``enumerate_skew_shapes`` starts each
+    bottom row at column 0, as ``zigzag_of`` places it."""
+    return [
+        (shape.outer, shape.inner)
+        for shape in enumerate_skew_shapes(m)
+        if shape.is_connected() and not shape.contains_2x2()
+    ]
 
 
 def _generated_colored_zigzags(n: int, r: int, zigzags: dict) -> set:
@@ -516,15 +506,13 @@ def _conj_inverse_f_counters(n: int, r: int) -> dict[tuple, Counter]:
     return out
 
 
-def _ribbon_schur_case(parts, colors, r: int, counter: Counter, ribbons: dict) -> dict | None:
+def _ribbon_schur_case(parts, colors, r: int, counter: Counter, packed) -> dict | None:
     # the F-sum is colored quasisymmetric, so it is compared with the packed
-    # ribbon, kept in ``ribbons`` by the blocks of its r-partite shape,
-    # which fix n and r; the peel multiplies the memoized expansions of the
-    # ribbon's one-alphabet factors, the Schur elements of the same blocks
+    # ribbon, ``packed`` of the blocks of its r-partite shape, which fix n
+    # and r; the peel multiplies the memoized expansions of the ribbon's
+    # one-alphabet factors, the Schur elements of the same blocks
     blocks = _ribbon_blocks(parts, colors, r)
-    ribbon = ribbons.get(blocks)
-    if ribbon is None:
-        ribbon = ribbons[blocks] = _colored_schur_terms(blocks)
+    ribbon = packed(blocks)
     acc: dict[bytes, int] = {}
     for comp, mult in counter.items():
         add_terms(acc, _colored_F_terms(*comp, r), mult)
@@ -549,9 +537,10 @@ def _ribbon_schur_case(parts, colors, r: int, counter: Counter, ribbons: dict) -
 def _ribbon_schur_sweep(identity, max_n, max_r) -> VerificationReport:
     b = _Builder(identity, max_n, max_r)
     for n, r, cell in b.cells():
-        counters, ribbons = _conj_inverse_f_counters(n, r), {}
+        # the packed ribbons of the cell, each built once and dropped with it
+        counters, packed = _conj_inverse_f_counters(n, r), cache(_colored_schur_terms)
         for ce in cell:
-            b.check(n, r, ce, _ribbon_schur_case(*ce, r, counters.get(ce, Counter()), ribbons))
+            b.check(n, r, ce, _ribbon_schur_case(*ce, r, counters.get(ce, Counter()), packed))
     return b.report()
 
 
@@ -615,8 +604,8 @@ def verify_colored_rsk(max_n: int = 4, max_r: int = 3) -> VerificationReport:
 
     Per element: the insertion, the descent keys of the word and of its
     conjugate-inverse from ``_group_keys``, and the round trip.  Once per
-    distinct tableau of an (n, r) cell, in a dict dropped with the cell
-    (``_TableauChecks``): the standard test on the straight shapes of its
+    distinct tableau of an (n, r) cell, in a memo made for the cell
+    (``_tableau_checks``): the standard test on the straight shapes of its
     own row lengths, and then its shape and its r-partite descent key.  An
     element passes only if P and Q pass that check with one shape, Q's key
     is the word's and P's key the conjugate-inverse's.
@@ -639,16 +628,16 @@ def verify_colored_rsk(max_n: int = 4, max_r: int = 3) -> VerificationReport:
     )
     for n in range(1, max_n + 1):
         for r in range(1, max_r + 1):
-            distinct, previous, checks = 0, (), _TableauChecks()
+            distinct, previous, checks = 0, (), _tableau_checks()
             for w, key, conj_inverse_key in _group_keys(n, r):
                 b.case(n, r)
                 increasing, previous = w > previous, w
                 p, q = _raw_rsk(*w, r)
-                checked = checks[p]
+                checked = checks(p)
                 ok = (
                     increasing
                     and checked is not None
-                    and checks[q] == (checked[0], key)
+                    and checks(q) == (checked[0], key)
                     and checked[1] == conj_inverse_key
                     and _raw_rsk_inverse(p, q) == w
                 )
@@ -677,25 +666,22 @@ def verify_colored_rsk(max_n: int = 4, max_r: int = 3) -> VerificationReport:
     return b.report()
 
 
-class _TableauChecks(dict):
+def _tableau_checks():
     """The check of each distinct tableau of one ``rsk`` cell, given as one
-    tuple of row tuples per component and made when it is first met: None
-    unless it is standard on the straight shapes of its own row lengths,
-    else (those lengths, its ``_raw_rpartite_descent_key``)."""
+    tuple of row tuples per component, made when it is first met and kept
+    until the cell's checks are dropped: None unless it is standard on the
+    straight shapes of its own row lengths, else (those lengths, its
+    ``_raw_rpartite_descent_key``)."""
+    standard_on = cache(_straight_standard_test)
 
-    def __init__(self):
-        super().__init__()
-        self.standard_on: dict = {}
-
-    def __missing__(self, tableau):
+    @cache
+    def check(tableau):
         shape = tuple(tuple(map(len, rows)) for rows in tableau)
-        standard = self.standard_on.get(shape)
-        if standard is None:
-            standard = self.standard_on[shape] = _straight_standard_test(shape)
-        check = self[tableau] = (
-            (shape, _raw_rpartite_descent_key(tableau)) if standard(tableau) else None
-        )
-        return check
+        if not standard_on(shape)(tableau):
+            return None
+        return shape, _raw_rpartite_descent_key(tableau)
+
+    return check
 
 
 def _straight_standard_test(shape: tuple[tuple[int, ...], ...]):

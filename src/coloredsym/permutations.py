@@ -34,11 +34,11 @@ from .compositions import (
     Composition,
     _check_colors,
     _check_nonempty,
-    _parse_tokens,
+    _parse_colored,
     _raw_set_to_comp,
     _raw_text,
 )
-from .errors import DimensionMismatchError, ParseError
+from .errors import DimensionMismatchError
 
 
 class Permutation(FrozenValue):
@@ -236,12 +236,6 @@ def _raw_group(n: int, r: int):
 
 def parse_colored_permutation(text: str, r: int | None = None) -> ColoredPermutation:
     """Parse window notation ``"2^0,3^0,7^1,..."`` (color defaults to 0)."""
-    pairs = _parse_tokens(text)
-    word = tuple(v for v, _ in pairs)
-    colors = tuple(c for _, c in pairs)
-    if r is None:
-        r = max(colors) + 1
-    try:
-        return ColoredPermutation(Permutation(word), colors, r)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return _parse_colored(
+        text, r, lambda word, colors, r: ColoredPermutation(Permutation(word), colors, r)
+    )

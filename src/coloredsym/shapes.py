@@ -18,9 +18,9 @@ descent set.  ``rpartite_shape_of`` folds each color's zigzags with
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from math import factorial
-from operator import eq, gt, index, lt, sub
+from operator import add, eq, gt, index, lt, sub
 
 from ._value import FrozenValue, set_field
 from .compositions import (
@@ -698,30 +698,16 @@ def enumerate_skew_shapes(ncells: int):
     if ncells < 1:
         raise ValueError("ncells must be positive")
     out: list[SkewShape] = []
-
-    def offsets(clens: list[int], i: int, chosen: list[int]):
-        # chosen holds 0-indexed start columns, bottom row first
-        if i < 0:
-            k = len(clens)
-            starts = chosen[::-1]  # top row first
-            outer = tuple(starts[r] + clens[r] for r in range(k))
-            inner = tuple(starts[r] for r in range(k))
-            out.append(SkewShape(outer, inner))
-            return
-        below = chosen[-1]
-        below_len = clens[i + 1]
-        lo = max(below, below + below_len - clens[i])
-        hi = below + below_len
-        for o in range(lo, hi + 1):
-            chosen.append(o)
-            offsets(clens, i - 1, chosen)
-            chosen.pop()
-
     for comp in enumerate_compositions(ncells):
-        clens = list(comp.parts)  # row lengths top-down
-        k = len(clens)
-        if k == 1:
-            out.append(SkewShape((clens[0],), ()))
-            continue
-        offsets(clens, k - 2, [0])
+        lengths = comp.parts  # top row first
+        # bottom up, each row starts at or right of the start of the row
+        # below, ends at or right of its end, and starts at most at its end,
+        # so no column is empty; the top row's start varies fastest
+        steps = [
+            range(max(0, below - length), below + 1)
+            for length, below in zip(lengths[-2::-1], lengths[:0:-1])
+        ]
+        for step in product(*steps):
+            inner = tuple(accumulate(step, initial=0))[::-1]
+            out.append(SkewShape(tuple(map(add, inner, lengths)), inner))
     return out

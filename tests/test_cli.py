@@ -77,10 +77,14 @@ def test_ribbon_polynomial_bound_is_the_term_count(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_POLY_TERMS", 8)
     code, out, err = run_cli(capsys, *args, "--dump-poly")
     assert code == 2 and out == "" and "has 9 terms" in err
-    # widths the constructor refuses keep its own error
-    for widths, message in (("2", "need 2 alphabet widths"), ("2,-1", "nonnegative")):
-        code, _, err = run_cli(capsys, *args[:-1], widths, "--dump-poly")
-        assert code == 2 and message in err
+    # widths the constructor refuses keep its own error, with either flag
+    for flag in ("--dump-poly", "--via-poly"):
+        for widths, message in (
+            ("2", "error: need 2 alphabet widths, got 1\n"),
+            ("2,-1", "error: alphabet widths must be nonnegative\n"),
+        ):
+            code, out, err = run_cli(capsys, *args[:-1], widths, flag)
+            assert (code, out, err) == (2, "", message)
 
 
 def test_ribbon_polynomial_bound_reads_the_exact_term_count(monkeypatch):

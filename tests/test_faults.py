@@ -413,18 +413,22 @@ def _repeated_at(i, *cell):
     return _changed(_at(*cell), change)
 
 
-def _keyed_by_shape(checks):
-    """The tableau checks with the first tableau met of each shape
-    answering for all of that shape."""
+def _keyed_by_shape(tableau_checks):
+    """The tableau checks of a cell with the first tableau met of each
+    shape answering for all of that shape."""
 
-    class ByShape(checks):
-        def __getitem__(self, tableau):
+    def by_shape():
+        check, first = tableau_checks(), {}
+
+        def keyed(tableau):
             shape = tuple(tuple(map(len, rows)) for rows in tableau)
-            if shape not in self:
-                self[shape] = self.__missing__(tableau)
-            return dict.__getitem__(self, shape)
+            if shape not in first:
+                first[shape] = check(tableau)
+            return first[shape]
 
-    return ByShape
+        return keyed
+
+    return by_shape
 
 
 # Faults in zigzag-count.  The first three change the raw key of one
@@ -620,7 +624,7 @@ ROWS = [
         passes=(("colored-ribbon-schur", 3, 2),)),
     # at n <= 2, r = 1 each shape has one standard filling
     row("tableau-checks-keyed-by-shape@rsk", "rsk", 3, 2,
-        (identities, "_TableauChecks", _keyed_by_shape),
+        (identities, "_tableau_checks", _keyed_by_shape),
         cells={(2, 2), (3, 1), (3, 2)}, passes=(("rsk", 2, 1),)),
     # the inverse read as the word, the colors still permuted: the
     # conjugate-inverse key takes the word's descents, which differ from

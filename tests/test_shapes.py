@@ -503,6 +503,27 @@ class TestSkewEnumeration:
         assert len(enumerate_skew_shapes(2)) == 3
         assert len(enumerate_skew_shapes(3)) == 9
 
+    def test_order(self):
+        # the order fixes skew-schur-f's case and witness order: compositions
+        # of the row lengths in their order, then the start of each row
+        # against the row below, bottom up, the top row's start fastest
+        found = [(s.outer, s.inner) for m in range(1, 4) for s in enumerate_skew_shapes(m)]
+        assert found == [
+            ((1,), (0,)),
+            ((1, 1), (0, 0)),
+            ((2, 1), (1, 0)),
+            ((2,), (0,)),
+            ((1, 1, 1), (0, 0, 0)),
+            ((2, 1, 1), (1, 0, 0)),
+            ((2, 2, 1), (1, 1, 0)),
+            ((3, 2, 1), (2, 1, 0)),
+            ((2, 2), (1, 0)),
+            ((3, 2), (2, 0)),
+            ((2, 1), (0, 0)),
+            ((3, 1), (1, 0)),
+            ((3,), (0,)),
+        ]
+
     def test_no_empty_rows_or_columns(self):
         for m in range(1, 6):
             shapes = enumerate_skew_shapes(m)

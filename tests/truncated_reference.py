@@ -12,7 +12,7 @@ of its rows."""
 from functools import reduce
 from itertools import accumulate, combinations_with_replacement
 
-from coloredsym import ColoredComposition, zigzag_of
+from coloredsym import zigzag_of
 from coloredsym.compositions import rainbow_decomposition
 from coloredsym.shapes import SkewShape, _raw_colored_zigzag, as_skew, colored_composition_shape
 from coloredsym.symfun import (
@@ -149,10 +149,6 @@ def colored_h(bll, widths):
 
 def colored_schur(bll, widths):
     return product((schur(part, j, widths) for j, part in enumerate(bll)), widths)
-
-
-def one_color(parts):
-    return ColoredComposition(tuple(parts), (0,) * len(parts), 1)
 
 
 def _row_blocks(shape):
